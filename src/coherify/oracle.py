@@ -1,5 +1,6 @@
 """Brute-force validators: feasible-set sampling, purity maximization,
-Haar Monte-Carlo averages, and the d >= 4 unistochasticity search.
+Haar Monte-Carlo averages, and the unitary-witness search for unistochastic
+matrices.
 
 The feasible set explored here is the spectrahedron of Jamiolkowski states
 with a fixed diagonal (equivalently a fixed classical action) and the
@@ -44,10 +45,10 @@ __all__ = [
 class OracleConfig:
     """Knobs for the numerical validators.
 
-    max_iterations caps each Dykstra projection; step_size is the initial
-    gradient step of the purity ascent (the ascent grows it adaptively);
-    tolerance is the feasibility residual accepted during search (final
-    answers are polished tighter).
+    max_iterations caps each Dykstra projection and each restart of the
+    witness search; step_size is the constant gradient step of the purity
+    ascent; tolerance is the feasibility residual accepted during search
+    (final answers are polished tighter).
     """
 
     seed: int = 42
@@ -588,13 +589,13 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
 def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]:
     """Heuristic maximum of gamma(J) over channels with classical action T.
 
-    Projected gradient ascent: the purity gradient at J is 2J, so a step
-    scales the iterate and Dykstra projects it back; the step grows
-    adaptively until the projection acts like a linear-maximization move.
-    One restart starts from the explicit row-grouping coherification, the
-    rest from random feasible points, so the result is never worse than the
-    known lower bound. The value returned is a feasible lower bound on the
-    true optimum, not an optimality certificate.
+    Projected gradient ascent: the purity gradient at J is 2J, so each step
+    scales the iterate by the constant factor 1 + 2 * cfg.step_size (plus an
+    annealed random tilt) and Dykstra projects it back. One restart starts
+    from the explicit row-grouping coherification, the rest from random
+    feasible points, so the result is never worse than the known lower
+    bound. The value returned is a feasible lower bound on the true
+    optimum, not an optimality certificate.
     """
     return maximize_purity_many([t], cfg)[0]
 
@@ -621,6 +622,70 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
     return scale * (mean - maxmixed_output_purity(ch)), scale * se
 
 
+def _phase_waves(d: int, cfg: OracleConfig):
+    """Initial phases of restarts 1..restarts-1: Fourier alone, then the random ones."""
+    j = np.arange(d)
+    if cfg.restarts > 1:
+        yield (2 * np.pi * np.outer(j, j) / d)[None]
+    if cfg.restarts > 2:
+        yield np.stack([
+            _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
+            for r in range(2, cfg.restarts)
+        ])
+
+
+def _phase_descent(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
+    """Lockstep phase descent of batched restarts; the first verified witness or None.
+
+    waves yields (R_i, d, d) arrays of initial phases; wave i joins the batch
+    at iteration i, so a restart of the first wave that succeeds at once
+    never pays for the others. Each restart keeps its own step, halved
+    whenever its objective rises, and its own iteration count. A restart
+    leaves the batch when its objective drops below 1e-20, when its phases
+    stop changing (a fixed point: further steps would change nothing) or
+    after max_iterations steps; it is then polished and verified at once.
+    Restarts leaving together are verified in restart order.
+    """
+    from .stochastic import _moduli_polish, _verify_witness
+
+    d = t.shape[0]
+    m = np.sqrt(t)
+    eye = np.eye(d)
+    phi = np.empty((0, d, d))
+    step = np.empty(0)
+    f_prev = np.empty(0)
+    left = np.empty(0, dtype=np.intp)
+    waves = iter(waves)
+    while True:
+        wave = next(waves, None)
+        if wave is not None:
+            phi = np.concatenate([phi, wave])
+            step = np.concatenate([step, np.full(len(wave), 0.1)])
+            f_prev = np.concatenate([f_prev, np.full(len(wave), np.inf)])
+            left = np.concatenate([left, np.full(len(wave), max_iterations)])
+        elif not len(phi):
+            return None
+        u = m * np.exp(1j * phi)
+        u_dag = np.conj(np.swapaxes(u, -1, -2))
+        g = u_dag @ u - eye
+        f = (np.abs(g) ** 2).sum(axis=(-2, -1))
+        converged = f < 1e-20
+        step = np.where(f > f_prev, 0.5 * step, step)
+        f_prev = f
+        grad = -4.0 * np.imag(np.swapaxes(g @ u_dag, -1, -2) * u)
+        new = np.where(converged[:, None, None], phi, phi - step[:, None, None] * grad)
+        left = left - 1
+        out = converged | (left == 0) | (new == phi).all(axis=(-2, -1))
+        if out.any():
+            for phases in new[out]:
+                w = _moduli_polish(m * np.exp(1j * phases), t)
+                if _verify_witness(w, t):
+                    return w
+            keep = ~out
+            new, step, f_prev, left = new[keep], step[keep], f_prev[keep], left[keep]
+        phi = new
+
+
 def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarray | None:
     """Best-effort unitary witness search for bistochastic T of any size.
 
@@ -628,8 +693,12 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     |U^dag U - 1|_F^2 by gradient descent on the phases, finishing with an
     alternating moduli/polar polish. Restart 0 uses zero phases (catching
     permutations and real-orthogonal cases), restart 1 Fourier phases, the
-    rest random. Returns None when nothing verifies; absence of a witness is
-    an "unknown", never a "no".
+    rest random. Restart 0 makes U real, where the phase gradient vanishes,
+    so only its polish runs. The others run batched in lockstep (see
+    _phase_descent): restart 1 takes its first step alone, the random ones
+    join from the second, and the search stops at the first witness that
+    verifies. The result is reproducible for a given cfg. Returns None when
+    nothing verifies; absence of a witness is an "unknown", not a "no".
     """
     from .stochastic import _moduli_polish, _verify_witness, is_bistochastic
 
@@ -637,32 +706,7 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     t = assert_transition_matrix(t)
     if not is_bistochastic(t):
         return None
-    d = t.shape[0]
-    m = np.sqrt(t)
-    j = np.arange(d)
-    eye = np.eye(d)
-
-    for r in range(cfg.restarts):
-        if r == 0:
-            phi = np.zeros((d, d))
-        elif r == 1:
-            phi = 2 * np.pi * np.outer(j, j) / d
-        else:
-            phi = _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
-        step = 0.1
-        f_prev = np.inf
-        for _ in range(cfg.max_iterations):
-            u = m * np.exp(1j * phi)
-            g = dag(u) @ u - eye
-            f = float((np.abs(g) ** 2).sum())
-            if f < 1e-20:
-                break
-            if f > f_prev:
-                step *= 0.5
-            f_prev = f
-            grad = -4.0 * np.imag((g @ dag(u)).T * u)
-            phi -= step * grad
-        u = _moduli_polish(m * np.exp(1j * phi), t)
-        if _verify_witness(u, t):
-            return u
-    return None
+    u = _moduli_polish(np.sqrt(t).astype(np.complex128), t)
+    if _verify_witness(u, t):
+        return u
+    return _phase_descent(t, _phase_waves(t.shape[0], cfg), cfg.max_iterations)

@@ -5,8 +5,10 @@ to one. A bistochastic T also has unit row sums; it is unistochastic when
 T = U o conj(U) entrywise for some unitary U. The boundary between
 bistochastic and unistochastic matrices is known in closed form only for
 d <= 3, where T is unistochastic exactly when every polygon coefficient
-alpha^i_kl equals one; for d >= 4 only a best-effort numerical search is
-available (see the oracle module).
+alpha^i_kl equals one. At every d an alpha below one certifies that T is
+not unistochastic, since columns k and l of a unitary must be orthogonal;
+for d >= 4 with every alpha equal to one only a best-effort numerical
+search for a witness is available (see the oracle module).
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class StochasticClass:
     """Classification verdict with certificate.
 
     unistochastic is "yes" (witness_unitary satisfies T = U o conj(U)),
-    "no" (witness_triple violates the polygon inequality, when one exists),
-    or "unknown" (d >= 4 search came back empty).
+    "no" (not bistochastic, or witness_triple violates the polygon
+    inequality; possible at every d), or "unknown" (d >= 4, every polygon
+    inequality holds and the witness search came back empty).
     """
 
     is_stochastic: bool
@@ -190,42 +193,14 @@ def _witness_d3(t: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _witness_phase_descent(t: np.ndarray, restarts: int = 16, iters: int = 500) -> np.ndarray | None:
-    """Deterministic local phase search: minimize |U^dag U - 1|_F^2 over phases."""
-    d = t.shape[0]
-    m = np.sqrt(t)
-    rng = np.random.Generator(np.random.Philox(key=20170307))
-    j = np.arange(d)
-    inits = [np.zeros((d, d)), 2 * np.pi * np.outer(j, j) / d]
-    inits += [rng.uniform(0, 2 * np.pi, size=(d, d)) for _ in range(restarts)]
-    for phi in inits:
-        phi = phi.copy()
-        step = 0.2
-        f_prev = np.inf
-        for _ in range(iters):
-            u = m * np.exp(1j * phi)
-            g = dag(u) @ u - np.eye(d)
-            f = float((np.abs(g) ** 2).sum())
-            if f < 1e-18:
-                break
-            if f > f_prev:
-                step *= 0.5
-            f_prev = f
-            grad = -4.0 * np.imag((g @ dag(u)).T * u)
-            phi -= step * grad
-        u = _moduli_polish(m * np.exp(1j * phi), t)
-        if _verify_witness(u, t):
-            return u
-    return None
-
-
 def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarray:
     """Unitary U with |U_ij|^2 = T_ij, for bistochastic T.
 
-    Closed-form for d <= 2, triangle construction for d = 3 (with a phase
-    descent fallback for degenerate zero patterns). For d >= 4 a couple of
-    structured candidates (real sqrt(T), Fourier phases) are tried; anything
-    beyond that needs a numerically found witness, which can be passed in.
+    Closed-form for d <= 2, triangle construction for d = 3 (with the oracle's
+    phase-descent search as fallback for degenerate zero patterns). For d >= 4
+    a couple of structured candidates (real sqrt(T), Fourier phases) are
+    tried; anything beyond that needs a numerically found witness, which can
+    be passed in.
     """
     t = assert_transition_matrix(t)
     d = t.shape[0]
@@ -251,7 +226,9 @@ def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarr
     if d == 3:
         u = _witness_d3(t)
         if u is None:
-            u = _witness_phase_descent(t)
+            from .oracle import search_unistochastic_witness
+
+            u = search_unistochastic_witness(t)
         if u is not None:
             return u
         raise NotUnistochastic("no unitary realizes T (triangle construction failed)")
@@ -263,11 +240,13 @@ def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarr
 def classify(t, search_cfg=None) -> StochasticClass:
     """Sort a real square matrix into the stochastic / bistochastic / unistochastic taxonomy.
 
-    d = 2 bistochastic matrices are always unistochastic; d = 3 is decided by
-    the polygon coefficients (all alpha = 1 within 1e-9 iff unistochastic),
-    with a constructed witness on yes and a violating triple on no; d >= 4
-    runs the numerical witness search and returns "unknown" when it fails,
-    never "no".
+    d = 2 bistochastic matrices are always unistochastic. For d >= 3 one pass
+    over the polygon coefficients comes first: a violated polygon inequality
+    (some alpha < 1 - 1e-9) is returned as "no" with that triple at every d.
+    At d = 3 that decides the question, and a "yes" carries a constructed
+    witness. For d >= 4 with every alpha = 1 the structured candidates and
+    then the numerical witness search run (search_cfg, an OracleConfig,
+    configures it); the verdict is "unknown" when nothing verifies.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -281,14 +260,10 @@ def classify(t, search_cfg=None) -> StochasticClass:
     d = t.shape[0]
     if d <= 2:
         return StochasticClass(True, True, "yes", witness_unitary=unitary_from_unistochastic(t))
+    worst = min(((alpha(t, *trip), trip) for trip in defined_triples(t)), default=None)
+    if worst is not None and worst[0] < 1.0 - 1e-9:
+        return StochasticClass(True, True, "no", witness_triple=worst[1])
     if d == 3:
-        worst = None
-        for (i, k, l) in defined_triples(t):
-            a = alpha(t, i, k, l)
-            if worst is None or a < worst[0]:
-                worst = (a, (i, k, l))
-        if worst is not None and worst[0] < 1.0 - 1e-9:
-            return StochasticClass(True, True, "no", witness_triple=worst[1])
         return StochasticClass(True, True, "yes", witness_unitary=unitary_from_unistochastic(t))
     try:
         u = unitary_from_unistochastic(t)

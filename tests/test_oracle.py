@@ -7,6 +7,7 @@ from coherify.diagnostics import path_distribution
 from coherify.oracle import (
     OracleConfig,
     haar_unitarity_mc,
+    haar_unitary,
     maximize_purity,
     rand_channel,
     sample_fixed_action,
@@ -104,6 +105,88 @@ def test_witness_search():
     p = np.eye(5)[:, [3, 0, 4, 1, 2]]
     u = search_unistochastic_witness(p, OracleConfig(seed=42, restarts=2))
     assert u is not None and np.abs(np.abs(u) ** 2 - p).max() < 1e-10
+
+
+def _flat_block(d, perm_rows, perm_cols):
+    t = np.eye(d)
+    t[:3, :3] = T_FLAT_OFFDIAG
+    return t[perm_rows][:, perm_cols]
+
+
+def _kron_input(a, b):
+    """Permuted kron of two 2x2 bistochastic matrices: unistochastic."""
+    ta = np.array([[a, 1 - a], [1 - a, a]])
+    tb = np.array([[b, 1 - b], [1 - b, b]])
+    return np.kron(ta, tb)[[2, 0, 3, 1]][:, [1, 3, 0, 2]]
+
+
+def _sequential_search(t, cfg):
+    """Reference: one restart at a time, each to convergence or the cap."""
+    from coherify.oracle import _rng
+    from coherify.stochastic import _moduli_polish, _verify_witness
+
+    d = t.shape[0]
+    m = np.sqrt(t)
+    j = np.arange(d)
+    for r in range(cfg.restarts):
+        if r == 0:
+            phi = np.zeros((d, d))
+        elif r == 1:
+            phi = 2 * np.pi * np.outer(j, j) / d
+        else:
+            phi = _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
+        step, f_prev = 0.1, np.inf
+        for _ in range(cfg.max_iterations):
+            u = m * np.exp(1j * phi)
+            g = u.conj().T @ u - np.eye(d)
+            f = float((np.abs(g) ** 2).sum())
+            if f < 1e-20:
+                break
+            if f > f_prev:
+                step *= 0.5
+            f_prev = f
+            phi = phi - step * (-4.0 * np.imag((g @ u.conj().T).T * u))
+        u = _moduli_polish(m * np.exp(1j * phi), t)
+        if _verify_witness(u, t):
+            return u
+    return None
+
+
+def test_witness_search_none_on_flat_blocks():
+    rng = np.random.default_rng(74)
+    for d in (4, 5):
+        t = _flat_block(d, rng.permutation(d), rng.permutation(d))
+        assert search_unistochastic_witness(t, OracleConfig(seed=42)) is None
+
+
+def test_witness_search_reproducible():
+    late = np.abs(haar_unitary(4, np.random.default_rng(103))) ** 2
+    for t in (_kron_input(0.3, 0.8), late):
+        cfg = OracleConfig(seed=42)
+        u1 = search_unistochastic_witness(t, cfg)
+        u2 = search_unistochastic_witness(t, cfg)
+        assert u1 is not None and np.array_equal(u1, u2)
+        assert np.abs(np.abs(u1) ** 2 - t).max() < 1e-8
+        assert np.abs(u1.conj().T @ u1 - np.eye(4)).max() < 1e-8
+
+
+def test_witness_search_agrees_with_sequential_reference():
+    rng = np.random.default_rng(75)
+    late = np.abs(haar_unitary(4, np.random.default_rng(103))) ** 2
+    cases = [
+        np.full((4, 4), 0.25),
+        T_FLAT_OFFDIAG,
+        np.eye(5)[:, [3, 0, 4, 1, 2]],
+        _kron_input(0.2, 0.6),
+        _flat_block(4, rng.permutation(4), rng.permutation(4)),
+        late,
+    ]
+    cfg = OracleConfig(seed=42, restarts=8)
+    for t in cases:
+        u = search_unistochastic_witness(t, cfg)
+        assert (u is None) == (_sequential_search(t, cfg) is None)
+        if u is not None:
+            assert np.abs(np.abs(u) ** 2 - t).max() < 1e-8
 
 
 def test_rand_channel_valid():

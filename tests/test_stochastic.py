@@ -155,3 +155,32 @@ def test_majorizes_reflexive_transitive():
 def test_is_bistochastic():
     assert is_bistochastic(np.full((3, 3), 1 / 3))
     assert not is_bistochastic(np.array([[0.9, 0.9], [0.1, 0.1]]))
+
+
+def flat_block(d, perm_rows, perm_cols):
+    """Permuted blockdiag(flat off-diagonal 3x3, I_{d-3}): not unistochastic."""
+    t = np.eye(d)
+    t[:3, :3] = T_FLAT_OFFDIAG
+    return t[perm_rows][:, perm_cols]
+
+
+def test_classify_certifies_no_at_d4_and_d5():
+    rng = np.random.default_rng(32)
+    for d in (4, 5):
+        t = flat_block(d, rng.permutation(d), rng.permutation(d))
+        cls = classify(t)
+        assert cls.is_bistochastic
+        assert cls.unistochastic == "no"
+        assert cls.witness_unitary is None
+        assert alpha(t, *cls.witness_triple) < 1.0 - 1e-9
+
+
+def test_classify_d3_degenerate_pattern_falls_back_to_search():
+    # 1 (+) a 2x2 block: the triangle construction keeps the block real and
+    # fails, so the witness comes from the oracle's phase-descent search
+    for a in (0.3, 0.5, 0.9):
+        for perm in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+            t = np.array([[1.0, 0, 0], [0, a, 1 - a], [0, 1 - a, a]])[perm]
+            cls = classify(t)
+            assert cls.unistochastic == "yes"
+            assert witness_ok(cls.witness_unitary, t)
