@@ -13,10 +13,6 @@ class NotHermitian(CoherifyError):
     """Matrix fails the Hermitian symmetry check beyond tolerance."""
 
 
-class NoConvergence(CoherifyError):
-    """An iterative numerical routine hit its iteration limit."""
-
-
 class NotTracePreserving(CoherifyError):
     """Kraus set does not resolve the identity.
 
@@ -47,4 +43,13 @@ class NotBistochastic(CoherifyError):
 
 
 class ConvergenceFailure(CoherifyError):
-    """A sampling or optimization run failed to reach feasibility."""
+    """An iterative numerical routine failed to converge.
+
+    Raised when a LAPACK eigensolver fails, and when a sampling or
+    optimization run does not reach feasibility within its iteration limit.
+    """
+
+
+# the second public name of the same class, so that code catching either
+# name catches every convergence failure
+NoConvergence = ConvergenceFailure

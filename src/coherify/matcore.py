@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 MAX_DIM = 64
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., m, n)."""
+    return a.swapaxes(-1, -2).conj()
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ def eig_hermitian(h: np.ndarray, atol: float = 1e-10) -> EigenDecomposition:
     try:
         w, v = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+        raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
 

@@ -160,8 +160,8 @@ class _FeasibleSet:
         return out
 
     def affine_project(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Exact Frobenius projection onto the affine constraints (in place)."""
-        x = (x + np.conj(np.swapaxes(x, -1, -2))) / 2
+        """Exact Frobenius projection onto the affine constraints (x is left unchanged)."""
+        x = (x + dag(x)) / 2
         idx = np.arange(self.n)
         x[..., idx, idx] = target
         if self.n_groups:
@@ -196,12 +196,8 @@ class _FeasibleSet:
 def _psd_project(x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(x)
     w = np.maximum(w, 0.0)
-    y = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return (y + np.conj(np.swapaxes(y, -1, -2))) / 2
-
-
-def _sub_target(target: np.ndarray, mask) -> np.ndarray:
-    return target[mask] if target.ndim > 1 else target
+    y = (v * w[..., None, :]) @ dag(v)
+    return (y + dag(y)) / 2
 
 
 def _dykstra(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int):
@@ -209,24 +205,34 @@ def _dykstra(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
 
     Returns (Y, converged): Y is exactly PSD with affine residual below tol
     for converged members. The correction term is kept for the cone only;
-    an affine set needs none.
+    an affine set needs none. target is one diagonal target for every member
+    or one per member. Converged members leave the compact working arrays
+    at once; each member's arithmetic does not depend on the rest of the
+    batch, so projecting a batch equals projecting its members one by one.
     """
-    x = feas.affine_project(x0.copy(), target)
+    x = feas.affine_project(x0, target)
+    target = np.broadcast_to(target, (x.shape[0], feas.n))
     p = np.zeros_like(x)
-    y = x.copy()
+    # C order whatever the layout of x: callers reduce over Y's last two axes,
+    # and the rounding of those sums follows the memory order
+    y = np.empty(x.shape, dtype=x.dtype)
+    y_live = x
+    live = np.arange(x.shape[0])
     converged = np.zeros(x.shape[0], dtype=bool)
     for _ in range(max_iter):
-        active = ~converged
-        if not active.any():
-            break
-        t_act = _sub_target(target, active)
-        y_act = _psd_project(x[active] + p[active])
-        p[active] = x[active] + p[active] - y_act
-        y[active] = y_act
-        x[active] = feas.affine_project(y_act.copy(), t_act)
-        newly = np.zeros_like(converged)
-        newly[np.flatnonzero(active)] = feas.residual(y_act, t_act) <= tol
-        converged |= newly
+        s = x + p
+        y_live = _psd_project(s)
+        p = s - y_live
+        x = feas.affine_project(y_live, target)
+        done = feas.residual(y_live, target) <= tol
+        if done.any():
+            y[live[done]] = y_live[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, x, p, target, y_live = live[keep], x[keep], p[keep], target[keep], y_live[keep]
+            if not live.size:
+                break
+    y[live] = y_live
     return y, converged
 
 
@@ -348,9 +354,9 @@ def _face_solve(feas: _FeasibleSet, w_top, targets, basis, iters: int = 6):
         m_mat = np.einsum("bq,qrs->brs", sol, basis)
         mw, mv = np.linalg.eigh(m_mat)
         mw = np.maximum(mw, 0.0)
-        m_mat = (mv * mw[..., None, :]) @ np.conj(np.swapaxes(mv, -1, -2))
+        m_mat = (mv * mw[..., None, :]) @ dag(mv)
         x = np.einsum("bnr,brs,bms->bnm", w_top, m_mat, w_top.conj())
-        x = (x + np.conj(np.swapaxes(x, -1, -2))) / 2
+        x = (x + dag(x)) / 2
         if it < iters - 1:
             _, vv = np.linalg.eigh(x)
             w_top = vv[..., :, feas.n - rank:]
@@ -472,6 +478,27 @@ def _capped_family_seed(feas: _FeasibleSet, t: np.ndarray, sign: float) -> np.nd
     return feas.compress(full)
 
 
+# Phase 2 of _maximize_group (face refinement) runs on this many restarts per
+# input: the ones with the highest purity after phase 1. Each restart in it
+# costs one Dykstra-projected candidate per eigenvector subset (25 per restart
+# at d = 3), yet the winner comes from the best few restarts. On the perfbench
+# validate-qutrit corpus, keeping 1 lost 1.5e-4 purity on the dense input and
+# keeping 4 lost 1.3e-8 on another; keeping 8 left every report unchanged.
+FACE_RESTARTS = 8
+
+
+def _face_members(best_purity: np.ndarray, restarts: int) -> np.ndarray:
+    """Restarts that enter the face refinement, as flat member indices.
+
+    best_purity holds `restarts` consecutive entries per input. Per input the
+    FACE_RESTARTS highest, ties going to the lower restart, are kept in
+    restart order; with restarts <= FACE_RESTARTS every restart is kept.
+    """
+    pur = best_purity.reshape(-1, restarts)
+    order = np.argsort(-pur, axis=1, kind="stable")[:, :FACE_RESTARTS]
+    return (np.sort(order, axis=1) + restarts * np.arange(len(pur))[:, None]).reshape(-1)
+
+
 def _maximize_group(group, global_idx, cfg: OracleConfig):
     from itertools import combinations
 
@@ -527,23 +554,20 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # phase 2: face refinement. Extreme points have rank r with r^2 bounded
     # by the number of affine constraints; for each candidate face spanned by
     # subsets of a member's top eigenvectors the unique feasible point is one
-    # linear solve away.
+    # linear solve away. Only each input's FACE_RESTARTS best restarts after
+    # phase 1 take part (all of them when restarts <= FACE_RESTARTS).
     m_con = ns + 2 * feas.n_groups
     r_max = max(1, min(ns, int(np.floor(np.sqrt(m_con)))))
     k_top = min(ns, r_max + 2)
-    _, vv = np.linalg.eigh(best)
+    members = _face_members(best_purity, r0)
+    _, vv = np.linalg.eigh(best[members])
     top = vv[..., :, ::-1][..., :, :k_top]
     for rank in range(1, r_max + 1):
-        basis = _herm_basis(rank)
-        w_stack, idx_stack = [], []
-        for sub in combinations(range(k_top), rank):
-            w_stack.append(top[..., list(sub)])
-            idx_stack.append(all_members)
-        z = _face_solve(
-            feas, np.concatenate(w_stack, axis=0),
-            targets[np.concatenate(idx_stack)], basis,
-        )
-        checkpoint(z, np.concatenate(idx_stack))
+        subsets = list(combinations(range(k_top), rank))
+        w_top = np.concatenate([top[..., list(sub)] for sub in subsets], axis=0)
+        member_idx = np.tile(members, len(subsets))
+        z = _face_solve(feas, w_top, targets[member_idx], _herm_basis(rank))
+        checkpoint(z, member_idx)
 
     # phase 3: exact reduction to diagonal-block families (see
     # _coupling_refinement); seeded per input with the classical family, both
@@ -568,22 +592,18 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     )
     checkpoint(couplers, np.asarray(seed_members))
 
-    out = []
-    for gi in range(nt):
-        sl = slice(gi * r0, (gi + 1) * r0)
-        if best_purity[sl].max() <= -1e299:
-            raise ConvergenceFailure("no restart reached a feasible point")
-        win = gi * r0 + int(best_purity[sl].argmax())
-        y, _ = _dykstra(
-            feas,
-            best[win][None],
-            targets[win][None],
-            min(cfg.tolerance, 1e-9),
-            cfg.max_iterations,
-        )
-        jam = feas.embed(y[0])
-        out.append((Channel(jam, atol=1e-6), float(_purity(y[0][None])[0])))
-    return out
+    best_purity = best_purity.reshape(nt, r0)
+    if (best_purity.max(axis=1) <= -1e299).any():
+        raise ConvergenceFailure("no restart reached a feasible point")
+    # polish every input's winner in one batch
+    wins = np.arange(nt) * r0 + best_purity.argmax(axis=1)
+    y, _ = _dykstra(
+        feas, best[wins], targets[wins], min(cfg.tolerance, 1e-9), cfg.max_iterations
+    )
+    purities = _purity(y)
+    return [
+        (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(nt)
+    ]
 
 
 def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]:
@@ -666,7 +686,7 @@ def _phase_descent(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | No
         elif not len(phi):
             return None
         u = m * np.exp(1j * phi)
-        u_dag = np.conj(np.swapaxes(u, -1, -2))
+        u_dag = dag(u)
         g = u_dag @ u - eye
         f = (np.abs(g) ** 2).sum(axis=(-2, -1))
         converged = f < 1e-20

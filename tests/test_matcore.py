@@ -3,6 +3,7 @@ import pytest
 
 from coherify.errors import DimensionMismatch, NotHermitian
 from coherify.matcore import (
+    dag,
     eig_hermitian,
     kron,
     partial_trace,
@@ -130,3 +131,12 @@ def test_kron_basics():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert abs(np.linalg.norm(kron(a, b)) - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-12
+
+
+def test_dag_of_stack():
+    rng = np.random.default_rng(77)
+    a = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    out = dag(a)
+    assert out.shape == (3, 4, 2)
+    for i in range(3):
+        assert np.array_equal(out[i], a[i].conj().T)

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+import coherify
 from coherify.bounds import mu_lower, mu_upper, polygon_report
 from coherify.channels import channel_purity, classical_action
 from coherify.diagnostics import path_distribution
+from coherify.matcore import eig_hermitian
 from coherify.oracle import (
+    FACE_RESTARTS,
     OracleConfig,
+    _dykstra,
+    _face_members,
+    _FeasibleSet,
+    _rng,
     haar_unitarity_mc,
     haar_unitary,
     maximize_purity,
@@ -244,3 +251,59 @@ def test_maximize_purity_inside_bounds_random():
             _, pur = maximize_purity(t, OracleConfig(seed=200 + i, restarts=4))
             assert pur >= float(lo @ lo) - 1e-6
             assert pur <= float(up @ up) + 1e-6
+
+
+def test_dykstra_batch_equals_members_alone():
+    t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
+    shared = feas.target(T_EXAMPLE)
+    x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) for i in range(6)])
+    early = _dykstra(feas, x0, per_member, 1e-9, 5)[1]
+    late = _dykstra(feas, x0, per_member, 1e-9, 40)[1]
+    # members leave at different iterations, and some hit the cap
+    assert early.any() and (late & ~early).any() and not late.all()
+    for target in (per_member, shared):
+        for cap in (5, 40):
+            y, ok = _dykstra(feas, x0, target, 1e-9, cap)
+            assert y.flags.c_contiguous
+            for i in range(len(x0)):
+                tg = target[i:i + 1] if target.ndim == 2 else target
+                y1, ok1 = _dykstra(feas, x0[i:i + 1], tg, 1e-9, cap)
+                assert np.array_equal(y[i], y1[0])
+                assert ok[i] == ok1[0]
+
+
+def _face_members_reference(best_purity, restarts):
+    out = []
+    for base in range(0, len(best_purity), restarts):
+        pur = best_purity[base:base + restarts]
+        ranked = sorted(range(restarts), key=lambda k: (-pur[k], k))
+        out += [base + k for k in sorted(ranked[:FACE_RESTARTS])]
+    return out
+
+
+def test_face_members():
+    rng = np.random.default_rng(76)
+    for restarts in (1, 3, FACE_RESTARTS):
+        pur = rng.uniform(0, 1, 2 * restarts)
+        assert _face_members(pur, restarts).tolist() == list(range(2 * restarts))
+    # ties on the cut and infeasible restarts (-1e300)
+    pur = rng.choice([0.2, 0.5, 0.7, -1e300], size=3 * 12)
+    chosen = _face_members(pur, 12)
+    assert chosen.tolist() == _face_members_reference(pur, 12)
+    assert len(chosen) == 3 * FACE_RESTARTS
+
+
+def test_convergence_error_names_catch_both_failures(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    for name in ("NoConvergence", "ConvergenceFailure"):
+        exc = getattr(coherify, name)
+        with pytest.raises(exc):
+            sample_fixed_action(T_EXAMPLE, 2, OracleConfig(max_iterations=1))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", failing_eigh)
+            with pytest.raises(exc):
+                eig_hermitian(np.eye(2))
