@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_maximizer.json
+    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_projection.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -13,20 +13,30 @@ alternating which tree runs first, and times:
   ``"ok": true``), after one untimed warm-up call on a 2x2 input;
 - criterion 3's ``maximize_purity_many`` call (1000 qubit inputs drawn from
   ``default_rng(2026)``, ``OracleConfig(seed=42, restarts=3)``), after an
-  untimed call on its first 5 inputs.
+  untimed call on its first 5 inputs;
+- the projection of ``sample_fixed_action``'s 100 starts for a 3x3 action
+  whose smallest entry is 4e-4 (``OracleConfig(seed=0)``: tolerance 1e-7,
+  2000 iterations), after an untimed projection of a well-conditioned
+  action; the number of starts that converged is reported;
+- ``maximize_purity`` on a dense 4x4 action (``default_rng(404)``, entries
+  from [0.02, 1), columns normalized) with ``OracleConfig(seed=42,
+  restarts=4)``.
 
 The validate round is also split into phases by wrapping oracle functions:
 ``sample_fixed_action``; and inside ``_maximize_group`` the ascent (up to
 the first ``_face_solve`` call), the face refinement (up to the first
 ``_coupling_refinement`` call), the coupling stage (up to the first
-``_dykstra`` call with a tolerance below the config's, which is the final
-polish) and the polish. ``other`` is the rest of the round: the CLI's
-checks of the samples against the bounds.
+projection with a tolerance below the config's, which is the final polish)
+and the polish. The projection is ``_project``, or ``_dykstra`` in trees
+that predate it. ``other`` is the rest of the round: the CLI's checks of the
+samples against the bounds.
 
 Once per tree, outside the timed runs, the 48 reports of round 0 of
-validate-qutrit seeds 1-4 are collected; the report counts how many are
-byte-identical between the trees, and how many of the criterion-3
-purities are bitwise equal. The report gives, per tree, the median and
+validate-qutrit seeds 1-4 are collected. The report counts how many are
+byte-identical between the trees and gives the per-input change of
+``best_purity`` (sum, min, max). For criterion 3 it counts the bitwise equal
+purities and gives each tree's largest gap below mu_upper . mu_upper and
+largest excess above it. The report gives, per tree, the median and
 quartiles over the repeats and the machine it ran on.
 """
 
@@ -50,6 +60,10 @@ ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
 PHASES = ("sample_fixed_action", "ascent", "face", "coupling", "polish")
+TASKS = ("validate", "criterion3", "sampler", "dense4")
+SMALL_ENTRY_ACTION = [[0.4043, 0.4914, 0.2938],
+                      [0.4544, 0.2575, 0.7058],
+                      [0.1413, 0.2511, 0.0004]]
 
 
 def _import_tree(tree: Path):
@@ -69,6 +83,12 @@ def _criterion3_inputs():
         a, b = rng.uniform(0, 1, 2)
         ts.append(np.array([[a, 1 - b], [1 - a, b]]))
     return ts
+
+
+def _projection(oracle):
+    """The projection onto the feasible set and its name in this tree."""
+    name = "_project" if hasattr(oracle, "_project") else "_dykstra"
+    return name, getattr(oracle, name)
 
 
 def _time_phases(oracle) -> dict:
@@ -91,8 +111,8 @@ def _time_phases(oracle) -> dict:
                 switch(None)
         return wrapped
 
-    group, face, coupling, dykstra = (
-        oracle._maximize_group, oracle._face_solve, oracle._coupling_refinement, oracle._dykstra)
+    group, face, coupling = oracle._maximize_group, oracle._face_solve, oracle._coupling_refinement
+    projection_name, projection = _projection(oracle)
 
     def maximize_group(group_ts, global_idx, cfg):
         state["tolerance"] = cfg.tolerance
@@ -107,16 +127,16 @@ def _time_phases(oracle) -> dict:
         switch("coupling")
         return coupling(*args, **kwargs)
 
-    def dykstra_(feas, x0, target, tol, max_iter):
+    def project(feas, x0, target, tol, max_iter):
         if state["phase"] == "coupling" and tol < state["tolerance"]:
             switch("polish")
-        return dykstra(feas, x0, target, tol, max_iter)
+        return projection(feas, x0, target, tol, max_iter)
 
     oracle.sample_fixed_action = whole_call(oracle.sample_fixed_action, "sample_fixed_action")
     oracle._maximize_group = maximize_group
     oracle._face_solve = face_solve
     oracle._coupling_refinement = coupling_refinement
-    oracle._dykstra = dykstra_
+    setattr(oracle, projection_name, project)
     return phases
 
 
@@ -137,7 +157,36 @@ def worker(tree: Path, task: str) -> dict:
         t0 = time.perf_counter()
         results = oracle.maximize_purity_many(ts, cfg)
         seconds = time.perf_counter() - t0
-        return {"seconds": seconds, "purities": [float(p).hex() for _, p in results]}
+        from coherify.bounds import mu_upper
+
+        gaps = [float(mu_upper(t) @ mu_upper(t)) - p for t, (_, p) in zip(ts, results)]
+        return {"seconds": seconds, "purities": [float(p).hex() for _, p in results],
+                "max_gap": max(gaps), "max_excess": max(0.0, -min(gaps))}
+    if task == "sampler":
+        import numpy as np
+
+        _, projection = _projection(oracle)
+        cfg = oracle.OracleConfig(seed=0)
+
+        def project_starts(t):
+            feas = oracle._FeasibleSet.for_action(t)
+            target = feas.target(t)
+            x0 = np.stack([feas.random_start(target, oracle._rng(cfg.seed, i)) for i in range(100)])
+            t0 = time.perf_counter()
+            _, ok = projection(feas, x0, target, cfg.tolerance, cfg.max_iterations)
+            return time.perf_counter() - t0, ok
+
+        project_starts(workloads.T_EXAMPLE)
+        seconds, ok = project_starts(np.array(SMALL_ENTRY_ACTION))
+        return {"seconds": seconds, "converged": int(ok.sum())}
+    if task == "dense4":
+        import numpy as np
+
+        m = np.random.default_rng(404).uniform(0.02, 1.0, (4, 4))
+        t = m / m.sum(axis=0, keepdims=True)
+        t0 = time.perf_counter()
+        _, purity = oracle.maximize_purity(t, oracle.OracleConfig(seed=42, restarts=4))
+        return {"seconds": time.perf_counter() - t0, "purity": purity}
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
             reports = []
@@ -175,13 +224,19 @@ def _extract(rev: str, dest: Path) -> None:
         tf.extractall(dest, filter="data")
 
 
+def _deltas(before: list[float], after: list[float]) -> dict:
+    diffs = [a - b for a, b in zip(after, before)]
+    return {"compared": len(diffs), "bitwise_equal": sum(d == 0.0 for d in diffs),
+            "sum": sum(diffs), "min": min(diffs), "max": max(diffs)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_maximizer.json")
+    p.add_argument("--out", default="BENCH_projection.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--task", choices=("validate", "criterion3", "reports"), help=argparse.SUPPRESS)
+    p.add_argument("--task", choices=TASKS + ("reports",), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is not None:
         with contextlib.redirect_stdout(sys.stderr):
@@ -196,16 +251,20 @@ def main(argv=None) -> int:
         base = Path(tmp)
         _extract(args.before, base)
         trees = {"before": base, "after": ROOT}
-        runs = {name: {"validate": [], "criterion3": []} for name in trees}
+        runs = {name: {task: [] for task in TASKS} for name in trees}
         for rep in range(args.repeats):
             order = list(trees) if rep % 2 == 0 else list(reversed(trees))
             for name in order:
-                for task in ("validate", "criterion3"):
+                for task in TASKS:
                     runs[name][task].append(_run_worker(trees[name], task))
         reports = {name: _run_worker(tree, "reports")["reports"] for name, tree in trees.items()}
 
-    validate = {"seed": VALIDATE_SEED, "round": 0}
-    criterion3 = {"inputs": 1000, "restarts": 3}
+    timings = {
+        "validate_qutrit_round": {"seed": VALIDATE_SEED, "round": 0},
+        "criterion3_maximize_purity_many": {"inputs": 1000, "restarts": 3},
+        "small_entry_sampler_projection": {"samples": 100, "min_entry": 4e-4},
+        "dense4_maximize_purity": {"restarts": 4},
+    }
     for name in trees:
         vruns = runs[name]["validate"]
         entry = _summary([r["seconds"] for r in vruns])
@@ -215,17 +274,24 @@ def main(argv=None) -> int:
             phase: statistics.median(r["phases_s"][phase] for r in vruns)
             for phase in vruns[0]["phases_s"]
         }
-        validate[name] = entry
+        timings["validate_qutrit_round"][name] = entry
         cruns = runs[name]["criterion3"]
-        criterion3[name] = _summary([r["seconds"] for r in cruns])
-        criterion3[name]["purities_repeat_exactly"] = all(
-            r["purities"] == cruns[0]["purities"] for r in cruns)
-    for entry in (validate, criterion3):
+        entry = _summary([r["seconds"] for r in cruns])
+        entry["purities_repeat_exactly"] = all(r["purities"] == cruns[0]["purities"] for r in cruns)
+        timings["criterion3_maximize_purity_many"][name] = entry
+        sruns = runs[name]["sampler"]
+        entry = _summary([r["seconds"] for r in sruns])
+        entry["converged"] = sorted({r["converged"] for r in sruns})
+        timings["small_entry_sampler_projection"][name] = entry
+        druns = runs[name]["dense4"]
+        entry = _summary([r["seconds"] for r in druns])
+        entry["purity"] = sorted({r["purity"] for r in druns})
+        timings["dense4_maximize_purity"][name] = entry
+    for entry in timings.values():
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
 
-    before_pur = [float.fromhex(h) for h in runs["before"]["criterion3"][0]["purities"]]
-    after_pur = [float.fromhex(h) for h in runs["after"]["criterion3"][0]["purities"]]
-    diffs = [a - b for a, b in zip(after_pur, before_pur)]
+    best = {name: [json.loads(text)["best_purity"] for text in reports[name]] for name in trees}
+    c3 = {name: runs[name]["criterion3"][0] for name in trees}
     report = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -238,28 +304,27 @@ def main(argv=None) -> int:
             ["git", "-C", str(ROOT), "rev-parse", args.before],
             capture_output=True, text=True, check=True).stdout.strip(),
         "repeats": args.repeats,
-        "validate_qutrit_round": validate,
-        "criterion3_maximize_purity_many": criterion3,
-        "identity": {
+        **timings,
+        "purity": {
             "validate_reports": {
                 "seeds": list(IDENTITY_SEEDS), "round": 0,
-                "compared": len(reports["after"]),
                 "byte_identical": sum(a == b for a, b in zip(reports["before"], reports["after"])),
+                "best_purity_sum": {name: sum(best[name]) for name in trees},
+                "best_purity_delta": _deltas(best["before"], best["after"]),
             },
-            "criterion3_purities": {
-                "compared": len(diffs),
-                "bitwise_equal": sum(a == b for a, b in zip(after_pur, before_pur)),
-                "max_gain": max(0.0, *diffs),
-                "max_loss": max(0.0, *(-x for x in diffs)),
+            "criterion3": {
+                "purity_delta": _deltas(*([float.fromhex(h) for h in c3[name]["purities"]]
+                                          for name in ("before", "after"))),
+                "max_gap_below_mu_upper_sq": {name: c3[name]["max_gap"] for name in trees},
+                "max_excess_over_mu_upper_sq": {name: c3[name]["max_excess"] for name in trees},
             },
         },
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    for title, entry in (("validate-qutrit round", validate),
-                         ("criterion-3 maximize_purity_many", criterion3)):
-        print(f"{title}: {entry['before']['median_s']:.2f} s -> {entry['after']['median_s']:.2f} s"
+    for title, entry in timings.items():
+        print(f"{title}: {entry['before']['median_s']:.3f} s -> {entry['after']['median_s']:.3f} s"
               f" ({entry['speedup']:.2f}x)")
-    print(json.dumps(report["identity"], indent=2))
+    print(json.dumps(report["purity"], indent=2))
     return 0
 
 

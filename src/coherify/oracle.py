@@ -4,21 +4,20 @@ matrices.
 
 The feasible set explored here is the spectrahedron of Jamiolkowski states
 with a fixed diagonal (equivalently a fixed classical action) and the
-trace-preservation partial-trace constraint. Points are produced by Dykstra
-alternating projections between the PSD cone and that affine subspace; plain
-alternation would converge to a point violating one of the two constraints,
-Dykstra's correction term restores convergence to the true projection.
+trace-preservation partial-trace constraint. Points are produced by the
+exact Frobenius projection onto it (:func:`_project`): semismooth Newton
+steps on the dual of the projection problem, whose variables are the m
+affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
+2004; Qi & Sun, SIAM J. Matrix Anal. Appl. 28(2), 2006). Newton converges
+quadratically on that dual, also where some entries of T are tiny.
 
 Randomness comes from the counter-based Philox generator, keyed by
-``seed + stream index``, so runs are bit-reproducible and independent of how
-work is chunked across threads. The COHERIFY_THREADS environment variable
-caps the number of worker threads (default: single-threaded).
+``seed + stream index``, so runs are bit-reproducible, and a member's
+projection does not depend on the batch it is projected in.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +44,11 @@ __all__ = [
 class OracleConfig:
     """Knobs for the numerical validators.
 
-    max_iterations caps each Dykstra projection and each restart of the
-    witness search; step_size is the constant gradient step of the purity
-    ascent; tolerance is the feasibility residual accepted during search
-    (final answers are polished tighter).
+    max_iterations caps the Newton steps of each projection onto the
+    feasible set and each restart of the witness search; step_size is the
+    constant gradient step of the purity ascent; tolerance is the
+    feasibility residual accepted during search (the maximizer compares
+    and polishes its candidates at min(tolerance, 1e-9)).
     """
 
     seed: int = 42
@@ -66,13 +66,6 @@ class OracleConfig:
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(stream)))
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("COHERIFY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,6 +102,10 @@ class _FeasibleSet:
     the support of vec(T). The object holds only the support structure;
     per-member diagonal targets are passed to the projections, which lets one
     batch many transition matrices with a common zero pattern.
+
+    The affine constraints are A(J) = b with m = n + 2 * n_groups real rows:
+    the n diagonal entries, then the real and the imaginary part of each
+    group's sum of entries (one group per pair k < l of output indices).
     """
 
     def __init__(self, d: int, support: np.ndarray):
@@ -137,11 +134,12 @@ class _FeasibleSet:
         self.pos_c = np.asarray(pos_c, dtype=np.intp)
         self.group_id = np.asarray(group_id, dtype=np.intp)
         self.n_groups = gid
-        if gid:
-            sizes = np.bincount(self.group_id, minlength=gid).astype(np.float64)
-            self.inv_size = 1.0 / sizes[self.group_id]
-            self.onehot = np.zeros((len(pos_r), gid))
-            self.onehot[np.arange(len(pos_r)), self.group_id] = 1.0
+        self.m = self.n + 2 * gid
+        sizes = np.bincount(self.group_id, minlength=gid)
+        # positions are listed group by group
+        self.group_start = np.cumsum(sizes) - sizes
+        # A A^* is diagonal: the constraint matrices have disjoint supports
+        self.gram = np.concatenate([np.ones(self.n), sizes / 2, sizes / 2])
 
     @classmethod
     def for_action(cls, t: np.ndarray) -> "_FeasibleSet":
@@ -159,25 +157,56 @@ class _FeasibleSet:
         out[..., self.support[:, None], self.support[None, :]] = x_sub
         return out
 
-    def affine_project(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Exact Frobenius projection onto the affine constraints (x is left unchanged)."""
-        x = (x + dag(x)) / 2
+    def group_sums(self, x: np.ndarray) -> np.ndarray:
+        # reduceat adds each row in order, so a member's sums do not depend on
+        # how many rows the batch has (a matrix product's kernel might)
+        return np.add.reduceat(x[..., self.pos_r, self.pos_c], self.group_start, axis=-1)
+
+    def constraints(self, x: np.ndarray) -> np.ndarray:
+        """A(x), shape (..., m)."""
         idx = np.arange(self.n)
-        x[..., idx, idx] = target
+        parts = [x[..., idx, idx].real]
         if self.n_groups:
-            vals = x[..., self.pos_r, self.pos_c]
-            sums = vals @ self.onehot
-            vals = vals - sums[..., self.group_id] * self.inv_size
-            x[..., self.pos_r, self.pos_c] = vals
-            x[..., self.pos_c, self.pos_r] = np.conj(vals)
-        return x
+            sums = self.group_sums(x)
+            parts += [sums.real, sums.imag]
+        return np.concatenate(parts, axis=-1)
+
+    def shift(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """s + A^*(y) for duals y of shape (..., m)."""
+        z = s.copy()
+        idx = np.arange(self.n)
+        z[..., idx, idx] += y[..., :self.n]
+        if self.n_groups:
+            n, g = self.n, self.n_groups
+            vals = (0.5 * (y[..., n:n + g] + 1j * y[..., n + g:]))[..., self.group_id]
+            z[..., self.pos_r, self.pos_c] += vals
+            z[..., self.pos_c, self.pos_r] += vals.conj()
+        return z
+
+    def rotated_constraints(self, v: np.ndarray) -> np.ndarray:
+        """V^dag G_k V for the m constraint matrices G_k, as (B, m, n * n).
+
+        G_k = e_i e_i^T for a diagonal row; a group's rows are the Hermitian
+        and anti-Hermitian parts of E = sum of its e_r e_c^T, so with
+        P = V^dag E V they are (P + P^dag) / 2 and i (P - P^dag) / 2.
+        """
+        n, groups = self.n, self.n_groups
+        out = np.empty((v.shape[0], self.m, n, n), dtype=np.complex128)
+        vc = v.conj()
+        np.multiply(vc[:, :, :, None], v[:, :, None, :], out=out[:, :n])
+        for g in range(groups):
+            rows, cols = self.pos_r[self.group_id == g], self.pos_c[self.group_id == g]
+            p = np.swapaxes(vc[:, rows, :], 1, 2) @ v[:, cols, :]
+            ph = dag(p)
+            out[:, n + g] = (p + ph) * 0.5
+            out[:, n + groups + g] = (p - ph) * 0.5j
+        return out.reshape(v.shape[0], self.m, n * n)
 
     def residual(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
         idx = np.arange(self.n)
         err = np.abs(x[..., idx, idx].real - target).max(axis=-1)
         if self.n_groups:
-            sums = x[..., self.pos_r, self.pos_c] @ self.onehot
-            err = np.maximum(err, np.abs(sums).max(axis=-1))
+            err = np.maximum(err, np.abs(self.group_sums(x)).max(axis=-1))
         return err
 
     def random_start(self, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -193,93 +222,126 @@ class _FeasibleSet:
         return np.diag(target) + scale * (g + dag(g)) / 2 * env
 
 
-def _psd_project(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
-    w = np.maximum(w, 0.0)
-    y = (v * w[..., None, :]) @ dag(v)
+# Newton on the dual: Armijo's sufficient-decrease fraction, the ridge added
+# to the generalized Hessian (singular where Y is rank deficient), and the
+# step halvings allowed before a step is taken as it stands
+_ARMIJO = 1e-4
+_RIDGE = 1e-10
+_MAX_HALVINGS = 40
+
+
+def _dual_point(feas: _FeasibleSet, s, y, b):
+    """Eigendecomposition of S + A^*(y), the dual objective theta(y) and the
+    size of theta's rounding error."""
+    w, v = np.linalg.eigh(feas.shift(s, y))
+    wp = np.maximum(w, 0.0)
+    half = 0.5 * (wp * wp).sum(axis=-1)
+    linear = (b * y).sum(axis=-1)
+    return w, v, half - linear, 1e-14 * (half + np.abs(linear))
+
+
+def _psd_part(w, v) -> np.ndarray:
+    y = (v * np.maximum(w, 0.0)[..., None, :]) @ dag(v)
     return (y + dag(y)) / 2
 
 
-def _dykstra(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int):
-    """Batched Dykstra projection onto {PSD} cap {affine}.
+def _newton_step(feas: _FeasibleSet, w, v, grad) -> np.ndarray:
+    """Solve (H + ridge) dy = -grad with H the generalized Hessian of theta.
 
-    Returns (Y, converged): Y is exactly PSD with affine residual below tol
-    for converged members. The correction term is kept for the cone only;
-    an affine set needs none. target is one diagonal target for every member
-    or one per member. Converged members leave the compact working arrays
-    at once; each member's arithmetic does not depend on the rest of the
-    batch, so projecting a batch equals projecting its members one by one.
+    H_kl = Re sum_ab conj(G~_k)_ab Omega_ab (G~_l)_ab, where G~_k = V^dag G_k V
+    and Omega_ab = (w_a^+ - w_b^+) / (w_a - w_b), 1 or 0 where w_a = w_b.
     """
-    x = feas.affine_project(x0, target)
-    target = np.broadcast_to(target, (x.shape[0], feas.n))
-    p = np.zeros_like(x)
-    # C order whatever the layout of x: callers reduce over Y's last two axes,
+    wp = np.maximum(w, 0.0)
+    num = wp[:, :, None] - wp[:, None, :]
+    den = w[:, :, None] - w[:, None, :]
+    tie = den == 0
+    omega = np.where(tie, (wp[:, :, None] > 0).astype(np.float64), num / np.where(tie, 1.0, den))
+    g = feas.rotated_constraints(v).view(np.float64)   # real and imaginary parts interleaved
+    weights = np.repeat(omega.reshape(len(w), 1, -1), 2, axis=-1)
+    h = (g * weights) @ np.swapaxes(g, -1, -2)
+    idx = np.arange(feas.m)
+    h[:, idx, idx] += _RIDGE
+    return np.linalg.solve(h, -grad[..., None])[..., 0]
+
+
+def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int):
+    """Batched Frobenius projection of Herm(x0) onto the feasible set.
+
+    Minimizes the dual theta(y) = |Pi_+(S + A^* y)|^2 / 2 - b.y, whose
+    minimizer gives the projection Y = Pi_+(S + A^* y) and whose gradient is
+    A(Y) - b, by semismooth Newton with Armijo backtracking, starting from
+    the multipliers of the affine projection. Returns (Y, converged): Y is
+    exactly PSD and C-ordered; a member is converged, and leaves the batch,
+    once feas.residual(Y) <= tol, and max_iter caps its Newton steps. target
+    is one diagonal target for every member or one per member. Each member's
+    arithmetic does not depend on the rest of the batch, so projecting a
+    batch equals projecting its members one by one.
+    """
+    # C order whatever x0's layout: callers reduce over Y's last two axes,
     # and the rounding of those sums follows the memory order
-    y = np.empty(x.shape, dtype=x.dtype)
-    y_live = x
-    live = np.arange(x.shape[0])
-    converged = np.zeros(x.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        s = x + p
-        y_live = _psd_project(s)
-        p = s - y_live
-        x = feas.affine_project(y_live, target)
-        done = feas.residual(y_live, target) <= tol
+    x0 = np.ascontiguousarray(x0, dtype=np.complex128)
+    s = np.ascontiguousarray((x0 + dag(x0)) / 2)
+    size = s.shape[0]
+    target = np.broadcast_to(target, (size, feas.n))
+    b = np.zeros((size, feas.m))
+    b[:, :feas.n] = target
+    y = (b - feas.constraints(s)) / feas.gram
+    w, v, theta, slack = _dual_point(feas, s, y, b)
+    out = np.empty_like(s)
+    converged = np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    for step in range(max_iter + 1):
+        point = _psd_part(w, v)
+        done = feas.residual(point, target) <= tol
+        out[live[done]] = point[done]
+        converged[live[done]] = True
+        if step == max_iter or done.all():
+            out[live[~done]] = point[~done]
+            break
         if done.any():
-            y[live[done]] = y_live[done]
-            converged[live[done]] = True
             keep = ~done
-            live, x, p, target, y_live = live[keep], x[keep], p[keep], target[keep], y_live[keep]
-            if not live.size:
+            live, s, b, target, y = live[keep], s[keep], b[keep], target[keep], y[keep]
+            w, v, theta, slack, point = w[keep], v[keep], theta[keep], slack[keep], point[keep]
+        grad = feas.constraints(point) - b
+        dy = _newton_step(feas, w, v, grad)
+        slope = _ARMIJO * (grad * dy).sum(axis=-1)
+        t = np.ones(len(live))
+        y_new = y + dy
+        w_new, v_new, th_new, sl_new = _dual_point(feas, s, y_new, b)
+        back = np.flatnonzero(th_new > theta + slope + slack)
+        for _ in range(_MAX_HALVINGS):
+            if not back.size:
                 break
-    y[live] = y_live
-    return y, converged
-
-
-def _chunks(n: int, parts: int):
-    sizes = [n // parts + (1 if i < n % parts else 0) for i in range(parts)]
-    out, start = [], 0
-    for s in sizes:
-        if s:
-            out.append((start, start + s))
-        start += s
-    return out
+            t[back] *= 0.5
+            y_new[back] = y[back] + t[back, None] * dy[back]
+            w_new[back], v_new[back], th_new[back], sl_new[back] = _dual_point(
+                feas, s[back], y_new[back], b[back])
+            back = back[th_new[back] > theta[back] + t[back] * slope[back] + slack[back]]
+        y, w, v, theta, slack = y_new, w_new, v_new, th_new, sl_new
+    return out, converged
 
 
 def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Channel]:
     """n random channels whose classical action is T.
 
     Each sample starts from the classical (diagonal) Jamiolkowski state plus
-    a random Hermitian perturbation of random magnitude and is Dykstra
-    projected to the feasible set; non-converged samples raise.
+    a random Hermitian perturbation of random magnitude and is projected
+    onto the feasible set; non-converged samples raise.
     """
     cfg = cfg or OracleConfig()
     t = assert_transition_matrix(t)
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    ns = feas.n
-
-    def build(span):
-        lo, hi = span
-        starts = np.empty((hi - lo, ns, ns), dtype=np.complex128)
-        for i in range(lo, hi):
-            starts[i - lo] = feas.random_start(target, _rng(cfg.seed, i))
-        y, ok = _dykstra(feas, starts, target, cfg.tolerance, cfg.max_iterations)
-        if not ok.all():
-            raise ConvergenceFailure(
-                f"{int((~ok).sum())} of {hi - lo} samples did not reach tolerance "
-                f"{cfg.tolerance} within {cfg.max_iterations} iterations"
-            )
-        return [Channel(feas.embed(y[i]), atol=1e-6) for i in range(hi - lo)]
-
-    workers = _worker_count()
-    spans = _chunks(n, min(workers, n) or 1)
-    if workers == 1 or len(spans) == 1:
-        parts = [build(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(build, spans))
-    return [ch for part in parts for ch in part]
+    starts = np.empty((n, feas.n, feas.n), dtype=np.complex128)
+    for i in range(n):
+        starts[i] = feas.random_start(target, _rng(cfg.seed, i))
+    y, ok = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
+    if not ok.all():
+        raise ConvergenceFailure(
+            f"{int((~ok).sum())} of {n} samples did not reach tolerance "
+            f"{cfg.tolerance} within {cfg.max_iterations} Newton steps"
+        )
+    return [Channel(feas.embed(y[i]), atol=1e-6) for i in range(n)]
 
 
 def _purity(x: np.ndarray) -> np.ndarray:
@@ -343,7 +405,7 @@ def _face_solve(feas: _FeasibleSet, w_top, targets, basis, iters: int = 6):
         rows = [np.swapaxes(wew[..., idx, idx].real, 1, 2)]
         rhs = [targets]
         if feas.n_groups:
-            sums = wew[..., feas.pos_r, feas.pos_c] @ feas.onehot
+            sums = feas.group_sums(wew)
             rows.append(np.swapaxes(sums.real, 1, 2))
             rows.append(np.swapaxes(sums.imag, 1, 2))
             zeros = np.zeros((w_top.shape[0], feas.n_groups))
@@ -407,7 +469,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         return y
 
     x = block_diag_part(np.asarray(seeds))
-    x, _ = _dykstra(feas, x, targets, cfg.tolerance, cfg.max_iterations)
+    x, _ = _project(feas, x, targets, cfg.tolerance, cfg.max_iterations)
 
     def f_and_grad(x):
         blocks = to_blocks(x)
@@ -429,7 +491,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         _, g = f_and_grad(x)
         gn = np.sqrt((np.abs(g) ** 2).sum(axis=(-2, -1)))[:, None, None] + 1e-300
         x = x + step * g / gn
-        x, okk = _dykstra(feas, x, targets, cfg.tolerance, 250)
+        x, okk = _project(feas, x, targets, cfg.tolerance, 250)
         f, _ = f_and_grad(x)
         improved = okk & (f > best_f)
         best[improved] = x[improved]
@@ -437,7 +499,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         step *= 0.97
 
     # couple the best family: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
-    y, ok = _dykstra(feas, best, targets, cfg.tolerance, cfg.max_iterations)
+    y, ok = _project(feas, best, targets, cfg.tolerance, cfg.max_iterations)
     blocks = to_blocks(y)
     w, v = np.linalg.eigh(blocks)
     w = np.maximum(w[..., ::-1], 0.0)
@@ -480,8 +542,8 @@ def _capped_family_seed(feas: _FeasibleSet, t: np.ndarray, sign: float) -> np.nd
 
 # Phase 2 of _maximize_group (face refinement) runs on this many restarts per
 # input: the ones with the highest purity after phase 1. Each restart in it
-# costs one Dykstra-projected candidate per eigenvector subset (25 per restart
-# at d = 3), yet the winner comes from the best few restarts. On the perfbench
+# costs one projected candidate per eigenvector subset (25 per restart at
+# d = 3), yet the winner comes from the best few restarts. On the perfbench
 # validate-qutrit corpus, keeping 1 lost 1.5e-4 purity on the dense input and
 # keeping 4 lost 1.3e-8 on another; keeping 8 left every report unchanged.
 FACE_RESTARTS = 8
@@ -522,19 +584,24 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
             g = rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
             tilts[base + k] = (g + dag(g)) / 2 * env
 
-    x, ok0 = _dykstra(feas, starts, targets, cfg.tolerance, cfg.max_iterations)
+    x, ok0 = _project(feas, starts, targets, cfg.tolerance, cfg.max_iterations)
     best = x.copy()
     best_purity = np.where(ok0, _purity(x), -1e300)
+    # candidates are compared at the polish tolerance: at cfg.tolerance a
+    # point's residual can inflate its purity by about as much as the
+    # candidates differ, and then the polish takes the excess back
+    polish_tol = min(cfg.tolerance, 1e-9)
 
     def checkpoint(z, member_idx):
-        y, ok = _dykstra(feas, z, targets[member_idx], cfg.tolerance, cfg.max_iterations)
+        y, ok = _project(feas, z, targets[member_idx], polish_tol, cfg.max_iterations)
         pur = np.where(ok, _purity(y), -1e300)
         for row, bi in enumerate(member_idx):
             if pur[row] > best_purity[bi]:
                 best_purity[bi] = pur[row]
                 best[bi] = y[row]
 
-    # phase 1: ascent with loosely projected steps. The purity gradient 2J is
+    # phase 1: projected gradient ascent, each step projected exactly (at most
+    # `inner` Newton steps per projection). The purity gradient 2J is
     # radial, blind to directions where J vanishes, so each restart carries a
     # random linear tilt (annealed away) that gives the flow a drift into
     # every coordinate of the feasible set.
@@ -546,7 +613,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     steps = 30 if feas.d == 2 else 60
     for step in range(steps):
         x = (1.0 + 2.0 * cfg.step_size) * x + (eps * cfg.step_size) * tilts
-        x, _ = _dykstra(feas, x, targets, cfg.tolerance, inner)
+        x, _ = _project(feas, x, targets, cfg.tolerance, inner)
         eps *= 0.9
         if (step + 1) % 15 == 0 or step == steps - 1:
             checkpoint(x, all_members)
@@ -556,8 +623,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # subsets of a member's top eigenvectors the unique feasible point is one
     # linear solve away. Only each input's FACE_RESTARTS best restarts after
     # phase 1 take part (all of them when restarts <= FACE_RESTARTS).
-    m_con = ns + 2 * feas.n_groups
-    r_max = max(1, min(ns, int(np.floor(np.sqrt(m_con)))))
+    r_max = max(1, min(ns, int(np.floor(np.sqrt(feas.m)))))
     k_top = min(ns, r_max + 2)
     members = _face_members(best_purity, r0)
     _, vv = np.linalg.eigh(best[members])
@@ -597,9 +663,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         raise ConvergenceFailure("no restart reached a feasible point")
     # polish every input's winner in one batch
     wins = np.arange(nt) * r0 + best_purity.argmax(axis=1)
-    y, _ = _dykstra(
-        feas, best[wins], targets[wins], min(cfg.tolerance, 1e-9), cfg.max_iterations
-    )
+    y, _ = _project(feas, best[wins], targets[wins], polish_tol, cfg.max_iterations)
     purities = _purity(y)
     return [
         (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(nt)
@@ -611,9 +675,9 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
 
     Projected gradient ascent: the purity gradient at J is 2J, so each step
     scales the iterate by the constant factor 1 + 2 * cfg.step_size (plus an
-    annealed random tilt) and Dykstra projects it back. One restart starts
-    from the explicit row-grouping coherification, the rest from random
-    feasible points, so the result is never worse than the known lower
+    annealed random tilt) and projects it back exactly onto the feasible
+    set. One restart starts from the explicit row-grouping coherification,
+    the rest from random feasible points, so the result is never worse than the known lower
     bound. The value returned is a feasible lower bound on the true
     optimum, not an optimality certificate.
     """

@@ -270,3 +270,17 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
             assert code == 0
             outputs.append(capsys.readouterr().out.encode())
         assert outputs[0] == outputs[1]
+
+
+def test_d4_purity_maximizer():
+    with Budget("d = 4 purity maximizer (dense and zero-pattern inputs)", 60.0):
+        rng = np.random.default_rng(404)
+        dense = rng.uniform(0.02, 1.0, (4, 4))
+        sparse = rng.uniform(0.02, 1.0, (4, 4))
+        sparse[0, 1] = sparse[2, 3] = 0.0
+        for t in (dense, sparse):
+            t = t / t.sum(axis=0, keepdims=True)
+            ch, pur = maximize_purity(t, OracleConfig(seed=42, restarts=4))
+            lo, up = mu_lower(t), mu_upper(t)
+            assert float(lo @ lo) - 1e-6 <= pur <= float(up @ up) + 1e-6
+            assert np.abs(classical_action(ch) - t).max() <= 1e-6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coherify
 from coherify.bounds import mu_lower, mu_upper, polygon_report
@@ -9,9 +11,9 @@ from coherify.matcore import eig_hermitian
 from coherify.oracle import (
     FACE_RESTARTS,
     OracleConfig,
-    _dykstra,
     _face_members,
     _FeasibleSet,
+    _project,
     _rng,
     haar_unitarity_mc,
     haar_unitary,
@@ -204,15 +206,6 @@ def test_rand_channel_valid():
         assert np.abs(classical_action(ch).sum(axis=0) - 1).max() < 1e-9
 
 
-def test_thread_env_consistency(monkeypatch):
-    cfg = OracleConfig(seed=11)
-    base = sample_fixed_action(T_EXAMPLE, 6, cfg)
-    monkeypatch.setenv("COHERIFY_THREADS", "3")
-    threaded = sample_fixed_action(T_EXAMPLE, 6, cfg)
-    for x, y in zip(base, threaded):
-        assert np.array_equal(x.jam, y.jam)
-
-
 def test_maximize_purity_deterministic():
     cfg = OracleConfig(seed=9, restarts=3)
     ch1, p1 = maximize_purity(T_EXAMPLE, cfg)
@@ -253,25 +246,123 @@ def test_maximize_purity_inside_bounds_random():
             assert pur <= float(up @ up) + 1e-6
 
 
-def test_dykstra_batch_equals_members_alone():
+def test_project_batch_equals_members_alone():
     t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
     feas = _FeasibleSet.for_action(T_EXAMPLE)
     per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
     shared = feas.target(T_EXAMPLE)
-    x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) for i in range(6)])
-    early = _dykstra(feas, x0, per_member, 1e-9, 5)[1]
-    late = _dykstra(feas, x0, per_member, 1e-9, 40)[1]
+    # growing perturbations need more Newton steps
+    x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) * (1 + 2 * i) for i in range(6)])
+    early = _project(feas, x0, per_member, 1e-9, 4)[1]
+    late = _project(feas, x0, per_member, 1e-9, 6)[1]
     # members leave at different iterations, and some hit the cap
     assert early.any() and (late & ~early).any() and not late.all()
     for target in (per_member, shared):
-        for cap in (5, 40):
-            y, ok = _dykstra(feas, x0, target, 1e-9, cap)
+        for cap in (4, 6):
+            y, ok = _project(feas, x0, target, 1e-9, cap)
             assert y.flags.c_contiguous
             for i in range(len(x0)):
                 tg = target[i:i + 1] if target.ndim == 2 else target
-                y1, ok1 = _dykstra(feas, x0[i:i + 1], tg, 1e-9, cap)
+                y1, ok1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap)
                 assert np.array_equal(y[i], y1[0])
                 assert ok[i] == ok1[0]
+
+
+def test_project_ignores_input_layout():
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    target = feas.target(T_EXAMPLE)
+    x = np.stack([feas.random_start(target, _rng(6, i)) for i in range(5)])
+    f_ordered = np.swapaxes(np.swapaxes(x, 1, 2).copy(), 1, 2)   # equal values
+    assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
+    y, ok = _project(feas, x, target, 1e-9, 50)
+    y_f, ok_f = _project(feas, f_ordered, target, 1e-9, 50)
+    assert ok.all() and np.array_equal(ok, ok_f)
+    assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
+
+
+def _affine_reference(feas, x, target):
+    """Frobenius projection onto the affine constraints, one group at a time."""
+    x = (x + x.conj().T) / 2
+    idx = np.arange(feas.n)
+    x[idx, idx] = target
+    for g in range(feas.n_groups):
+        r, c = feas.pos_r[feas.group_id == g], feas.pos_c[feas.group_id == g]
+        vals = x[r, c] - x[r, c].sum() / len(r)
+        x[r, c] = vals
+        x[c, r] = vals.conj()
+    return x
+
+
+def _dykstra_reference(feas, x0, target, tol):
+    """Dykstra's alternating projections (PSD cone with its correction term,
+    then the affine set), to tol in both the residual and the step."""
+    x = _affine_reference(feas, x0, target)
+    p = np.zeros_like(x)
+    for _ in range(500_000):
+        s = x + p
+        w, v = np.linalg.eigh(s)
+        y = (v * np.maximum(w, 0.0)) @ v.conj().T
+        y = (y + y.conj().T) / 2
+        p = s - y
+        x = _affine_reference(feas, y, target)
+        if feas.residual(y, target) <= tol and np.abs(x - y).max() <= tol:
+            return y
+    pytest.fail("reference Dykstra did not converge")
+
+
+def test_project_matches_dykstra_reference():
+    rng = np.random.default_rng(77)
+    dense = [rng.uniform(0, 1, (d, d)) for d in (2, 3)]
+    # a zero entry, and a support with no group constraint at all
+    for t in dense + [T_EXAMPLE, np.eye(3)[[2, 0, 1]]]:
+        t = t / t.sum(axis=0, keepdims=True)
+        feas = _FeasibleSet.for_action(t)
+        target = feas.target(t)
+        # scaled away from the set, so that the cone clips eigenvalues
+        x0 = np.stack([(1.5 + i) * feas.random_start(target, _rng(8, i)) for i in range(3)])
+        y, ok = _project(feas, x0, target, 1e-11, 100)
+        assert ok.all()
+        for i in range(len(x0)):
+            ref = _dykstra_reference(feas, x0[i], target, 1e-11)
+            assert np.abs(y[i] - ref).max() <= 1e-9
+
+
+@st.composite
+def _actions(draw):
+    d = draw(st.integers(2, 4))
+    entries = st.one_of(st.floats(1e-3, 1e-2), st.floats(1e-2, 1.0))
+    t = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    return t / t.sum(axis=0, keepdims=True), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions())
+def test_project_properties(case):
+    t, seed = case
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
+    tol = 1e-9
+    y, ok = _project(feas, x0, target, tol, 100)
+    assert ok.all()
+    assert (np.linalg.eigvalsh(y).min(axis=-1) >= -1e-12).all()
+    assert (feas.residual(y, target) <= tol).all()
+    # variational inequality of the projection against the feasible c0 point
+    z = feas.compress(coherify.coherify_c0(t).channel.jam)
+    s = (x0 + np.swapaxes(x0, 1, 2).conj()) / 2
+    inner = np.einsum("bij,bij->b", (s - y).conj(), z[None] - y).real
+    assert (inner <= 1e-8).all()
+
+
+def test_sampler_small_entries_of_t():
+    t = np.array([[0.4043, 0.4914, 0.2938],
+                  [0.4544, 0.2575, 0.7058],
+                  [0.1413, 0.2511, 0.0004]])
+    samples = sample_fixed_action(t, 100, OracleConfig(seed=0, max_iterations=30000))
+    assert len(samples) == 100
+    for smp in samples:
+        assert np.abs(classical_action(smp) - t).max() < 1e-6
+        assert np.linalg.eigvalsh(smp.jam).min() > -1e-8
 
 
 def _face_members_reference(best_purity, restarts):
