@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_projection.json
+    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_warmstart.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -28,8 +28,11 @@ the first ``_face_solve`` call), the face refinement (up to the first
 ``_coupling_refinement`` call), the coupling stage (up to the first
 projection with a tolerance below the config's, which is the final polish)
 and the polish. The projection is ``_project``, or ``_dykstra`` in trees
-that predate it. ``other`` is the rest of the round: the CLI's checks of the
-samples against the bounds.
+that predate it; the wrapper passes on whatever arguments it is given and
+whatever it returns. ``other`` is the rest of the round: the CLI's checks of
+the samples against the bounds. Each phase also counts the matrices
+``np.linalg.eigh`` decomposed and the linear systems ``np.linalg.solve``
+solved in it (the Newton systems of the projection; 0 in Dykstra trees).
 
 Once per tree, outside the timed runs, the 48 reports of round 0 of
 validate-qutrit seeds 1-4 are collected. The report counts how many are
@@ -37,7 +40,10 @@ byte-identical between the trees and gives the per-input change of
 ``best_purity`` (sum, min, max). For criterion 3 it counts the bitwise equal
 purities and gives each tree's largest gap below mu_upper . mu_upper and
 largest excess above it. The report gives, per tree, the median and
-quartiles over the repeats and the machine it ran on.
+quartiles over the repeats and the machine it ran on, and checks the purity
+gates: no validate input falls by more than 1e-6 and their sum by no more
+than 1e-7; criterion 3's largest gap is at most 1e-9 and its largest excess
+at most 1e-8; the dense 4x4 purity falls by no more than 1e-6.
 """
 
 from __future__ import annotations
@@ -91,10 +97,20 @@ def _projection(oracle):
     return name, getattr(oracle, name)
 
 
-def _time_phases(oracle) -> dict:
-    """Wrap oracle functions so that time is added to the phase running."""
+def _time_phases(oracle) -> tuple[dict, dict]:
+    """Wrap oracle functions so that time and linear-algebra work are added
+    to the phase running; work outside every phase goes to ``other``."""
+    import numpy as np
+
     phases = dict.fromkeys(PHASES, 0.0)
+    work = {phase: {"eigh_matrices": 0, "newton_systems": 0} for phase in PHASES + ("other",)}
     state = {"phase": None, "since": 0.0, "tolerance": 0.0}
+
+    def counted(fn, key):
+        def wrapped(a, *args, **kwargs):
+            work[state["phase"] or "other"][key] += int(np.prod(np.shape(a)[:-2]))
+            return fn(a, *args, **kwargs)
+        return wrapped
 
     def switch(name):
         now = time.perf_counter()
@@ -127,17 +143,19 @@ def _time_phases(oracle) -> dict:
         switch("coupling")
         return coupling(*args, **kwargs)
 
-    def project(feas, x0, target, tol, max_iter):
+    def project(feas, x0, target, tol, *args, **kwargs):
         if state["phase"] == "coupling" and tol < state["tolerance"]:
             switch("polish")
-        return projection(feas, x0, target, tol, max_iter)
+        return projection(feas, x0, target, tol, *args, **kwargs)
 
     oracle.sample_fixed_action = whole_call(oracle.sample_fixed_action, "sample_fixed_action")
     oracle._maximize_group = maximize_group
     oracle._face_solve = face_solve
     oracle._coupling_refinement = coupling_refinement
     setattr(oracle, projection_name, project)
-    return phases
+    np.linalg.eigh = counted(np.linalg.eigh, "eigh_matrices")
+    np.linalg.solve = counted(np.linalg.solve, "newton_systems")
+    return phases, work
 
 
 def _validate(wl, item) -> tuple[str, bool]:
@@ -173,7 +191,7 @@ def worker(tree: Path, task: str) -> dict:
             target = feas.target(t)
             x0 = np.stack([feas.random_start(target, oracle._rng(cfg.seed, i)) for i in range(100)])
             t0 = time.perf_counter()
-            _, ok = projection(feas, x0, target, cfg.tolerance, cfg.max_iterations)
+            ok = projection(feas, x0, target, cfg.tolerance, cfg.max_iterations)[1]
             return time.perf_counter() - t0, ok
 
         project_starts(workloads.T_EXAMPLE)
@@ -197,13 +215,13 @@ def worker(tree: Path, task: str) -> dict:
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
         _validate(wl, wl.warmup_item())
         items = wl.round(0)
-        phases = _time_phases(oracle)
+        phases, work = _time_phases(oracle)
         t0 = time.perf_counter()
         outcomes = [_validate(wl, item) for item in items]
         seconds = time.perf_counter() - t0
     phases["other"] = seconds - sum(phases.values())
     return {"seconds": seconds, "calls": len(items),
-            "failed": sum(not ok for _, ok in outcomes), "phases_s": phases}
+            "failed": sum(not ok for _, ok in outcomes), "phases_s": phases, "phases_work": work}
 
 
 def _run_worker(tree: Path, task: str) -> dict:
@@ -234,7 +252,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_projection.json")
+    p.add_argument("--out", default="BENCH_warmstart.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=TASKS + ("reports",), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -274,6 +292,9 @@ def main(argv=None) -> int:
             phase: statistics.median(r["phases_s"][phase] for r in vruns)
             for phase in vruns[0]["phases_s"]
         }
+        entry["phases_work"] = vruns[0]["phases_work"]
+        entry["phases_work_repeat_exactly"] = all(
+            r["phases_work"] == vruns[0]["phases_work"] for r in vruns)
         timings["validate_qutrit_round"][name] = entry
         cruns = runs[name]["criterion3"]
         entry = _summary([r["seconds"] for r in cruns])
@@ -319,6 +340,15 @@ def main(argv=None) -> int:
                 "max_excess_over_mu_upper_sq": {name: c3[name]["max_excess"] for name in trees},
             },
         },
+    }
+    validate_delta = report["purity"]["validate_reports"]["best_purity_delta"]
+    dense4 = {name: runs[name]["dense4"][0]["purity"] for name in trees}
+    report["purity"]["gates_hold"] = {
+        "validate_worst_input": validate_delta["min"] >= -1e-6,
+        "validate_sum": validate_delta["sum"] >= -1e-7,
+        "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
+        "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
+        "dense4": dense4["after"] >= dense4["before"] - 1e-6,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotTracePreserving
+from .errors import DimensionMismatch, NotHermitian, NotTracePreserving
 from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
 from .states import assert_density_matrix, shannon_entropy, spectrum
 
@@ -39,7 +39,7 @@ class Channel:
             raise DimensionMismatch(f"J must be d^2 x d^2, got {jam.shape}")
         herm = np.abs(jam - dag(jam)).max()
         if herm > atol:
-            raise ValueError(f"J is not Hermitian: deviation {herm:.3e}")
+            raise NotHermitian(f"J is not Hermitian: deviation {herm:.3e}")
         jam = hermitize(jam)
         wmin = np.linalg.eigvalsh(jam).min()
         if wmin < -max(atol_psd, atol):

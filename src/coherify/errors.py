@@ -9,8 +9,12 @@ class DimensionMismatch(CoherifyError):
     """Input dimensions are inconsistent with the requested operation."""
 
 
-class NotHermitian(CoherifyError):
-    """Matrix fails the Hermitian symmetry check beyond tolerance."""
+class NotHermitian(CoherifyError, ValueError):
+    """Matrix fails the Hermitian symmetry check beyond tolerance.
+
+    Also a ValueError, so that code catching ValueError for invalid
+    matrices catches it too.
+    """
 
 
 class NotTracePreserving(CoherifyError):

@@ -9,7 +9,9 @@ exact Frobenius projection onto it (:func:`_project`): semismooth Newton
 steps on the dual of the projection problem, whose variables are the m
 affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
 2004; Qi & Sun, SIAM J. Matrix Anal. Appl. 28(2), 2006). Newton converges
-quadratically on that dual, also where some entries of T are tiny.
+quadratically on that dual, also where some entries of T are tiny. The
+projection returns its multipliers, and iterative callers (the purity
+ascent, the coupling stage) start each projection from the previous one's.
 
 Randomness comes from the counter-based Philox generator, keyed by
 ``seed + stream index``, so runs are bit-reproducible, and a member's
@@ -264,18 +266,22 @@ def _newton_step(feas: _FeasibleSet, w, v, grad) -> np.ndarray:
     return np.linalg.solve(h, -grad[..., None])[..., 0]
 
 
-def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int):
+def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int,
+             y0: np.ndarray | None = None):
     """Batched Frobenius projection of Herm(x0) onto the feasible set.
 
     Minimizes the dual theta(y) = |Pi_+(S + A^* y)|^2 / 2 - b.y, whose
     minimizer gives the projection Y = Pi_+(S + A^* y) and whose gradient is
-    A(Y) - b, by semismooth Newton with Armijo backtracking, starting from
-    the multipliers of the affine projection. Returns (Y, converged): Y is
-    exactly PSD and C-ordered; a member is converged, and leaves the batch,
-    once feas.residual(Y) <= tol, and max_iter caps its Newton steps. target
-    is one diagonal target for every member or one per member. Each member's
-    arithmetic does not depend on the rest of the batch, so projecting a
-    batch equals projecting its members one by one.
+    A(Y) - b, by semismooth Newton with Armijo backtracking. It starts from
+    the multipliers y0, one row per member, or from the affine projection's
+    multipliers when y0 is None. Returns (Y, converged, y): Y is exactly PSD
+    and C-ordered, y holds each member's final multipliers, so that
+    Y = Pi_+(S + A^* y); a member is converged, and leaves the batch, once
+    feas.residual(Y) <= tol, and max_iter caps its Newton steps (a member
+    that starts converged takes none). target is one diagonal target for
+    every member or one per member. Each member's arithmetic does not depend
+    on the rest of the batch, so projecting a batch equals projecting its
+    members one by one.
     """
     # C order whatever x0's layout: callers reduce over Y's last two axes,
     # and the rounding of those sums follows the memory order
@@ -285,18 +291,24 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     target = np.broadcast_to(target, (size, feas.n))
     b = np.zeros((size, feas.m))
     b[:, :feas.n] = target
-    y = (b - feas.constraints(s)) / feas.gram
+    if y0 is None:
+        y = (b - feas.constraints(s)) / feas.gram
+    else:
+        y = np.asarray(y0, dtype=np.float64)
     w, v, theta, slack = _dual_point(feas, s, y, b)
     out = np.empty_like(s)
+    y_out = np.empty_like(y)
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)
     for step in range(max_iter + 1):
         point = _psd_part(w, v)
         done = feas.residual(point, target) <= tol
         out[live[done]] = point[done]
+        y_out[live[done]] = y[done]
         converged[live[done]] = True
         if step == max_iter or done.all():
             out[live[~done]] = point[~done]
+            y_out[live[~done]] = y[~done]
             break
         if done.any():
             keep = ~done
@@ -318,7 +330,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
                 feas, s[back], y_new[back], b[back])
             back = back[th_new[back] > theta[back] + t[back] * slope[back] + slack[back]]
         y, w, v, theta, slack = y_new, w_new, v_new, th_new, sl_new
-    return out, converged
+    return out, converged, y_out
 
 
 def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Channel]:
@@ -335,7 +347,7 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     starts = np.empty((n, feas.n, feas.n), dtype=np.complex128)
     for i in range(n):
         starts[i] = feas.random_start(target, _rng(cfg.seed, i))
-    y, ok = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
+    y, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
     if not ok.all():
         raise ConvergenceFailure(
             f"{int((~ok).sum())} of {n} samples did not reach tolerance "
@@ -469,7 +481,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         return y
 
     x = block_diag_part(np.asarray(seeds))
-    x, _ = _project(feas, x, targets, cfg.tolerance, cfg.max_iterations)
+    x, _, duals = _project(feas, x, targets, cfg.tolerance, cfg.max_iterations)
 
     def f_and_grad(x):
         blocks = to_blocks(x)
@@ -491,7 +503,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         _, g = f_and_grad(x)
         gn = np.sqrt((np.abs(g) ** 2).sum(axis=(-2, -1)))[:, None, None] + 1e-300
         x = x + step * g / gn
-        x, okk = _project(feas, x, targets, cfg.tolerance, 250)
+        x, okk, duals = _project(feas, x, targets, cfg.tolerance, 250, duals)
         f, _ = f_and_grad(x)
         improved = okk & (f > best_f)
         best[improved] = x[improved]
@@ -499,7 +511,7 @@ def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
         step *= 0.97
 
     # couple the best family: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
-    y, ok = _project(feas, best, targets, cfg.tolerance, cfg.max_iterations)
+    y, ok, _ = _project(feas, best, targets, cfg.tolerance, cfg.max_iterations)
     blocks = to_blocks(y)
     w, v = np.linalg.eigh(blocks)
     w = np.maximum(w[..., ::-1], 0.0)
@@ -584,7 +596,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
             g = rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
             tilts[base + k] = (g + dag(g)) / 2 * env
 
-    x, ok0 = _project(feas, starts, targets, cfg.tolerance, cfg.max_iterations)
+    x, ok0, duals = _project(feas, starts, targets, cfg.tolerance, cfg.max_iterations)
     best = x.copy()
     best_purity = np.where(ok0, _purity(x), -1e300)
     # candidates are compared at the polish tolerance: at cfg.tolerance a
@@ -593,27 +605,30 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     polish_tol = min(cfg.tolerance, 1e-9)
 
     def checkpoint(z, member_idx):
-        y, ok = _project(feas, z, targets[member_idx], polish_tol, cfg.max_iterations)
+        y, ok, _ = _project(feas, z, targets[member_idx], polish_tol, cfg.max_iterations)
         pur = np.where(ok, _purity(y), -1e300)
         for row, bi in enumerate(member_idx):
             if pur[row] > best_purity[bi]:
                 best_purity[bi] = pur[row]
                 best[bi] = y[row]
 
-    # phase 1: projected gradient ascent, each step projected exactly (at most
-    # `inner` Newton steps per projection). The purity gradient 2J is
-    # radial, blind to directions where J vanishes, so each restart carries a
-    # random linear tilt (annealed away) that gives the flow a drift into
-    # every coordinate of the feasible set.
+    # phase 1: projected gradient ascent. Each step's projection is cut
+    # short at two Newton steps on its dual, warm-started from the restart's
+    # multipliers of the step before; near a fixed point of the ascent those
+    # hardly change, so the inexact iterate tracks the exact one, and the
+    # checkpoints project exactly. (One Newton step per ascent step sent the
+    # d = 4 ascent to other local maxima: a dense 4x4 input lost 8e-6.) The
+    # purity gradient 2J is radial, blind to directions where J vanishes, so
+    # each restart carries a random linear tilt (annealed away) that gives
+    # the flow a drift into every coordinate of the feasible set.
     all_members = np.arange(b)
-    inner = 20
     eps = 2.0
     # for d = 2 the coupling stage below is provably exact, so the wander
     # only needs to provide decent face candidates
     steps = 30 if feas.d == 2 else 60
     for step in range(steps):
         x = (1.0 + 2.0 * cfg.step_size) * x + (eps * cfg.step_size) * tilts
-        x, _ = _project(feas, x, targets, cfg.tolerance, inner)
+        x, _, duals = _project(feas, x, targets, cfg.tolerance, 2, duals)
         eps *= 0.9
         if (step + 1) % 15 == 0 or step == steps - 1:
             checkpoint(x, all_members)
@@ -663,7 +678,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         raise ConvergenceFailure("no restart reached a feasible point")
     # polish every input's winner in one batch
     wins = np.arange(nt) * r0 + best_purity.argmax(axis=1)
-    y, _ = _project(feas, best[wins], targets[wins], polish_tol, cfg.max_iterations)
+    y, _, _ = _project(feas, best[wins], targets[wins], polish_tol, cfg.max_iterations)
     purities = _purity(y)
     return [
         (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(nt)
@@ -675,10 +690,14 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
 
     Projected gradient ascent: the purity gradient at J is 2J, so each step
     scales the iterate by the constant factor 1 + 2 * cfg.step_size (plus an
-    annealed random tilt) and projects it back exactly onto the feasible
-    set. One restart starts from the explicit row-grouping coherification,
-    the rest from random feasible points, so the result is never worse than the known lower
-    bound. The value returned is a feasible lower bound on the true
+    annealed random tilt) and projects it back with at most two Newton
+    steps on the projection's dual, warm-started from the multipliers of the
+    step before; every 15 steps the iterates are projected exactly, and only
+    those exact points become candidates. Face refinement and a
+    block-coupling stage follow, and the winner is polished exactly. One
+    restart starts from the explicit row-grouping coherification, the rest
+    from random feasible points, so the result is never worse than the known
+    lower bound. The value returned is a feasible lower bound on the true
     optimum, not an optimality certificate.
     """
     return maximize_purity_many([t], cfg)[0]

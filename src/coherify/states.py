@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotHermitian
 from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize
 
 _EIG_CLAMP = 1e-10
@@ -21,7 +21,7 @@ def assert_density_matrix(rho, atol: float = 1e-10) -> np.ndarray:
         raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")
     herm_err = np.abs(rho - dag(rho)).max()
     if herm_err > atol:
-        raise ValueError(f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e}")
+        raise NotHermitian(f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e}")
     tr_err = abs(rho.trace() - 1.0)
     if tr_err > atol:
         raise ValueError(f"trace differs from 1 by {tr_err:.3e}")

@@ -284,3 +284,13 @@ def test_d4_purity_maximizer():
             lo, up = mu_lower(t), mu_upper(t)
             assert float(lo @ lo) - 1e-6 <= pur <= float(up @ up) + 1e-6
             assert np.abs(classical_action(ch) - t).max() <= 1e-6
+
+
+def test_d5_purity_maximizer():
+    with Budget("d = 5 purity maximizer (dense input)", 60.0):
+        m = np.random.default_rng(505).uniform(0.02, 1.0, (5, 5))
+        t = m / m.sum(axis=0, keepdims=True)
+        ch, pur = maximize_purity(t, OracleConfig(seed=42, restarts=4))
+        lo, up = mu_lower(t), mu_upper(t)
+        assert float(lo @ lo) - 1e-6 <= pur <= float(up @ up) + 1e-6
+        assert np.abs(classical_action(ch) - t).max() <= 1e-6

@@ -18,8 +18,8 @@ from coherify.channels import (
     kraus_from_channel,
     unitary_channel,
 )
-from coherify.errors import NotTracePreserving
-from coherify.states import fourier_matrix, spectrum
+from coherify.errors import NotHermitian, NotTracePreserving
+from coherify.states import assert_density_matrix, fourier_matrix, spectrum
 
 
 # the worked 3x3 example and its row-grouped Kraus operators
@@ -214,3 +214,14 @@ def test_channel_validation():
     bad = np.diag([1.0, 0.0, 0.0, 0.0])  # wrong partial trace
     with pytest.raises(ValueError):
         Channel(bad)
+
+
+def test_non_hermitian_raises_not_hermitian_and_value_error():
+    jam = np.eye(4, dtype=complex) / 4
+    jam[0, 1] = 0.1   # J[1, 0] stays 0
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = 0.1
+    for build in (lambda: Channel(jam), lambda: assert_density_matrix(rho)):
+        for exc in (NotHermitian, ValueError):
+            with pytest.raises(exc, match="not Hermitian"):
+                build()

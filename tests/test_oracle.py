@@ -257,15 +257,20 @@ def test_project_batch_equals_members_alone():
     late = _project(feas, x0, per_member, 1e-9, 6)[1]
     # members leave at different iterations, and some hit the cap
     assert early.any() and (late & ~early).any() and not late.all()
-    for target in (per_member, shared):
-        for cap in (4, 6):
-            y, ok = _project(feas, x0, target, 1e-9, cap)
-            assert y.flags.c_contiguous
-            for i in range(len(x0)):
-                tg = target[i:i + 1] if target.ndim == 2 else target
-                y1, ok1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap)
-                assert np.array_equal(y[i], y1[0])
-                assert ok[i] == ok1[0]
+    # per-member warm starts: the multipliers of other points
+    warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
+    for y0 in (None, warm):
+        for target in (per_member, shared):
+            for cap in (4, 6):
+                y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
+                assert y.flags.c_contiguous
+                for i in range(len(x0)):
+                    tg = target[i:i + 1] if target.ndim == 2 else target
+                    y0_i = None if y0 is None else y0[i:i + 1]
+                    y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
+                    assert np.array_equal(y[i], y1[0])
+                    assert ok[i] == ok1[0]
+                    assert np.array_equal(dual[i], dual1[0])
 
 
 def test_project_ignores_input_layout():
@@ -274,8 +279,8 @@ def test_project_ignores_input_layout():
     x = np.stack([feas.random_start(target, _rng(6, i)) for i in range(5)])
     f_ordered = np.swapaxes(np.swapaxes(x, 1, 2).copy(), 1, 2)   # equal values
     assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
-    y, ok = _project(feas, x, target, 1e-9, 50)
-    y_f, ok_f = _project(feas, f_ordered, target, 1e-9, 50)
+    y, ok, _ = _project(feas, x, target, 1e-9, 50)
+    y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
     assert ok.all() and np.array_equal(ok, ok_f)
     assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
 
@@ -320,7 +325,7 @@ def test_project_matches_dykstra_reference():
         target = feas.target(t)
         # scaled away from the set, so that the cone clips eigenvalues
         x0 = np.stack([(1.5 + i) * feas.random_start(target, _rng(8, i)) for i in range(3)])
-        y, ok = _project(feas, x0, target, 1e-11, 100)
+        y, ok, _ = _project(feas, x0, target, 1e-11, 100)
         assert ok.all()
         for i in range(len(x0)):
             ref = _dykstra_reference(feas, x0[i], target, 1e-11)
@@ -343,7 +348,7 @@ def test_project_properties(case):
     target = feas.target(t)
     x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
     tol = 1e-9
-    y, ok = _project(feas, x0, target, tol, 100)
+    y, ok, _ = _project(feas, x0, target, tol, 100)
     assert ok.all()
     assert (np.linalg.eigvalsh(y).min(axis=-1) >= -1e-12).all()
     assert (feas.residual(y, target) <= tol).all()
@@ -352,6 +357,35 @@ def test_project_properties(case):
     s = (x0 + np.swapaxes(x0, 1, 2).conj()) / 2
     inner = np.einsum("bij,bij->b", (s - y).conj(), z[None] - y).real
     assert (inner <= 1e-8).all()
+
+
+def test_project_from_its_own_multipliers_takes_no_step():
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    target = feas.target(T_EXAMPLE)
+    x0 = np.stack([3.0 * feas.random_start(target, _rng(9, i)) for i in range(5)])
+    y, ok, dual = _project(feas, x0, target, 1e-9, 50)
+    assert ok.all()
+    # a cap of 0 allows no Newton step, so every member converges at its start
+    y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
+    assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
+    assert np.array_equal(dual2, dual)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions(), st.floats(0.01, 10.0))
+def test_project_warm_start_reaches_the_same_point(case, scale):
+    t, seed = case
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(3)])
+    y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
+    tol = 1e-11
+    cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
+    warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
+    assert ok_cold.all() and ok_warm.all()
+    assert (feas.residual(warm, target) <= tol).all()
+    # the projection is unique, so the start only changes the path to it
+    assert np.abs(warm - cold).max() <= 1e-9
 
 
 def test_sampler_small_entries_of_t():
