@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_warmstart.json
+    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_blockspace.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -17,33 +17,34 @@ alternating which tree runs first, and times:
 - the projection of ``sample_fixed_action``'s 100 starts for a 3x3 action
   whose smallest entry is 4e-4 (``OracleConfig(seed=0)``: tolerance 1e-7,
   2000 iterations), after an untimed projection of a well-conditioned
-  action; the number of starts that converged is reported;
-- ``maximize_purity`` on a dense 4x4 action (``default_rng(404)``, entries
-  from [0.02, 1), columns normalized) with ``OracleConfig(seed=42,
-  restarts=4)``.
+  action; the number of starts that converged is reported.
 
 The validate round is also split into phases by wrapping oracle functions:
-``sample_fixed_action``; and inside ``_maximize_group`` the ascent (up to
-the first ``_face_solve`` call), the face refinement (up to the first
-``_coupling_refinement`` call), the coupling stage (up to the first
-projection with a tolerance below the config's, which is the final polish)
-and the polish. The projection is ``_project``, or ``_dykstra`` in trees
-that predate it; the wrapper passes on whatever arguments it is given and
-whatever it returns. ``other`` is the rest of the round: the CLI's checks of
-the samples against the bounds. Each phase also counts the matrices
+``sample_fixed_action``; inside ``_maximize_group`` the ascent, up to the
+end of its second-to-last ``_project`` call, and ``couple_polish``, the rest
+of the call: the coupling of each input's best point and the final
+polish (in trees that stack a face and a coupling stage, ``ascent`` holds
+them too). ``other`` is the rest of the round: the CLI's checks of the
+samples against the bounds. Each phase also counts the matrices
 ``np.linalg.eigh`` decomposed and the linear systems ``np.linalg.solve``
-solved in it (the Newton systems of the projection; 0 in Dykstra trees).
+solved in it (the Newton systems of the projection).
 
-Once per tree, outside the timed runs, the 48 reports of round 0 of
-validate-qutrit seeds 1-4 are collected. The report counts how many are
-byte-identical between the trees and gives the per-input change of
-``best_purity`` (sum, min, max). For criterion 3 it counts the bitwise equal
-purities and gives each tree's largest gap below mu_upper . mu_upper and
-largest excess above it. The report gives, per tree, the median and
-quartiles over the repeats and the machine it ran on, and checks the purity
-gates: no validate input falls by more than 1e-6 and their sum by no more
-than 1e-7; criterion 3's largest gap is at most 1e-9 and its largest excess
-at most 1e-8; the dense 4x4 purity falls by no more than 1e-6.
+Once per tree, outside the timed runs, one interpreter runs the gates:
+``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on 16 dense
+4x4 actions (``default_rng(500..515)``), 8 dense 5x5 actions
+(``default_rng(505..512)``) and one dense 6x6 action (``default_rng(406)``),
+each with entries from [0.02, 1) and columns normalized, timing every call;
+and the 48 reports of round 0 of validate-qutrit seeds 1-4 are collected.
+The report counts the byte-identical reports and gives the per-input change
+of ``best_purity`` (sum, min, max), the same for the 4x4 and 5x5 purities,
+and for criterion 3 the bitwise equal purities and each tree's largest gap
+below mu_upper . mu_upper and largest excess above it. The report gives,
+per tree, the median and quartiles over the repeats and the machine it ran
+on, and checks the gates: no validate input falls by more than 1e-9 and
+their sum does not fall; criterion 3's largest gap is at most 1e-9 and its
+largest excess at most 1e-8; on the 4x4 and the 5x5 actions the sum does
+not fall and no input falls by more than 1e-4; the median 5x5 call takes
+under 2 s and the 6x6 call under 10 s.
 """
 
 from __future__ import annotations
@@ -65,8 +66,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
-PHASES = ("sample_fixed_action", "ascent", "face", "coupling", "polish")
-TASKS = ("validate", "criterion3", "sampler", "dense4")
+PHASES = ("sample_fixed_action", "ascent", "couple_polish")
+COUNTS = ("eigh_matrices", "newton_systems")
+TASKS = ("validate", "criterion3", "sampler")
+# dense actions of the gates: (d, seeds of default_rng)
+DENSE_GATES = {"dense4": (4, range(500, 516)), "dense5": (5, range(505, 513)),
+               "dense6": (6, (406,))}
 SMALL_ENTRY_ACTION = [[0.4043, 0.4914, 0.2938],
                       [0.4544, 0.2575, 0.7058],
                       [0.1413, 0.2511, 0.0004]]
@@ -91,68 +96,64 @@ def _criterion3_inputs():
     return ts
 
 
-def _projection(oracle):
-    """The projection onto the feasible set and its name in this tree."""
-    name = "_project" if hasattr(oracle, "_project") else "_dykstra"
-    return name, getattr(oracle, name)
-
-
 def _time_phases(oracle) -> tuple[dict, dict]:
     """Wrap oracle functions so that time and linear-algebra work are added
     to the phase running; work outside every phase goes to ``other``."""
     import numpy as np
 
     phases = dict.fromkeys(PHASES, 0.0)
-    work = {phase: {"eigh_matrices": 0, "newton_systems": 0} for phase in PHASES + ("other",)}
-    state = {"phase": None, "since": 0.0, "tolerance": 0.0}
+    work = {phase: dict.fromkeys(COUNTS, 0) for phase in PHASES + ("other",)}
+    state = {"phase": "other"}
+    # work of the running _maximize_group, and (time, work so far) at the
+    # end of each of its projections: the split is known only once it ends
+    group_work = dict.fromkeys(COUNTS, 0)
+    marks = []
 
     def counted(fn, key):
         def wrapped(a, *args, **kwargs):
-            work[state["phase"] or "other"][key] += int(np.prod(np.shape(a)[:-2]))
+            bucket = group_work if state["phase"] == "group" else work[state["phase"]]
+            bucket[key] += int(np.prod(np.shape(a)[:-2]))
             return fn(a, *args, **kwargs)
         return wrapped
 
-    def switch(name):
-        now = time.perf_counter()
-        if state["phase"] is not None:
-            phases[state["phase"]] += now - state["since"]
-        state["phase"], state["since"] = name, now
+    sampler, group, projection = oracle.sample_fixed_action, oracle._maximize_group, oracle._project
 
-    def whole_call(fn, name):
-        def wrapped(*args, **kwargs):
-            switch(name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                switch(None)
-        return wrapped
+    def sample_fixed_action(*args, **kwargs):
+        state["phase"] = "sample_fixed_action"
+        t0 = time.perf_counter()
+        try:
+            return sampler(*args, **kwargs)
+        finally:
+            phases["sample_fixed_action"] += time.perf_counter() - t0
+            state["phase"] = "other"
 
-    group, face, coupling = oracle._maximize_group, oracle._face_solve, oracle._coupling_refinement
-    projection_name, projection = _projection(oracle)
+    def maximize_group(*args, **kwargs):
+        group_work.update(dict.fromkeys(COUNTS, 0))
+        marks.clear()
+        state["phase"] = "group"
+        t0 = time.perf_counter()
+        try:
+            return group(*args, **kwargs)
+        finally:
+            end = time.perf_counter()
+            state["phase"] = "other"
+            split, split_work = marks[-2]
+            phases["ascent"] += split - t0
+            phases["couple_polish"] += end - split
+            for key in COUNTS:
+                work["ascent"][key] += split_work[key]
+                work["couple_polish"][key] += group_work[key] - split_work[key]
 
-    def maximize_group(group_ts, global_idx, cfg):
-        state["tolerance"] = cfg.tolerance
-        return whole_call(group, "ascent")(group_ts, global_idx, cfg)
+    def project(*args, **kwargs):
+        try:
+            return projection(*args, **kwargs)
+        finally:
+            if state["phase"] == "group":
+                marks.append((time.perf_counter(), dict(group_work)))
 
-    def face_solve(*args, **kwargs):
-        if state["phase"] == "ascent":
-            switch("face")
-        return face(*args, **kwargs)
-
-    def coupling_refinement(*args, **kwargs):
-        switch("coupling")
-        return coupling(*args, **kwargs)
-
-    def project(feas, x0, target, tol, *args, **kwargs):
-        if state["phase"] == "coupling" and tol < state["tolerance"]:
-            switch("polish")
-        return projection(feas, x0, target, tol, *args, **kwargs)
-
-    oracle.sample_fixed_action = whole_call(oracle.sample_fixed_action, "sample_fixed_action")
+    oracle.sample_fixed_action = sample_fixed_action
     oracle._maximize_group = maximize_group
-    oracle._face_solve = face_solve
-    oracle._coupling_refinement = coupling_refinement
-    setattr(oracle, projection_name, project)
+    oracle._project = project
     np.linalg.eigh = counted(np.linalg.eigh, "eigh_matrices")
     np.linalg.solve = counted(np.linalg.solve, "newton_systems")
     return phases, work
@@ -183,7 +184,6 @@ def worker(tree: Path, task: str) -> dict:
     if task == "sampler":
         import numpy as np
 
-        _, projection = _projection(oracle)
         cfg = oracle.OracleConfig(seed=0)
 
         def project_starts(t):
@@ -191,20 +191,30 @@ def worker(tree: Path, task: str) -> dict:
             target = feas.target(t)
             x0 = np.stack([feas.random_start(target, oracle._rng(cfg.seed, i)) for i in range(100)])
             t0 = time.perf_counter()
-            ok = projection(feas, x0, target, cfg.tolerance, cfg.max_iterations)[1]
+            ok = oracle._project(feas, x0, target, cfg.tolerance, cfg.max_iterations)[1]
             return time.perf_counter() - t0, ok
 
         project_starts(workloads.T_EXAMPLE)
         seconds, ok = project_starts(np.array(SMALL_ENTRY_ACTION))
         return {"seconds": seconds, "converged": int(ok.sum())}
-    if task == "dense4":
+    if task == "gates":
         import numpy as np
+        from coherify.bounds import mu_upper
 
-        m = np.random.default_rng(404).uniform(0.02, 1.0, (4, 4))
-        t = m / m.sum(axis=0, keepdims=True)
-        t0 = time.perf_counter()
-        _, purity = oracle.maximize_purity(t, oracle.OracleConfig(seed=42, restarts=4))
-        return {"seconds": time.perf_counter() - t0, "purity": purity}
+        cfg = oracle.OracleConfig(seed=42, restarts=4)
+        oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
+        gates = {}
+        for name, (d, seeds) in DENSE_GATES.items():
+            gate = gates[name] = {"purities": [], "seconds": [], "gaps_below_mu_upper_sq": []}
+            for seed in seeds:
+                m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
+                t = m / m.sum(axis=0, keepdims=True)
+                t0 = time.perf_counter()
+                _, purity = oracle.maximize_purity(t, cfg)
+                gate["seconds"].append(time.perf_counter() - t0)
+                gate["purities"].append(purity)
+                gate["gaps_below_mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)) - purity)
+        return gates
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
             reports = []
@@ -252,9 +262,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_warmstart.json")
+    p.add_argument("--out", default="BENCH_blockspace.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--task", choices=TASKS + ("reports",), help=argparse.SUPPRESS)
+    p.add_argument("--task", choices=TASKS + ("gates", "reports"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is not None:
         with contextlib.redirect_stdout(sys.stderr):
@@ -276,12 +286,12 @@ def main(argv=None) -> int:
                 for task in TASKS:
                     runs[name][task].append(_run_worker(trees[name], task))
         reports = {name: _run_worker(tree, "reports")["reports"] for name, tree in trees.items()}
+        gates = {name: _run_worker(tree, "gates") for name, tree in trees.items()}
 
     timings = {
         "validate_qutrit_round": {"seed": VALIDATE_SEED, "round": 0},
         "criterion3_maximize_purity_many": {"inputs": 1000, "restarts": 3},
         "small_entry_sampler_projection": {"samples": 100, "min_entry": 4e-4},
-        "dense4_maximize_purity": {"restarts": 4},
     }
     for name in trees:
         vruns = runs[name]["validate"]
@@ -304,10 +314,6 @@ def main(argv=None) -> int:
         entry = _summary([r["seconds"] for r in sruns])
         entry["converged"] = sorted({r["converged"] for r in sruns})
         timings["small_entry_sampler_projection"][name] = entry
-        druns = runs[name]["dense4"]
-        entry = _summary([r["seconds"] for r in druns])
-        entry["purity"] = sorted({r["purity"] for r in druns})
-        timings["dense4_maximize_purity"][name] = entry
     for entry in timings.values():
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
 
@@ -339,16 +345,35 @@ def main(argv=None) -> int:
                 "max_gap_below_mu_upper_sq": {name: c3[name]["max_gap"] for name in trees},
                 "max_excess_over_mu_upper_sq": {name: c3[name]["max_excess"] for name in trees},
             },
+            **{
+                gate: {
+                    "inputs": len(gates["after"][gate]["purities"]),
+                    "restarts": 4,
+                    "purity_sum": {name: sum(gates[name][gate]["purities"]) for name in trees},
+                    "purity_delta": _deltas(gates["before"][gate]["purities"],
+                                            gates["after"][gate]["purities"]),
+                    "max_gap_below_mu_upper_sq": {
+                        name: max(gates[name][gate]["gaps_below_mu_upper_sq"]) for name in trees},
+                    "median_call_s": {
+                        name: statistics.median(gates[name][gate]["seconds"]) for name in trees},
+                    "calls_s": {name: gates[name][gate]["seconds"] for name in trees},
+                }
+                for gate in DENSE_GATES
+            },
         },
     }
     validate_delta = report["purity"]["validate_reports"]["best_purity_delta"]
-    dense4 = {name: runs[name]["dense4"][0]["purity"] for name in trees}
+    dense = {gate: report["purity"][gate] for gate in DENSE_GATES}
     report["purity"]["gates_hold"] = {
-        "validate_worst_input": validate_delta["min"] >= -1e-6,
-        "validate_sum": validate_delta["sum"] >= -1e-7,
+        "validate_worst_input": validate_delta["min"] >= -1e-9,
+        "validate_sum": validate_delta["sum"] >= 0.0,
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
-        "dense4": dense4["after"] >= dense4["before"] - 1e-6,
+        **{f"{gate}_{check}": ok for gate in ("dense4", "dense5") for check, ok in (
+            ("sum", dense[gate]["purity_delta"]["sum"] >= 0.0),
+            ("worst_input", dense[gate]["purity_delta"]["min"] >= -1e-4))},
+        "dense5_median_call_under_2s": dense["dense5"]["median_call_s"]["after"] < 2.0,
+        "dense6_call_under_10s": dense["dense6"]["median_call_s"]["after"] < 10.0,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

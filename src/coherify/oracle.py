@@ -10,8 +10,14 @@ steps on the dual of the projection problem, whose variables are the m
 affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
 2004; Qi & Sun, SIAM J. Matrix Anal. Appl. 28(2), 2006). Newton converges
 quadratically on that dual, also where some entries of T are tiny. The
-projection returns its multipliers, and iterative callers (the purity
-ascent, the coupling stage) start each projection from the previous one's.
+projection returns its multipliers, and the purity ascent starts each
+projection from the previous one's.
+
+The purity maximizer works in block space: every constraint lies in the
+diagonal blocks of J, and the largest purity over the states with given
+blocks is a convex function of the blocks' spectra (the block-majorization
+theorem of :mod:`coherify.bounds`), so it ascends that function over
+block-diagonal points and couples the best blocks into one state.
 
 Randomness comes from the counter-based Philox generator, keyed by
 ``seed + stream index``, so runs are bit-reproducible, and a member's
@@ -46,24 +52,24 @@ __all__ = [
 class OracleConfig:
     """Knobs for the numerical validators.
 
+    restarts is the number of starts per input of the purity maximizer
+    (besides its two cap-saturated families) and of the witness search;
     max_iterations caps the Newton steps of each projection onto the
-    feasible set and each restart of the witness search; step_size is the
-    constant gradient step of the purity ascent; tolerance is the
-    feasibility residual accepted during search (the maximizer compares
-    and polishes its candidates at min(tolerance, 1e-9)).
+    feasible set, the steps of each purity ascent and each restart of the
+    witness search; tolerance is the feasibility residual of the sampled
+    channels (the maximizer works at min(tolerance, 1e-9)).
     """
 
     seed: int = 42
     restarts: int = 64
     max_iterations: int = 2000
-    step_size: float = 0.05
     tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.restarts <= 0 or self.max_iterations <= 0:
             raise ValueError("restarts and max_iterations must be positive")
-        if self.step_size <= 0 or self.tolerance <= 0:
-            raise ValueError("step_size and tolerance must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -380,63 +386,6 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
     return results  # type: ignore[return-value]
 
 
-def _herm_basis(r: int) -> np.ndarray:
-    """Orthonormal real basis of r x r Hermitian matrices."""
-    out = []
-    for i in range(r):
-        e = np.zeros((r, r), dtype=np.complex128)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            out.append(e)
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = 1j / np.sqrt(2)
-            e[j, i] = -1j / np.sqrt(2)
-            out.append(e)
-    return np.stack(out)
-
-
-def _face_solve(feas: _FeasibleSet, w_top, targets, basis, iters: int = 6):
-    """Feasible point on the face spanned by the frames w_top (B, ns, r).
-
-    On a fixed face the affine constraints are linear in the r x r Hermitian
-    factor, solved by pseudo-inverse; PSD-clipping the factor and re-taking
-    the top eigenvectors lets the face rotate a little between solves. Only
-    useful when r^2 does not exceed the number of constraints, so that the
-    solve pins the face's unique feasible candidate.
-    """
-    idx = np.arange(feas.n)
-    rank = w_top.shape[-1]
-    x = None
-    for it in range(iters):
-        we = np.einsum("bnr,qrs->bqns", w_top, basis)
-        wew = np.einsum("bqns,bms->bqnm", we, w_top.conj())
-        rows = [np.swapaxes(wew[..., idx, idx].real, 1, 2)]
-        rhs = [targets]
-        if feas.n_groups:
-            sums = feas.group_sums(wew)
-            rows.append(np.swapaxes(sums.real, 1, 2))
-            rows.append(np.swapaxes(sums.imag, 1, 2))
-            zeros = np.zeros((w_top.shape[0], feas.n_groups))
-            rhs.extend([zeros, zeros])
-        a_mat = np.concatenate(rows, axis=1)
-        b_vec = np.concatenate(rhs, axis=1)
-        sol = np.einsum("bqm,bm->bq", np.linalg.pinv(a_mat), b_vec)
-        m_mat = np.einsum("bq,qrs->brs", sol, basis)
-        mw, mv = np.linalg.eigh(m_mat)
-        mw = np.maximum(mw, 0.0)
-        m_mat = (mv * mw[..., None, :]) @ dag(mv)
-        x = np.einsum("bnr,brs,bms->bnm", w_top, m_mat, w_top.conj())
-        x = (x + dag(x)) / 2
-        if it < iters - 1:
-            _, vv = np.linalg.eigh(x)
-            w_top = vv[..., :, feas.n - rank:]
-    return x
-
-
 def _block_scatter(feas: _FeasibleSet):
     """Index arrays mapping compressed block-diagonal entries to (i, k, l)."""
     blk = feas.support // feas.d
@@ -451,77 +400,6 @@ def _block_scatter(feas: _FeasibleSet):
                 k_idx.append(inner[p])
                 l_idx.append(inner[q])
     return tuple(np.asarray(a, dtype=np.intp) for a in (p_idx, q_idx, i_idx, k_idx, l_idx))
-
-
-def _coupling_refinement(feas: _FeasibleSet, targets, seeds, cfg: OracleConfig):
-    """Exact reduction of the purity maximum to diagonal-block families.
-
-    The block-majorization theorem bounds gamma(J) by the coupled value
-    f = sum_n (sum_i lambda_n(B^i))^2 of J's own diagonal blocks, and the
-    bound is attained by the rank-n coupler vectors across blocks. Maximizing
-    f over feasible block-diagonal points and coupling the winner therefore
-    reproduces the true purity maximum; the search ascends f with analytic
-    eigenvalue gradients, seeded with the diagonal family, cap-saturated
-    blocks, and the block parts of the ascent's best points.
-    """
-    d = feas.d
-    ns = feas.n
-    p_idx, q_idx, i_idx, k_idx, l_idx = _block_scatter(feas)
-    cross_mask = np.ones((ns, ns), dtype=bool)
-    cross_mask[p_idx, q_idx] = False
-
-    def to_blocks(x):
-        out = np.zeros(x.shape[:-2] + (d, d, d), dtype=np.complex128)
-        out[..., i_idx, k_idx, l_idx] = x[..., p_idx, q_idx]
-        return out
-
-    def block_diag_part(x):
-        y = x.copy()
-        y[..., cross_mask] = 0.0
-        return y
-
-    x = block_diag_part(np.asarray(seeds))
-    x, _, duals = _project(feas, x, targets, cfg.tolerance, cfg.max_iterations)
-
-    def f_and_grad(x):
-        blocks = to_blocks(x)
-        w, v = np.linalg.eigh(blocks)          # ascending, (B, d, d), (B, d, d, d)
-        w = w[..., ::-1]
-        v = v[..., ::-1]
-        s_n = w.sum(axis=-2)                   # (B, d) coupled sums per rank
-        f = (s_n ** 2).sum(axis=-1)
-        gw = 2.0 * s_n[..., None, :]           # df/dlambda_n^i
-        gblocks = np.einsum("bikn,bin,biln->bikl", v, gw, v.conj())
-        g = np.zeros_like(x)
-        g[..., p_idx, q_idx] = gblocks[..., i_idx, k_idx, l_idx]
-        return f, g
-
-    best = x.copy()
-    best_f, _ = f_and_grad(x)
-    step = 0.08
-    for _ in range(40):
-        _, g = f_and_grad(x)
-        gn = np.sqrt((np.abs(g) ** 2).sum(axis=(-2, -1)))[:, None, None] + 1e-300
-        x = x + step * g / gn
-        x, okk, duals = _project(feas, x, targets, cfg.tolerance, 250, duals)
-        f, _ = f_and_grad(x)
-        improved = okk & (f > best_f)
-        best[improved] = x[improved]
-        best_f[improved] = f[improved]
-        step *= 0.97
-
-    # couple the best family: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
-    y, ok, _ = _project(feas, best, targets, cfg.tolerance, cfg.max_iterations)
-    blocks = to_blocks(y)
-    w, v = np.linalg.eigh(blocks)
-    w = np.maximum(w[..., ::-1], 0.0)
-    v = v[..., ::-1]
-    blk = feas.support // d
-    inner = feas.support % d
-    # psi[b, p, n] = sqrt(w[b, blk[p], n]) * v[b, blk[p], inner[p], n]
-    psi = np.sqrt(w[..., blk, :]) * v[..., blk, inner, :]
-    couplers = np.einsum("bpn,bqn->bpq", psi, psi.conj())
-    return np.where(ok[:, None, None], couplers, y)
 
 
 def _capped_family_seed(feas: _FeasibleSet, t: np.ndarray, sign: float) -> np.ndarray:
@@ -552,153 +430,103 @@ def _capped_family_seed(feas: _FeasibleSet, t: np.ndarray, sign: float) -> np.nd
     return feas.compress(full)
 
 
-# Phase 2 of _maximize_group (face refinement) runs on this many restarts per
-# input: the ones with the highest purity after phase 1. Each restart in it
-# costs one projected candidate per eigenvector subset (25 per restart at
-# d = 3), yet the winner comes from the best few restarts. On the perfbench
-# validate-qutrit corpus, keeping 1 lost 1.5e-4 purity on the dense input and
-# keeping 4 lost 1.3e-8 on another; keeping 8 left every report unchanged.
-FACE_RESTARTS = 8
-
-
-def _face_members(best_purity: np.ndarray, restarts: int) -> np.ndarray:
-    """Restarts that enter the face refinement, as flat member indices.
-
-    best_purity holds `restarts` consecutive entries per input. Per input the
-    FACE_RESTARTS highest, ties going to the lower restart, are kept in
-    restart order; with restarts <= FACE_RESTARTS every restart is kept.
-    """
-    pur = best_purity.reshape(-1, restarts)
-    order = np.argsort(-pur, axis=1, kind="stable")[:, :FACE_RESTARTS]
-    return (np.sort(order, axis=1) + restarts * np.arange(len(pur))[:, None]).reshape(-1)
-
-
 def _maximize_group(group, global_idx, cfg: OracleConfig):
-    from itertools import combinations
-
+    """Block-space ascent for inputs sharing one zero pattern (see
+    :func:`maximize_purity`)."""
     feas = _FeasibleSet.for_action(group[0])
-    ns = feas.n
-    r0 = cfg.restarts
-    nt = len(group)
-    b = nt * r0
-    targets = np.empty((b, ns))
-    starts = np.empty((b, ns, ns), dtype=np.complex128)
-    tilts = np.zeros((b, ns, ns), dtype=np.complex128)
+    d, ns, r0 = feas.d, feas.n, cfg.restarts
+    per = r0 + 2                                 # the restarts, then both capped families
+    tol = min(cfg.tolerance, 1e-9)
+    targets = np.empty((len(group) * per, ns))
+    starts = np.empty((len(group) * per, ns, ns), dtype=np.complex128)
     for gi, t in enumerate(group):
         tg = feas.target(t)
-        base = gi * r0
-        targets[base:base + r0] = tg
+        base = gi * per
+        targets[base:base + per] = tg
         starts[base] = feas.compress(coherify_c0(t).channel.jam)
-        env = np.sqrt(np.outer(tg, tg))
         for k in range(1, r0):
             rng = _rng(cfg.seed, 10_000 + global_idx[gi] * r0 + k)
             starts[base + k] = feas.random_start(tg, rng)
-            g = rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
-            tilts[base + k] = (g + dag(g)) / 2 * env
+        starts[base + r0] = _capped_family_seed(feas, t, +1.0)
+        starts[base + r0 + 1] = _capped_family_seed(feas, t, -1.0)
+    p_idx, q_idx, i_idx, k_idx, l_idx = _block_scatter(feas)
+    x = np.zeros_like(starts)
+    x[:, p_idx, q_idx] = starts[:, p_idx, q_idx]
 
-    x, ok0, duals = _project(feas, starts, targets, cfg.tolerance, cfg.max_iterations)
-    best = x.copy()
-    best_purity = np.where(ok0, _purity(x), -1e300)
-    # candidates are compared at the polish tolerance: at cfg.tolerance a
-    # point's residual can inflate its purity by about as much as the
-    # candidates differ, and then the polish takes the excess back
-    polish_tol = min(cfg.tolerance, 1e-9)
+    def eig_blocks(x):
+        """Each block's eigenpairs, eigenvalues in descending order."""
+        blocks = np.zeros(x.shape[:-2] + (d, d, d), dtype=np.complex128)
+        blocks[..., i_idx, k_idx, l_idx] = x[..., p_idx, q_idx]
+        w, v = np.linalg.eigh(blocks)
+        return w[..., ::-1], v[..., ::-1]
 
-    def checkpoint(z, member_idx):
-        y, ok, _ = _project(feas, z, targets[member_idx], polish_tol, cfg.max_iterations)
-        pur = np.where(ok, _purity(y), -1e300)
-        for row, bi in enumerate(member_idx):
-            if pur[row] > best_purity[bi]:
-                best_purity[bi] = pur[row]
-                best[bi] = y[row]
+    def f_and_grad(x):
+        w, v = eig_blocks(x)
+        s_n = w.sum(axis=-2)                     # coupled sums per rank
+        gblocks = np.einsum("bikn,bn,biln->bikl", v, 2.0 * s_n, v.conj())
+        g = np.zeros_like(x)
+        g[..., p_idx, q_idx] = gblocks[..., i_idx, k_idx, l_idx]
+        return (s_n ** 2).sum(axis=-1), g
 
-    # phase 1: projected gradient ascent. Each step's projection is cut
-    # short at two Newton steps on its dual, warm-started from the restart's
-    # multipliers of the step before; near a fixed point of the ascent those
-    # hardly change, so the inexact iterate tracks the exact one, and the
-    # checkpoints project exactly. (One Newton step per ascent step sent the
-    # d = 4 ascent to other local maxima: a dense 4x4 input lost 8e-6.) The
-    # purity gradient 2J is radial, blind to directions where J vanishes, so
-    # each restart carries a random linear tilt (annealed away) that gives
-    # the flow a drift into every coordinate of the feasible set.
-    all_members = np.arange(b)
-    eps = 2.0
-    # for d = 2 the coupling stage below is provably exact, so the wander
-    # only needs to provide decent face candidates
-    steps = 30 if feas.d == 2 else 60
-    for step in range(steps):
-        x = (1.0 + 2.0 * cfg.step_size) * x + (eps * cfg.step_size) * tilts
-        x, _, duals = _project(feas, x, targets, cfg.tolerance, 2, duals)
-        eps *= 0.9
-        if (step + 1) % 15 == 0 or step == steps - 1:
-            checkpoint(x, all_members)
+    # f is convex, so from a feasible point each projected unit step gains at
+    # least its squared length: the ascent is monotone without a step rule.
+    # The starts themselves are not projected (nor counted as feasible): each
+    # takes its first step from where it is
+    _, g = f_and_grad(x)
+    f = np.full(len(x), -np.inf)
+    duals = np.zeros((len(x), feas.m))
+    live = np.arange(len(x))
+    for _ in range(cfg.max_iterations):
+        if not live.size:
+            break
+        z, ok, y = _project(feas, x[live] + g[live], targets[live], tol, cfg.max_iterations,
+                            duals[live])
+        fz, gz = f_and_grad(z[ok])
+        moved = live[ok]
+        gain = fz - f[moved]
+        x[moved], duals[moved], f[moved], g[moved] = z[ok], y[ok], fz, gz
+        live = moved[gain > 1e-12 * fz]
 
-    # phase 2: face refinement. Extreme points have rank r with r^2 bounded
-    # by the number of affine constraints; for each candidate face spanned by
-    # subsets of a member's top eigenvectors the unique feasible point is one
-    # linear solve away. Only each input's FACE_RESTARTS best restarts after
-    # phase 1 take part (all of them when restarts <= FACE_RESTARTS).
-    r_max = max(1, min(ns, int(np.floor(np.sqrt(feas.m)))))
-    k_top = min(ns, r_max + 2)
-    members = _face_members(best_purity, r0)
-    _, vv = np.linalg.eigh(best[members])
-    top = vv[..., :, ::-1][..., :, :k_top]
-    for rank in range(1, r_max + 1):
-        subsets = list(combinations(range(k_top), rank))
-        w_top = np.concatenate([top[..., list(sub)] for sub in subsets], axis=0)
-        member_idx = np.tile(members, len(subsets))
-        z = _face_solve(feas, w_top, targets[member_idx], _herm_basis(rank))
-        checkpoint(z, member_idx)
-
-    # phase 3: exact reduction to diagonal-block families (see
-    # _coupling_refinement); seeded per input with the classical family, both
-    # cap-saturated families, and the winner's own blocks
-    seeds, seed_targets, seed_members = [], [], []
-    for gi, t in enumerate(group):
-        sl = slice(gi * r0, (gi + 1) * r0)
-        win = gi * r0 + int(best_purity[sl].argmax())
-        tg = targets[gi * r0]
-        seeds.extend(
-            [
-                np.diag(tg).astype(np.complex128),
-                _capped_family_seed(feas, t, +1.0),
-                _capped_family_seed(feas, t, -1.0),
-                best[win],
-            ]
-        )
-        seed_targets.extend([tg] * 4)
-        seed_members.extend([gi * r0] * 4)
-    couplers = _coupling_refinement(
-        feas, np.asarray(seed_targets), np.asarray(seeds), cfg
-    )
-    checkpoint(couplers, np.asarray(seed_members))
-
-    best_purity = best_purity.reshape(nt, r0)
-    if (best_purity.max(axis=1) <= -1e299).any():
+    f = f.reshape(len(group), per)
+    if np.isneginf(f.max(axis=1)).any():
         raise ConvergenceFailure("no restart reached a feasible point")
-    # polish every input's winner in one batch
-    wins = np.arange(nt) * r0 + best_purity.argmax(axis=1)
-    y, _, _ = _project(feas, best[wins], targets[wins], polish_tol, cfg.max_iterations)
+    # couple each input's best blocks: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
+    # has J's blocks and purity f
+    w, v = eig_blocks(x[np.arange(len(group)) * per + f.argmax(axis=1)])
+    blk, inner = feas.support // d, feas.support % d
+    psi = np.sqrt(np.maximum(w, 0.0)[..., blk, :]) * v[..., blk, inner, :]
+    couplers = np.einsum("bpn,bqn->bpq", psi, psi.conj())
+    y, _, _ = _project(feas, couplers, targets[::per], tol, cfg.max_iterations)
     purities = _purity(y)
     return [
-        (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(nt)
+        (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(len(group))
     ]
 
 
 def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]:
     """Heuristic maximum of gamma(J) over channels with classical action T.
 
-    Projected gradient ascent: the purity gradient at J is 2J, so each step
-    scales the iterate by the constant factor 1 + 2 * cfg.step_size (plus an
-    annealed random tilt) and projects it back with at most two Newton
-    steps on the projection's dual, warm-started from the multipliers of the
-    step before; every 15 steps the iterates are projected exactly, and only
-    those exact points become candidates. Face refinement and a
-    block-coupling stage follow, and the winner is polished exactly. One
-    restart starts from the explicit row-grouping coherification, the rest
-    from random feasible points, so the result is never worse than the known
-    lower bound. The value returned is a feasible lower bound on the true
-    optimum, not an optimality certificate.
+    The search runs in block space. Every constraint on J lies in its
+    diagonal blocks B^i, and by the block-majorization theorem the largest
+    purity of a J with given blocks is f(B) = sum_n (sum_i lambda_n(B^i))^2,
+    eigenvalues in decreasing order, reached by coupling the blocks' ordered
+    eigenvectors. So each start ascends f over feasible block-diagonal
+    points by x <- Pi(x + grad f(x)), beginning at the start itself: the
+    projection of a block-diagonal point is block diagonal, and each one is
+    warm-started from the multipliers of the step before. f is convex, so
+    from a feasible point every step gains at least its own squared length;
+    a start stops once its gain is at most 1e-12 f, when its projection
+    fails, or after cfg.max_iterations steps. The starts of each input are
+    the diagonal blocks of the row-grouping coherification (feasible, so
+    the result is never below its purity, the known lower bound),
+    cfg.restarts - 1 random points and two cap-saturated block families.
+    The best point of each input is coupled and projected once more.
+
+    Every projection works to the residual min(cfg.tolerance, 1e-9). The
+    value returned is the purity of a point feasible to that residual, at a
+    local maximum of f: it is no optimality certificate, and it can exceed
+    the true optimum by a few 1e-9. Raises ConvergenceFailure when no start
+    of an input reaches a feasible point.
     """
     return maximize_purity_many([t], cfg)[0]
 

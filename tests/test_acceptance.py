@@ -294,3 +294,22 @@ def test_d5_purity_maximizer():
         lo, up = mu_lower(t), mu_upper(t)
         assert float(lo @ lo) - 1e-6 <= pur <= float(up @ up) + 1e-6
         assert np.abs(classical_action(ch) - t).max() <= 1e-6
+
+
+def _check_dense_maximizer(d, seed):
+    m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
+    t = m / m.sum(axis=0, keepdims=True)
+    ch, pur = maximize_purity(t, OracleConfig(seed=42, restarts=4))
+    lo, up = mu_lower(t), mu_upper(t)
+    assert float(lo @ lo) - 1e-6 <= pur <= float(up @ up) + 1e-6
+    assert np.abs(classical_action(ch) - t).max() <= 1e-6
+
+
+def test_d6_purity_maximizer():
+    with Budget("d = 6 purity maximizer (dense input)", 60.0):
+        _check_dense_maximizer(6, 406)
+
+
+def test_d8_purity_maximizer():
+    with Budget("d = 8 purity maximizer (dense input)", 60.0):
+        _check_dense_maximizer(8, 408)

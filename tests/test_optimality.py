@@ -1,0 +1,47 @@
+"""The purity maximizer against constructions with a proven optimum.
+
+A construction that claims optimality and an oracle that searches the whole
+feasible set must agree: an oracle purity above the claimed optimum by more
+than a few times the oracle's feasibility residual (1e-9) would refute the
+claim, and one far below it would show the oracle weak. The qubit closed
+form is checked on 1000 inputs by acceptance criterion 3.
+"""
+
+import numpy as np
+
+from coherify.channels import channel_purity
+from coherify.constructions import coherify_qutrit
+from coherify.oracle import OracleConfig, maximize_purity_many
+from test_acceptance import Budget, _draw_qutrit
+from test_oracle import _kron_input
+
+QUTRIT_CASES = [
+    ("cyclic", None),
+    ("single_row", "le"),
+    ("single_row", "ge_big"),
+    ("single_row", "ge_small"),
+    ("double_row", "low"),
+    ("double_row", "mid"),
+    ("double_row", "high"),
+]
+
+
+def test_oracle_agrees_with_optimal_constructions():
+    with Budget("optimality corpus (qutrit families, complete coherification)", 30.0):
+        rng = np.random.default_rng(2024)
+        drawn = [
+            (_draw_qutrit(rng, family, case), family)
+            for family, case in QUTRIT_CASES
+            for _ in range(10)
+        ]
+        results = maximize_purity_many([t for t, _ in drawn], OracleConfig(seed=42, restarts=16))
+        for (t, family), (_, pur) in zip(drawn, results):
+            assert abs(pur - channel_purity(coherify_qutrit(t, family).channel)) <= 1e-8
+
+        # unistochastic T has a unitary coherification: purity 1
+        unistochastic = [
+            np.array([[0.3, 0.3, 0.4], [0.4, 0.3, 0.3], [0.3, 0.4, 0.3]]),
+            _kron_input(0.3, 0.8),
+        ]
+        for (_, pur) in maximize_purity_many(unistochastic, OracleConfig(seed=42, restarts=16)):
+            assert abs(pur - 1.0) <= 1e-6

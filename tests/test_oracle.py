@@ -9,9 +9,7 @@ from coherify.channels import channel_purity, classical_action
 from coherify.diagnostics import path_distribution
 from coherify.matcore import eig_hermitian
 from coherify.oracle import (
-    FACE_RESTARTS,
     OracleConfig,
-    _face_members,
     _FeasibleSet,
     _project,
     _rng,
@@ -32,7 +30,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
-        OracleConfig(step_size=-1)
+        OracleConfig(tolerance=-1)
 
 
 def test_samples_satisfy_constraints():
@@ -359,6 +357,22 @@ def test_project_properties(case):
     assert (inner <= 1e-8).all()
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions())
+def test_project_keeps_block_diagonal_points_block_diagonal(case):
+    # the purity maximizer ascends in block space on this property
+    t, seed = case
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    blk = feas.support // feas.d
+    cross = blk[:, None] != blk[None, :]
+    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
+    x0[:, cross] = 0.0
+    y, ok, _ = _project(feas, x0, target, 1e-9, 100)
+    assert ok.all()
+    assert np.abs(y[:, cross]).max(initial=0.0) <= 1e-12
+
+
 def test_project_from_its_own_multipliers_takes_no_step():
     feas = _FeasibleSet.for_action(T_EXAMPLE)
     target = feas.target(T_EXAMPLE)
@@ -397,27 +411,6 @@ def test_sampler_small_entries_of_t():
     for smp in samples:
         assert np.abs(classical_action(smp) - t).max() < 1e-6
         assert np.linalg.eigvalsh(smp.jam).min() > -1e-8
-
-
-def _face_members_reference(best_purity, restarts):
-    out = []
-    for base in range(0, len(best_purity), restarts):
-        pur = best_purity[base:base + restarts]
-        ranked = sorted(range(restarts), key=lambda k: (-pur[k], k))
-        out += [base + k for k in sorted(ranked[:FACE_RESTARTS])]
-    return out
-
-
-def test_face_members():
-    rng = np.random.default_rng(76)
-    for restarts in (1, 3, FACE_RESTARTS):
-        pur = rng.uniform(0, 1, 2 * restarts)
-        assert _face_members(pur, restarts).tolist() == list(range(2 * restarts))
-    # ties on the cut and infeasible restarts (-1e300)
-    pur = rng.choice([0.2, 0.5, 0.7, -1e300], size=3 * 12)
-    chosen = _face_members(pur, 12)
-    assert chosen.tolist() == _face_members_reference(pur, 12)
-    assert len(chosen) == 3 * FACE_RESTARTS
 
 
 def test_convergence_error_names_catch_both_failures(monkeypatch):
