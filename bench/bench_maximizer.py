@@ -2,7 +2,8 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 --out BENCH_blockspace.json
+    python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
+        --out BENCH_blockproject.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -26,25 +27,36 @@ of the call: the coupling of each input's best point and the final
 polish (in trees that stack a face and a coupling stage, ``ascent`` holds
 them too). ``other`` is the rest of the round: the CLI's checks of the
 samples against the bounds. Each phase also counts the matrices
-``np.linalg.eigh`` decomposed and the linear systems ``np.linalg.solve``
-solved in it (the Newton systems of the projection).
+``np.linalg.eigh`` decomposed, the sum of their sizes cubed, the linear
+systems ``np.linalg.solve`` solved in it (the Newton systems of the
+projection) and the step halvings of the projection's line search (each
+member's evaluations of the dual beyond the first of each projection and
+the one after each Newton step).
 
 Once per tree, outside the timed runs, one interpreter runs the gates:
 ``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on 16 dense
 4x4 actions (``default_rng(500..515)``), 8 dense 5x5 actions
-(``default_rng(505..512)``) and one dense 6x6 action (``default_rng(406)``),
-each with entries from [0.02, 1) and columns normalized, timing every call;
-and the 48 reports of round 0 of validate-qutrit seeds 1-4 are collected.
+(``default_rng(505..512)``), one dense 6x6 action (``default_rng(406)``) and
+one dense 8x8 action (``default_rng(408)``), each with entries from
+[0.02, 1) and columns normalized, timing every call; and the 48 reports of
+round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
+optimum: the purity of ``coherify_auto``'s channel where that construction
+is flagged optimal (the three qutrit families, the flat input among them),
+none elsewhere.
 The report counts the byte-identical reports and gives the per-input change
 of ``best_purity`` (sum, min, max), the same for the 4x4 and 5x5 purities,
 and for criterion 3 the bitwise equal purities and each tree's largest gap
 below mu_upper . mu_upper and largest excess above it. The report gives,
 per tree, the median and quartiles over the repeats and the machine it ran
-on, and checks the gates: no validate input falls by more than 1e-9 and
-their sum does not fall; criterion 3's largest gap is at most 1e-9 and its
-largest excess at most 1e-8; on the 4x4 and the 5x5 actions the sum does
-not fall and no input falls by more than 1e-4; the median 5x5 call takes
-under 2 s and the 6x6 call under 10 s.
+on, and checks the gates: no validate input ends more than 1e-9 below the
+smaller of the base revision's value and its proven optimum (a base value
+above the optimum is a point feasible only to the tolerance, not a level to
+keep), and their sum does not fall; criterion 3's largest gap is at most
+1e-9 and its largest excess at most 1e-8; on the 4x4 and the 5x5 actions
+the sum does not fall and no input falls by more than 1e-4; the median 5x5
+call takes under 2 s and no longer than the base revision's, the 6x6 call
+under 10 s and no longer than the base revision's, and the 8x8 call under a
+third of the base revision's.
 """
 
 from __future__ import annotations
@@ -67,11 +79,11 @@ ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
 PHASES = ("sample_fixed_action", "ascent", "couple_polish")
-COUNTS = ("eigh_matrices", "newton_systems")
+COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_systems", "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
 # dense actions of the gates: (d, seeds of default_rng)
 DENSE_GATES = {"dense4": (4, range(500, 516)), "dense5": (5, range(505, 513)),
-               "dense6": (6, (406,))}
+               "dense6": (6, (406,)), "dense8": (8, (408,))}
 SMALL_ENTRY_ACTION = [[0.4043, 0.4914, 0.2938],
                       [0.4544, 0.2575, 0.7058],
                       [0.1413, 0.2511, 0.0004]]
@@ -96,27 +108,44 @@ def _criterion3_inputs():
     return ts
 
 
+# what the wrappers count; step halvings are derived from the last two
+RAW_COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_systems", "dual_points", "projected")
+
+
 def _time_phases(oracle) -> tuple[dict, dict]:
     """Wrap oracle functions so that time and linear-algebra work are added
-    to the phase running; work outside every phase goes to ``other``."""
+    to the phase running; work outside every phase goes to ``other``. The
+    work is counted in ``RAW_COUNTS``; :func:`_step_halvings` turns it into
+    ``COUNTS``."""
     import numpy as np
 
     phases = dict.fromkeys(PHASES, 0.0)
-    work = {phase: dict.fromkeys(COUNTS, 0) for phase in PHASES + ("other",)}
+    work = {phase: dict.fromkeys(RAW_COUNTS, 0) for phase in PHASES + ("other",)}
     state = {"phase": "other"}
     # work of the running _maximize_group, and (time, work so far) at the
     # end of each of its projections: the split is known only once it ends
-    group_work = dict.fromkeys(COUNTS, 0)
+    group_work = dict.fromkeys(RAW_COUNTS, 0)
     marks = []
 
-    def counted(fn, key):
-        def wrapped(a, *args, **kwargs):
-            bucket = group_work if state["phase"] == "group" else work[state["phase"]]
-            bucket[key] += int(np.prod(np.shape(a)[:-2]))
-            return fn(a, *args, **kwargs)
+    def bucket():
+        return group_work if state["phase"] == "group" else work[state["phase"]]
+
+    def counted(fn, key, arg):
+        """Count the members (the length) of positional argument arg."""
+        def wrapped(*args, **kwargs):
+            bucket()[key] += len(args[arg])
+            return fn(*args, **kwargs)
         return wrapped
 
+    eigh = np.linalg.eigh
     sampler, group, projection = oracle.sample_fixed_action, oracle._maximize_group, oracle._project
+    dual_point = oracle._dual_point
+
+    def eigh_counted(a, *args, **kwargs):
+        shape = np.shape(a)
+        bucket()["eigh_matrices"] += int(np.prod(shape[:-2]))
+        bucket()["eigh_work_n3"] += int(np.prod(shape[:-2])) * shape[-1] ** 3
+        return eigh(a, *args, **kwargs)
 
     def sample_fixed_action(*args, **kwargs):
         state["phase"] = "sample_fixed_action"
@@ -128,7 +157,7 @@ def _time_phases(oracle) -> tuple[dict, dict]:
             state["phase"] = "other"
 
     def maximize_group(*args, **kwargs):
-        group_work.update(dict.fromkeys(COUNTS, 0))
+        group_work.update(dict.fromkeys(RAW_COUNTS, 0))
         marks.clear()
         state["phase"] = "group"
         t0 = time.perf_counter()
@@ -140,11 +169,12 @@ def _time_phases(oracle) -> tuple[dict, dict]:
             split, split_work = marks[-2]
             phases["ascent"] += split - t0
             phases["couple_polish"] += end - split
-            for key in COUNTS:
+            for key in RAW_COUNTS:
                 work["ascent"][key] += split_work[key]
                 work["couple_polish"][key] += group_work[key] - split_work[key]
 
     def project(*args, **kwargs):
+        bucket()["projected"] += len(args[1])       # the members of x0
         try:
             return projection(*args, **kwargs)
         finally:
@@ -154,9 +184,22 @@ def _time_phases(oracle) -> tuple[dict, dict]:
     oracle.sample_fixed_action = sample_fixed_action
     oracle._maximize_group = maximize_group
     oracle._project = project
-    np.linalg.eigh = counted(np.linalg.eigh, "eigh_matrices")
-    np.linalg.solve = counted(np.linalg.solve, "newton_systems")
+    oracle._dual_point = counted(dual_point, "dual_points", 1)
+    np.linalg.eigh = eigh_counted
+    np.linalg.solve = counted(np.linalg.solve, "newton_systems", 0)
     return phases, work
+
+
+def _step_halvings(work: dict) -> dict:
+    """Per phase, ``COUNTS`` from ``RAW_COUNTS``: each projection evaluates
+    the dual once per member at its start and once per member after each
+    Newton step, so the other evaluations are step halvings."""
+    return {
+        phase: {"eigh_matrices": raw["eigh_matrices"], "eigh_work_n3": raw["eigh_work_n3"],
+                "newton_systems": raw["newton_systems"],
+                "step_halvings": raw["dual_points"] - raw["newton_systems"] - raw["projected"]}
+        for phase, raw in work.items()
+    }
 
 
 def _validate(wl, item) -> tuple[str, bool]:
@@ -217,11 +260,20 @@ def worker(tree: Path, task: str) -> dict:
         return gates
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
-            reports = []
+            import numpy as np
+            from coherify.channels import channel_purity
+            from coherify.constructions import coherify_auto
+
+            reports, optima = [], []
             for seed in IDENTITY_SEEDS:
                 wl = workloads.ValidateQutrit(seed, False, workdir)
-                reports += [_validate(wl, item)[0] for item in wl.round(0)]
-            return {"reports": reports}
+                for item in wl.round(0):
+                    reports.append(_validate(wl, item)[0])
+                    with open(item[1], encoding="utf-8") as fh:
+                        t = np.array(json.load(fh)["entries"]).reshape(3, 3)
+                    res = coherify_auto(t)
+                    optima.append(channel_purity(res.channel) if res.optimal else None)
+            return {"reports": reports, "proven_optima": optima}
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
         _validate(wl, wl.warmup_item())
         items = wl.round(0)
@@ -231,7 +283,8 @@ def worker(tree: Path, task: str) -> dict:
         seconds = time.perf_counter() - t0
     phases["other"] = seconds - sum(phases.values())
     return {"seconds": seconds, "calls": len(items),
-            "failed": sum(not ok for _, ok in outcomes), "phases_s": phases, "phases_work": work}
+            "failed": sum(not ok for _, ok in outcomes), "phases_s": phases,
+            "phases_work": _step_halvings(work)}
 
 
 def _run_worker(tree: Path, task: str) -> dict:
@@ -262,7 +315,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_blockspace.json")
+    p.add_argument("--out", default="BENCH_blockproject.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=TASKS + ("gates", "reports"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -285,7 +338,8 @@ def main(argv=None) -> int:
             for name in order:
                 for task in TASKS:
                     runs[name][task].append(_run_worker(trees[name], task))
-        reports = {name: _run_worker(tree, "reports")["reports"] for name, tree in trees.items()}
+        collected = {name: _run_worker(tree, "reports") for name, tree in trees.items()}
+        reports = {name: collected[name]["reports"] for name in trees}
         gates = {name: _run_worker(tree, "gates") for name, tree in trees.items()}
 
     timings = {
@@ -318,6 +372,10 @@ def main(argv=None) -> int:
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
 
     best = {name: [json.loads(text)["best_purity"] for text in reports[name]] for name in trees}
+    # each input's reference: the base revision's value, capped at the proven optimum
+    optima = collected["after"]["proven_optima"]
+    references = [before if opt is None else min(before, opt)
+                  for before, opt in zip(best["before"], optima)]
     c3 = {name: runs[name]["criterion3"][0] for name in trees}
     report = {
         "machine": {
@@ -338,6 +396,9 @@ def main(argv=None) -> int:
                 "byte_identical": sum(a == b for a, b in zip(reports["before"], reports["after"])),
                 "best_purity_sum": {name: sum(best[name]) for name in trees},
                 "best_purity_delta": _deltas(best["before"], best["after"]),
+                "proven_optima": sum(o is not None for o in optima),
+                "worst_below_reference": min(
+                    after - reference for after, reference in zip(best["after"], references)),
             },
             "criterion3": {
                 "purity_delta": _deltas(*([float.fromhex(h) for h in c3[name]["purities"]]
@@ -364,8 +425,10 @@ def main(argv=None) -> int:
     }
     validate_delta = report["purity"]["validate_reports"]["best_purity_delta"]
     dense = {gate: report["purity"][gate] for gate in DENSE_GATES}
+    calls = {gate: dense[gate]["median_call_s"] for gate in DENSE_GATES}
     report["purity"]["gates_hold"] = {
-        "validate_worst_input": validate_delta["min"] >= -1e-9,
+        "validate_worst_input": report["purity"]["validate_reports"]["worst_below_reference"]
+        >= -1e-9,
         "validate_sum": validate_delta["sum"] >= 0.0,
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
@@ -373,7 +436,10 @@ def main(argv=None) -> int:
             ("sum", dense[gate]["purity_delta"]["sum"] >= 0.0),
             ("worst_input", dense[gate]["purity_delta"]["min"] >= -1e-4))},
         "dense5_median_call_under_2s": dense["dense5"]["median_call_s"]["after"] < 2.0,
-        "dense6_call_under_10s": dense["dense6"]["median_call_s"]["after"] < 10.0,
+        "dense5_median_call_no_slower": calls["dense5"]["after"] <= calls["dense5"]["before"],
+        "dense6_call_under_10s": calls["dense6"]["after"] < 10.0,
+        "dense6_call_no_slower": calls["dense6"]["after"] <= calls["dense6"]["before"],
+        "dense8_call_under_a_third": calls["dense8"]["after"] < calls["dense8"]["before"] / 3,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotBistochastic
-from .matcore import eig_hermitian
+from .matcore import eigvals_hermitian
 from .states import shannon_entropy
 from .stochastic import (
     alpha,
@@ -157,13 +157,13 @@ def polygon_report(t, mode: str = "min") -> PolygonReport:
 
 def theorem1_bound(jam) -> np.ndarray:
     """Block-majorization bound: the averaged spectra of the diagonal blocks
-    of d*J majorize lambda(J). Returned zero-padded to length d^2."""
+    of d*J majorize lambda(J). Returned zero-padded to length d^2; for a
+    stack (..., d^2, d^2) of Jamiolkowski matrices, one bound per matrix."""
     jam = np.asarray(jam, dtype=np.complex128)
-    d = int(round(np.sqrt(jam.shape[0])))
-    out = np.zeros(d * d)
-    for i in range(d):
-        block = d * jam[i * d:(i + 1) * d, i * d:(i + 1) * d]
-        out[:d] += eig_hermitian(block, atol=1e-8).eigenvalues
+    d = int(round(np.sqrt(jam.shape[-1])))
+    blocks = d * np.einsum("...iaib->...iab", jam.reshape(jam.shape[:-2] + (d, d, d, d)))
+    out = np.zeros(jam.shape[:-2] + (d * d,))
+    out[..., :d] = eigvals_hermitian(blocks, atol=1e-8).sum(axis=-2)
     return out / d
 
 

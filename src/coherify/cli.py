@@ -25,6 +25,7 @@ from . import channels as ch_mod
 from . import constructions as con_mod
 from . import diagnostics as diag_mod
 from . import oracle as oracle_mod
+from . import states as states_mod
 from . import stochastic as st_mod
 from .errors import (
     CoherifyError,
@@ -359,23 +360,22 @@ def cmd_validate(args) -> int:
         bounds_mod.polygon_report(t) if st_mod.is_bistochastic(t) else None
     )
     samples = oracle_mod.sample_fixed_action(t, args.samples, cfg)
-    viol_mu = viol_t1 = viol_pp = viol_pm = 0
+    # every sample is checked at once: one stack of Jamiolkowski matrices,
+    # their spectra lambda(J) and one verdict per sample
+    n = t.shape[0] ** 2
+    jams = np.array([smp.jam for smp in samples]).reshape(len(samples), n, n)
+    lam = states_mod.spectrum(jams)
     slack = 1e-6
-    for smp in samples:
-        lam = diag_mod.path_distribution(smp)
-        if not st_mod.majorizes(up, lam, slack=slack, sum_atol=1e-5):
-            viol_mu += 1
-        if not st_mod.majorizes(
-            bounds_mod.theorem1_bound(smp.jam), lam, slack=1e-9, sum_atol=1e-5
-        ):
-            viol_t1 += 1
-        if poly is not None:
-            if ch_mod.channel_purity(smp) > poly.purity_upper + slack:
-                viol_pp += 1
-            if not st_mod.majorizes(
-                poly.majorization_upper, lam, slack=slack, sum_atol=1e-5
-            ):
-                viol_pm += 1
+
+    def violations_of(bound, tol):
+        return int((~st_mod.majorizes(bound, lam, slack=tol, sum_atol=1e-5)).sum())
+
+    viol_mu = violations_of(up, slack)
+    viol_t1 = violations_of(bounds_mod.theorem1_bound(jams), 1e-9)
+    viol_pp = viol_pm = 0
+    if poly is not None:
+        viol_pp = sum(ch_mod.channel_purity(smp) > poly.purity_upper + slack for smp in samples)
+        viol_pm = violations_of(poly.majorization_upper, slack)
     best_ch, best_purity = oracle_mod.maximize_purity(t, cfg)
     bracket = (float(lo @ lo), float(up @ up))
     purity_ok = bracket[0] - 1e-6 <= best_purity <= bracket[1] + 1e-6

@@ -31,11 +31,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + dag(a)) / 2
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite complex128 2-d array."""
+def as_complex_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a finite complex128 2-d array, or with stack=True to a stack
+    (..., m, n) of them."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.ndim != 2 and not (stack and m.ndim > 2):
+        expected = "at least 2" if stack else "2"
+        raise DimensionMismatch(f"{name} must be {expected}-dimensional, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise DimensionMismatch(f"{name} contains non-finite entries")
     return m
@@ -53,27 +55,44 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _hermitian_part(h, atol: float, stack: bool) -> np.ndarray:
+    """Checked (h + h^dag) / 2 of a square matrix, or with stack=True of each
+    matrix in a stack (..., n, n); rejected when h - h^dag exceeds atol."""
+    h = as_complex_matrix(h, "H", stack=stack)
+    n, m = h.shape[-2:]
+    if n != m:
+        raise DimensionMismatch(f"expected a square matrix, got {h.shape}")
+    if n > MAX_DIM:
+        raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
+    asym = np.abs(h - dag(h)).max(initial=0.0)
+    if asym > atol:
+        raise NotHermitian(f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e}")
+    return hermitize(h)
+
+
+def _eigh(h: np.ndarray):
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def eig_hermitian(h: np.ndarray, atol: float = 1e-10) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     The input is symmetrized when its anti-Hermitian part is below ``atol``
     (absorbing round-off) and rejected otherwise.
     """
-    h = as_complex_matrix(h, "H")
-    n, m = h.shape
-    if n != m:
-        raise DimensionMismatch(f"expected a square matrix, got {h.shape}")
-    if n > MAX_DIM:
-        raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    asym = np.abs(h - dag(h)).max()
-    if asym > atol:
-        raise NotHermitian(f"matrix is not Hermitian: max|H - H^dag| = {asym:.3e}")
-    try:
-        w, v = np.linalg.eigh(hermitize(h))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    w, v = _eigh(_hermitian_part(h, atol, stack=False))
     order = np.argsort(-w, kind="stable")
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
+
+
+def eigvals_hermitian(h: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """The eigenvalues of :func:`eig_hermitian`, sorted descending, of a
+    Hermitian matrix or of each matrix in a stack (..., n, n); a stack is
+    rejected when any of its matrices is not Hermitian."""
+    return _eigh(_hermitian_part(h, atol, stack=True))[0][..., ::-1]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

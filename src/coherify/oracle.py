@@ -17,7 +17,8 @@ The purity maximizer works in block space: every constraint lies in the
 diagonal blocks of J, and the largest purity over the states with given
 blocks is a convex function of the blocks' spectra (the block-majorization
 theorem of :mod:`coherify.bounds`), so it ascends that function over
-block-diagonal points and couples the best blocks into one state.
+block-diagonal points, projecting them block by block, and couples the best
+blocks into one state.
 
 Randomness comes from the counter-based Philox generator, keyed by
 ``seed + stream index``, so runs are bit-reproducible, and a member's
@@ -52,8 +53,8 @@ __all__ = [
 class OracleConfig:
     """Knobs for the numerical validators.
 
-    restarts is the number of starts per input of the purity maximizer
-    (besides its two cap-saturated families) and of the witness search;
+    restarts is the number of starts per input of the purity maximizer and
+    of the witness search;
     max_iterations caps the Newton steps of each projection onto the
     feasible set, the steps of each purity ascent and each restart of the
     witness search; tolerance is the feasibility residual of the sampled
@@ -106,74 +107,127 @@ class _FeasibleSet:
     """The spectrahedron {J >= 0, diag J = vec(T)/d, off-diagonal Tr_1 J = 0}.
 
     Zero entries of vec(T)/d force the corresponding rows and columns of J to
-    vanish (|J_mn|^2 <= J_mm J_nn), so all work happens on the submatrix over
-    the support of vec(T). The object holds only the support structure;
-    per-member diagonal targets are passed to the projections, which lets one
-    batch many transition matrices with a common zero pattern.
+    vanish (|J_mn|^2 <= J_mm J_nn), so all work happens on the rows over the
+    support of vec(T). The object holds only the support structure and the
+    layout; per-member diagonal targets are passed to the projections, which
+    lets one batch many transition matrices with a common zero pattern.
+
+    Points are stacks (..., nb, s, s) of nb blocks of size s. In the full
+    layout nb = 1 and s = n, the size of the support: the submatrix of J over
+    the support. In the block layout nb = s = d: J's diagonal blocks, block i
+    holding the rows (i, k), k = 0..d-1, of J; rows outside the support are
+    zero padding, in no constraint (a point's padding stays zero under the
+    projection). The block layout holds only block-diagonal points, and the
+    projection of a block-diagonal point is block diagonal, since every
+    constraint lies in J's diagonal blocks.
 
     The affine constraints are A(J) = b with m = n + 2 * n_groups real rows:
     the n diagonal entries, then the real and the imaginary part of each
-    group's sum of entries (one group per pair k < l of output indices).
+    group's sum of entries (one group per pair k < l of output indices). Both
+    layouts order them alike, so targets and multipliers carry over.
     """
 
-    def __init__(self, d: int, support: np.ndarray):
+    def __init__(self, d: int, support: np.ndarray, blocks: bool = False):
         self.d = d
         self.full_dim = d * d
         self.support = support
         self.n = support.size
+        # (block, row) of each support index
+        if blocks:
+            self.nb, self.s = d, d
+            self.blk, self.row = support // d, support % d
+        else:
+            self.nb, self.s = 1, self.n
+            self.blk, self.row = np.zeros(self.n, dtype=np.intp), np.arange(self.n)
+        # the support is sorted, so each block's diagonal entries are a slice
+        edges = np.searchsorted(self.blk, np.arange(self.nb + 1))
+        self.block_entries = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        live = np.zeros((self.nb, self.s), dtype=bool)
+        live[self.blk, self.row] = True
+        # 1 on the entries whose row and column lie in the support, 0 on the padding
+        self.mask = (live[:, :, None] & live[:, None, :]).astype(np.float64)
         compressed = {m: i for i, m in enumerate(support)}
-        pos_r, pos_c, group_id = [], [], []
+        pos, group_id, slots = [], [], []
         gid = 0
         for k in range(d):
             for l in range(k + 1, d):
+                # a member's row and column share a block, the i of J's rows
+                # (i, k) and (i, l)
                 members = [
-                    (compressed[i * d + k], compressed[i * d + l])
+                    (self.blk[compressed[i * d + k]], self.row[compressed[i * d + k]],
+                     self.row[compressed[i * d + l]])
                     for i in range(d)
                     if i * d + k in compressed and i * d + l in compressed
                 ]
                 if not members:
                     continue
-                for (r, c) in members:
-                    pos_r.append(r)
-                    pos_c.append(c)
-                    group_id.append(gid)
+                pos += members
+                group_id += [gid] * len(members)
+                # a group's members in one block form a slot: the whole group
+                # in the full layout, each member alone in the block layout
+                by_block = {}
+                for b, r, c in members:
+                    by_block.setdefault(b, []).append((r, c))
+                slots += [(gid, b, pairs) for b, pairs in by_block.items()]
                 gid += 1
-        self.pos_r = np.asarray(pos_r, dtype=np.intp)
-        self.pos_c = np.asarray(pos_c, dtype=np.intp)
+        # each member's (block, row, col) position, listed group by group
+        self.pos_b, self.pos_r, self.pos_c = np.asarray(pos, dtype=np.intp).reshape(-1, 3).T
         self.group_id = np.asarray(group_id, dtype=np.intp)
         self.n_groups = gid
         self.m = self.n + 2 * gid
         sizes = np.bincount(self.group_id, minlength=gid)
-        # positions are listed group by group
         self.group_start = np.cumsum(sizes) - sizes
+        # per slot its group, its block and its members' rows and columns,
+        # padded with the index s of a zero row
+        width = max((len(pairs) for _, _, pairs in slots), default=0)
+        pad = [(self.s, self.s)]
+        table = np.asarray([pairs + pad * (width - len(pairs)) for _, _, pairs in slots],
+                           dtype=np.intp).reshape(len(slots), width, 2)
+        self.slot_group = np.asarray([g for g, _, _ in slots], dtype=np.intp)
+        self.slot_block = np.asarray([b for _, b, _ in slots], dtype=np.intp)
+        self.slot_rows, self.slot_cols = table[..., 0], table[..., 1]
         # A A^* is diagonal: the constraint matrices have disjoint supports
         self.gram = np.concatenate([np.ones(self.n), sizes / 2, sizes / 2])
+        # (block, row, col) positions moving points between layouts: the
+        # support pairs (p, q) in a common block, and their places in J
+        p, q = np.nonzero(self.blk[:, None] == self.blk[None, :])
+        self._in_layout = (self.blk[p], self.row[p], self.row[q])
+        self._in_support = (p, q)
+        self._in_full = (support[p], support[q])
 
     @classmethod
-    def for_action(cls, t: np.ndarray) -> "_FeasibleSet":
+    def for_action(cls, t: np.ndarray, blocks: bool = False) -> "_FeasibleSet":
         d = t.shape[0]
-        return cls(d, np.flatnonzero(t.reshape(-1) > 0))
+        return cls(d, np.flatnonzero(t.reshape(-1) > 0), blocks)
 
     def target(self, t: np.ndarray) -> np.ndarray:
         return (t.reshape(-1) / self.d)[self.support]
 
-    def compress(self, x_full: np.ndarray) -> np.ndarray:
-        return x_full[..., self.support[:, None], self.support[None, :]]
+    def _points(self, batch: tuple) -> np.ndarray:
+        return np.zeros(batch + (self.nb, self.s, self.s), dtype=np.complex128)
 
-    def embed(self, x_sub: np.ndarray) -> np.ndarray:
-        out = np.zeros(x_sub.shape[:-2] + (self.full_dim, self.full_dim), dtype=np.complex128)
-        out[..., self.support[:, None], self.support[None, :]] = x_sub
+    def compress(self, x_full: np.ndarray) -> np.ndarray:
+        """Layout points of (..., d^2, d^2) matrices (in the block layout, of
+        their diagonal blocks)."""
+        out = self._points(x_full.shape[:-2])
+        out[(...,) + self._in_layout] = x_full[(...,) + self._in_full]
+        return out
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The (..., d^2, d^2) matrices of layout points x."""
+        out = np.zeros(x.shape[:-3] + (self.full_dim, self.full_dim), dtype=np.complex128)
+        out[(...,) + self._in_full] = x[(...,) + self._in_layout]
         return out
 
     def group_sums(self, x: np.ndarray) -> np.ndarray:
         # reduceat adds each row in order, so a member's sums do not depend on
         # how many rows the batch has (a matrix product's kernel might)
-        return np.add.reduceat(x[..., self.pos_r, self.pos_c], self.group_start, axis=-1)
+        members = x[..., self.pos_b, self.pos_r, self.pos_c]
+        return np.add.reduceat(members, self.group_start, axis=-1)
 
     def constraints(self, x: np.ndarray) -> np.ndarray:
         """A(x), shape (..., m)."""
-        idx = np.arange(self.n)
-        parts = [x[..., idx, idx].real]
+        parts = [x[..., self.blk, self.row, self.row].real]
         if self.n_groups:
             sums = self.group_sums(x)
             parts += [sums.real, sums.imag]
@@ -182,67 +236,74 @@ class _FeasibleSet:
     def shift(self, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """s + A^*(y) for duals y of shape (..., m)."""
         z = s.copy()
-        idx = np.arange(self.n)
-        z[..., idx, idx] += y[..., :self.n]
+        z[..., self.blk, self.row, self.row] += y[..., :self.n]
         if self.n_groups:
             n, g = self.n, self.n_groups
             vals = (0.5 * (y[..., n:n + g] + 1j * y[..., n + g:]))[..., self.group_id]
-            z[..., self.pos_r, self.pos_c] += vals
-            z[..., self.pos_c, self.pos_r] += vals.conj()
+            z[..., self.pos_b, self.pos_r, self.pos_c] += vals
+            z[..., self.pos_b, self.pos_c, self.pos_r] += vals.conj()
         return z
 
     def rotated_constraints(self, v: np.ndarray) -> np.ndarray:
-        """V^dag G_k V for the m constraint matrices G_k, as (B, m, n * n).
+        """V^dag G_k V for the m constraint matrices G_k and the eigenvectors
+        V of each block, as (B, m, nb * s * s).
 
-        G_k = e_i e_i^T for a diagonal row; a group's rows are the Hermitian
-        and anti-Hermitian parts of E = sum of its e_r e_c^T, so with
-        P = V^dag E V they are (P + P^dag) / 2 and i (P - P^dag) / 2.
+        G_k = e_i e_i^T for a diagonal row, in the block of row i; a group's
+        rows are the Hermitian and anti-Hermitian parts of E = sum of its
+        e_r e_c^T, so with P = V^dag E V, block by block, they are
+        (P + P^dag) / 2 and i (P - P^dag) / 2.
         """
         n, groups = self.n, self.n_groups
-        out = np.empty((v.shape[0], self.m, n, n), dtype=np.complex128)
-        vc = v.conj()
-        np.multiply(vc[:, :, :, None], v[:, :, None, :], out=out[:, :n])
-        for g in range(groups):
-            rows, cols = self.pos_r[self.group_id == g], self.pos_c[self.group_id == g]
-            p = np.swapaxes(vc[:, rows, :], 1, 2) @ v[:, cols, :]
+        out = np.zeros((len(v), self.m, self.nb, self.s, self.s), dtype=np.complex128)
+        rows = v[:, self.blk, self.row]          # row i of V, for each diagonal entry i
+        for b, entries in enumerate(self.block_entries):
+            np.multiply(rows[:, entries, :, None].conj(), rows[:, entries, None, :],
+                        out=out[:, entries, b])
+        if groups:
+            vz = np.concatenate([v, np.zeros(v.shape[:2] + (1, self.s))], axis=2)
+            blk = self.slot_block[:, None]
+            p = np.swapaxes(vz[:, blk, self.slot_rows].conj(), -1, -2) @ vz[:, blk, self.slot_cols]
             ph = dag(p)
-            out[:, n + g] = (p + ph) * 0.5
-            out[:, n + groups + g] = (p - ph) * 0.5j
-        return out.reshape(v.shape[0], self.m, n * n)
+            out[:, n + self.slot_group, self.slot_block] = (p + ph) * 0.5
+            out[:, n + groups + self.slot_group, self.slot_block] = (p - ph) * 0.5j
+        return out.reshape(len(v), self.m, -1)
 
     def residual(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        idx = np.arange(self.n)
-        err = np.abs(x[..., idx, idx].real - target).max(axis=-1)
+        err = np.abs(x[..., self.blk, self.row, self.row].real - target).max(axis=-1)
         if self.n_groups:
             err = np.maximum(err, np.abs(self.group_sums(x)).max(axis=-1))
         return err
 
     def random_start(self, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Random Hermitian start near the feasible set.
+        """Random Hermitian start near the feasible set, as a layout point.
 
         Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest modulus
         the PSD cone allows at that position, so starts stay well conditioned
-        even when some diagonal targets are tiny.
+        even when some diagonal targets are tiny. The block layout keeps the
+        noise inside the blocks.
         """
         env = np.sqrt(np.outer(target, target))
         scale = rng.uniform(0.1, 0.9)
         g = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-        return np.diag(target) + scale * (g + dag(g)) / 2 * env
+        x = np.diag(target) + scale * (g + dag(g)) / 2 * env
+        out = self._points(())
+        out[self._in_layout] = x[self._in_support]
+        return out
 
 
-# Newton on the dual: Armijo's sufficient-decrease fraction, the ridge added
-# to the generalized Hessian (singular where Y is rank deficient), and the
-# step halvings allowed before a step is taken as it stands
+# Newton on the dual: Armijo's sufficient-decrease fraction, the least ridge
+# added to the generalized Hessian (singular where Y is rank deficient), and
+# the step halvings allowed before a step is taken as it stands
 _ARMIJO = 1e-4
 _RIDGE = 1e-10
 _MAX_HALVINGS = 40
 
 
 def _dual_point(feas: _FeasibleSet, s, y, b):
-    """Eigendecomposition of S + A^*(y), the dual objective theta(y) and the
-    size of theta's rounding error."""
+    """Eigendecomposition of S + A^*(y), block by block, the dual objective
+    theta(y) and the size of theta's rounding error."""
     w, v = np.linalg.eigh(feas.shift(s, y))
-    wp = np.maximum(w, 0.0)
+    wp = np.maximum(w, 0.0).reshape(len(w), -1)
     half = 0.5 * (wp * wp).sum(axis=-1)
     linear = (b * y).sum(axis=-1)
     return w, v, half - linear, 1e-14 * (half + np.abs(linear))
@@ -256,19 +317,25 @@ def _psd_part(w, v) -> np.ndarray:
 def _newton_step(feas: _FeasibleSet, w, v, grad) -> np.ndarray:
     """Solve (H + ridge) dy = -grad with H the generalized Hessian of theta.
 
-    H_kl = Re sum_ab conj(G~_k)_ab Omega_ab (G~_l)_ab, where G~_k = V^dag G_k V
-    and Omega_ab = (w_a^+ - w_b^+) / (w_a - w_b), 1 or 0 where w_a = w_b.
+    H_kl = Re sum_ab conj(G~_k)_ab Omega_ab (G~_l)_ab, summed over the
+    blocks, where G~_k = V^dag G_k V and Omega_ab = (w_a^+ - w_b^+) / (w_a -
+    w_b), 1 or 0 where w_a = w_b. The ridge scales with the gradient,
+    max(_RIDGE, min(1, |grad|_inf^2)), the Levenberg-Marquardt choice of
+    Yamashita & Fukushima (Computing Suppl. 15, 2001), which keeps quadratic
+    convergence under a local error bound: far from the solution it keeps a
+    near-singular H from taking huge steps that the line search then halves
+    dozens of times, and near it the step is Newton's.
     """
     wp = np.maximum(w, 0.0)
-    num = wp[:, :, None] - wp[:, None, :]
-    den = w[:, :, None] - w[:, None, :]
+    num = wp[..., :, None] - wp[..., None, :]
+    den = w[..., :, None] - w[..., None, :]
     tie = den == 0
-    omega = np.where(tie, (wp[:, :, None] > 0).astype(np.float64), num / np.where(tie, 1.0, den))
+    omega = np.where(tie, (wp[..., :, None] > 0).astype(np.float64), num / np.where(tie, 1.0, den))
     g = feas.rotated_constraints(v).view(np.float64)   # real and imaginary parts interleaved
     weights = np.repeat(omega.reshape(len(w), 1, -1), 2, axis=-1)
     h = (g * weights) @ np.swapaxes(g, -1, -2)
     idx = np.arange(feas.m)
-    h[:, idx, idx] += _RIDGE
+    h[:, idx, idx] += np.clip(np.abs(grad).max(axis=-1) ** 2, _RIDGE, 1.0)[:, None]
     return np.linalg.solve(h, -grad[..., None])[..., 0]
 
 
@@ -276,23 +343,24 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
              y0: np.ndarray | None = None):
     """Batched Frobenius projection of Herm(x0) onto the feasible set.
 
-    Minimizes the dual theta(y) = |Pi_+(S + A^* y)|^2 / 2 - b.y, whose
-    minimizer gives the projection Y = Pi_+(S + A^* y) and whose gradient is
-    A(Y) - b, by semismooth Newton with Armijo backtracking. It starts from
-    the multipliers y0, one row per member, or from the affine projection's
-    multipliers when y0 is None. Returns (Y, converged, y): Y is exactly PSD
-    and C-ordered, y holds each member's final multipliers, so that
-    Y = Pi_+(S + A^* y); a member is converged, and leaves the batch, once
-    feas.residual(Y) <= tol, and max_iter caps its Newton steps (a member
-    that starts converged takes none). target is one diagonal target for
-    every member or one per member. Each member's arithmetic does not depend
-    on the rest of the batch, so projecting a batch equals projecting its
-    members one by one.
+    x0 is a stack (B, nb, s, s) of points in feas's layout; entries outside
+    the support are dropped. Minimizes the dual theta(y) = |Pi_+(S + A^*
+    y)|^2 / 2 - b.y, whose minimizer gives the projection Y = Pi_+(S + A^* y)
+    and whose gradient is A(Y) - b, by semismooth Newton with Armijo
+    backtracking. It starts from the multipliers y0, one row per member, or
+    from the affine projection's multipliers when y0 is None. Returns (Y,
+    converged, y): Y is exactly PSD and C-ordered, y holds each member's
+    final multipliers, so that Y = Pi_+(S + A^* y); a member is converged,
+    and leaves the batch, once feas.residual(Y) <= tol, and max_iter caps its
+    Newton steps (a member that starts converged takes none). target is one
+    diagonal target for every member or one per member. Each member's
+    arithmetic does not depend on the rest of the batch, so projecting a
+    batch equals projecting its members one by one.
     """
-    # C order whatever x0's layout: callers reduce over Y's last two axes,
+    # C order whatever x0's memory layout: callers reduce over Y's last axes,
     # and the rounding of those sums follows the memory order
     x0 = np.ascontiguousarray(x0, dtype=np.complex128)
-    s = np.ascontiguousarray((x0 + dag(x0)) / 2)
+    s = np.ascontiguousarray((x0 + dag(x0)) / 2 * feas.mask)
     size = s.shape[0]
     target = np.broadcast_to(target, (size, feas.n))
     b = np.zeros((size, feas.m))
@@ -350,7 +418,7 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     t = assert_transition_matrix(t)
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    starts = np.empty((n, feas.n, feas.n), dtype=np.complex128)
+    starts = np.empty((n, feas.nb, feas.s, feas.s), dtype=np.complex128)
     for i in range(n):
         starts[i] = feas.random_start(target, _rng(cfg.seed, i))
     y, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
@@ -363,7 +431,7 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
 
 
 def _purity(x: np.ndarray) -> np.ndarray:
-    return (np.abs(x) ** 2).sum(axis=(-2, -1)).real
+    return (np.abs(x) ** 2).sum(axis=(-3, -2, -1)).real
 
 
 def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Channel, float]]:
@@ -386,92 +454,36 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
     return results  # type: ignore[return-value]
 
 
-def _block_scatter(feas: _FeasibleSet):
-    """Index arrays mapping compressed block-diagonal entries to (i, k, l)."""
-    blk = feas.support // feas.d
-    inner = feas.support % feas.d
-    p_idx, q_idx, i_idx, k_idx, l_idx = [], [], [], [], []
-    for p in range(feas.n):
-        for q in range(feas.n):
-            if blk[p] == blk[q]:
-                p_idx.append(p)
-                q_idx.append(q)
-                i_idx.append(blk[p])
-                k_idx.append(inner[p])
-                l_idx.append(inner[q])
-    return tuple(np.asarray(a, dtype=np.intp) for a in (p_idx, q_idx, i_idx, k_idx, l_idx))
-
-
-def _capped_family_seed(feas: _FeasibleSet, t: np.ndarray, sign: float) -> np.ndarray:
-    """Block-diagonal point with every block coherence pushed to the largest
-    magnitude compatible with the positivity caps and the zero group sums."""
-    d = feas.d
-    full = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            full[i * d + k, i * d + k] = t[i, k] / d
-    for k in range(d):
-        for l in range(k + 1, d):
-            caps = np.sqrt(t[:, k] * t[:, l]) / d
-            if caps.sum() <= 0:
-                continue
-            top = int(np.argmax(caps))
-            rest = caps.sum() - caps[top]
-            m = min(caps[top], rest)
-            if m <= 0:
-                continue
-            vals = np.where(
-                np.arange(d) == top, m, -m * caps / max(rest, 1e-300)
-            )
-            vals[top] = m
-            for i in range(d):
-                full[i * d + k, i * d + l] = sign * vals[i]
-                full[i * d + l, i * d + k] = sign * vals[i]
-    return feas.compress(full)
-
-
 def _maximize_group(group, global_idx, cfg: OracleConfig):
     """Block-space ascent for inputs sharing one zero pattern (see
     :func:`maximize_purity`)."""
     feas = _FeasibleSet.for_action(group[0])
-    d, ns, r0 = feas.d, feas.n, cfg.restarts
-    per = r0 + 2                                 # the restarts, then both capped families
+    blocks = _FeasibleSet.for_action(group[0], blocks=True)
+    per = cfg.restarts
     tol = min(cfg.tolerance, 1e-9)
-    targets = np.empty((len(group) * per, ns))
-    starts = np.empty((len(group) * per, ns, ns), dtype=np.complex128)
+    targets = np.empty((len(group) * per, feas.n))
+    x = np.empty((len(group) * per, blocks.nb, blocks.s, blocks.s), dtype=np.complex128)
     for gi, t in enumerate(group):
         tg = feas.target(t)
         base = gi * per
         targets[base:base + per] = tg
-        starts[base] = feas.compress(coherify_c0(t).channel.jam)
-        for k in range(1, r0):
-            rng = _rng(cfg.seed, 10_000 + global_idx[gi] * r0 + k)
-            starts[base + k] = feas.random_start(tg, rng)
-        starts[base + r0] = _capped_family_seed(feas, t, +1.0)
-        starts[base + r0 + 1] = _capped_family_seed(feas, t, -1.0)
-    p_idx, q_idx, i_idx, k_idx, l_idx = _block_scatter(feas)
-    x = np.zeros_like(starts)
-    x[:, p_idx, q_idx] = starts[:, p_idx, q_idx]
-
-    def eig_blocks(x):
-        """Each block's eigenpairs, eigenvalues in descending order."""
-        blocks = np.zeros(x.shape[:-2] + (d, d, d), dtype=np.complex128)
-        blocks[..., i_idx, k_idx, l_idx] = x[..., p_idx, q_idx]
-        w, v = np.linalg.eigh(blocks)
-        return w[..., ::-1], v[..., ::-1]
+        x[base] = blocks.compress(coherify_c0(t).channel.jam)
+        for k in range(1, per):
+            rng = _rng(cfg.seed, 10_000 + global_idx[gi] * per + k)
+            x[base + k] = blocks.random_start(tg, rng)
 
     def f_and_grad(x):
-        w, v = eig_blocks(x)
+        w, v = np.linalg.eigh(x)
+        w, v = w[..., ::-1], v[..., ::-1]        # each block's eigenvalues in descending order
         s_n = w.sum(axis=-2)                     # coupled sums per rank
-        gblocks = np.einsum("bikn,bn,biln->bikl", v, 2.0 * s_n, v.conj())
-        g = np.zeros_like(x)
-        g[..., p_idx, q_idx] = gblocks[..., i_idx, k_idx, l_idx]
+        g = np.einsum("bikn,bn,biln->bikl", v, 2.0 * s_n, v.conj())
         return (s_n ** 2).sum(axis=-1), g
 
     # f is convex, so from a feasible point each projected unit step gains at
     # least its squared length: the ascent is monotone without a step rule.
     # The starts themselves are not projected (nor counted as feasible): each
-    # takes its first step from where it is
+    # takes its first step from where it is. The gradient has entries in the
+    # padding rows; the projection drops them
     _, g = f_and_grad(x)
     f = np.full(len(x), -np.inf)
     duals = np.zeros((len(x), feas.m))
@@ -479,7 +491,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     for _ in range(cfg.max_iterations):
         if not live.size:
             break
-        z, ok, y = _project(feas, x[live] + g[live], targets[live], tol, cfg.max_iterations,
+        z, ok, y = _project(blocks, x[live] + g[live], targets[live], tol, cfg.max_iterations,
                             duals[live])
         fz, gz = f_and_grad(z[ok])
         moved = live[ok]
@@ -492,11 +504,12 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         raise ConvergenceFailure("no restart reached a feasible point")
     # couple each input's best blocks: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
     # has J's blocks and purity f
-    w, v = eig_blocks(x[np.arange(len(group)) * per + f.argmax(axis=1)])
-    blk, inner = feas.support // d, feas.support % d
-    psi = np.sqrt(np.maximum(w, 0.0)[..., blk, :]) * v[..., blk, inner, :]
+    w, v = np.linalg.eigh(x[np.arange(len(group)) * per + f.argmax(axis=1)])
+    w, v = w[..., ::-1], v[..., ::-1]
+    psi = np.sqrt(np.maximum(w, 0.0)[..., blocks.blk, :]) * v[..., blocks.blk, blocks.row, :]
     couplers = np.einsum("bpn,bqn->bpq", psi, psi.conj())
-    y, _, _ = _project(feas, couplers, targets[::per], tol, cfg.max_iterations)
+    # the full layout's one block is the matrix over the support
+    y, _, _ = _project(feas, couplers[:, None], targets[::per], tol, cfg.max_iterations)
     purities = _purity(y)
     return [
         (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(len(group))
@@ -511,16 +524,17 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     purity of a J with given blocks is f(B) = sum_n (sum_i lambda_n(B^i))^2,
     eigenvalues in decreasing order, reached by coupling the blocks' ordered
     eigenvectors. So each start ascends f over feasible block-diagonal
-    points by x <- Pi(x + grad f(x)), beginning at the start itself: the
-    projection of a block-diagonal point is block diagonal, and each one is
-    warm-started from the multipliers of the step before. f is convex, so
-    from a feasible point every step gains at least its own squared length;
-    a start stops once its gain is at most 1e-12 f, when its projection
-    fails, or after cfg.max_iterations steps. The starts of each input are
-    the diagonal blocks of the row-grouping coherification (feasible, so
-    the result is never below its purity, the known lower bound),
-    cfg.restarts - 1 random points and two cap-saturated block families.
-    The best point of each input is coupled and projected once more.
+    points by x <- Pi(x + grad f(x)), beginning at the start itself. The
+    projection of a block-diagonal point is block diagonal, so it runs on
+    the d diagonal blocks alone (the block layout of _FeasibleSet), and each
+    one is warm-started from the multipliers of the step before. f is
+    convex, so from a feasible point every step gains at least its own
+    squared length; a start stops once its gain is at most 1e-12 f, when
+    its projection fails, or after cfg.max_iterations steps. The starts of
+    each input are the diagonal blocks of the row-grouping coherification
+    (feasible, so the result is never below its purity, the known lower
+    bound) and cfg.restarts - 1 random block-diagonal points. The best point
+    of each input is coupled and projected once more.
 
     Every projection works to the residual min(cfg.tolerance, 1e-9). The
     value returned is the purity of a point feasible to that residual, at a

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
-from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize
+from .matcore import as_complex_matrix, dag, eig_hermitian, eigvals_hermitian, hermitize
 
 _EIG_CLAMP = 1e-10
 
@@ -56,8 +56,9 @@ def shannon_entropy(p) -> float:
 
 
 def spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues sorted non-increasingly, round-off negatives clamped to 0."""
-    w = eig_hermitian(rho).eigenvalues
+    """Eigenvalues sorted non-increasingly, round-off negatives clamped to 0;
+    for a stack (..., n, n) of matrices, one spectrum per matrix."""
+    w = eigvals_hermitian(rho)
     w = np.where((w < 0) & (w > -_EIG_CLAMP), 0.0, w)
     return w
 

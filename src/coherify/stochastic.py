@@ -74,21 +74,32 @@ def defined_triples(t: np.ndarray):
     ]
 
 
-def majorizes(p, q, slack: float = 1e-10, sum_atol: float = 1e-9) -> bool:
+def _sorted_padded(x: np.ndarray, n: int) -> np.ndarray:
+    """Each vector of x sorted non-increasingly, zero-padded to length n."""
+    out = np.zeros(x.shape[:-1] + (n,))
+    out[..., :x.shape[-1]] = np.sort(x, axis=-1)[..., ::-1]
+    return out
+
+
+def majorizes(p, q, slack: float = 1e-10, sum_atol: float = 1e-9):
     """True when sorted partial sums of p dominate those of q.
 
     Vectors are zero-padded to a common length and must sum to 1 within
     ``sum_atol`` (loosen it when comparing spectra of numerically sampled
-    states that are only feasible to a larger tolerance).
+    states that are only feasible to a larger tolerance). p and q may also be
+    stacks (..., n) of vectors, broadcast against each other; the result is
+    then an array of one verdict per pair, and a ValueError is raised when
+    any vector fails the sum check.
     """
-    p = np.sort(np.asarray(p, dtype=np.float64).reshape(-1))[::-1]
-    q = np.sort(np.asarray(q, dtype=np.float64).reshape(-1))[::-1]
-    n = max(p.size, q.size)
-    p = np.pad(p, (0, n - p.size))
-    q = np.pad(q, (0, n - q.size))
-    if abs(p.sum() - 1.0) > sum_atol or abs(q.sum() - 1.0) > sum_atol:
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    q = np.atleast_1d(np.asarray(q, dtype=np.float64))
+    n = max(p.shape[-1], q.shape[-1])
+    p, q = _sorted_padded(p, n), _sorted_padded(q, n)
+    if (np.abs(p.sum(axis=-1) - 1.0) > sum_atol).any() or (
+            np.abs(q.sum(axis=-1) - 1.0) > sum_atol).any():
         raise ValueError("majorization inputs must be probability vectors")
-    return bool(np.all(np.cumsum(p) >= np.cumsum(q) - slack))
+    verdict = np.all(np.cumsum(p, axis=-1) >= np.cumsum(q, axis=-1) - slack, axis=-1)
+    return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 @dataclass(frozen=True)

@@ -159,3 +159,20 @@ def test_compute_bounds_bundle():
     rep = compute_bounds(T_EXAMPLE)
     assert rep.polygon is None
     assert majorizes(rep.mu_upper, rep.mu_lower)
+
+
+def test_theorem1_bound_of_a_stack_equals_each_matrix():
+    from coherify.errors import NotHermitian
+    from coherify.oracle import rand_channel
+
+    rng = np.random.default_rng(53)
+    for d in (2, 3):
+        jams = np.stack([rand_channel(d, rng).jam for _ in range(5)])
+        bounds = theorem1_bound(jams)
+        assert bounds.shape == (5, d * d)
+        for jam, bound in zip(jams, bounds):
+            assert np.array_equal(theorem1_bound(jam), bound)
+    # a non-Hermitian diagonal block in one member rejects the stack
+    jams[2, 0, 1] += 1e-6
+    with pytest.raises(NotHermitian):
+        theorem1_bound(jams)

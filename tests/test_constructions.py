@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherify.channels import (
     apply,
@@ -24,7 +26,8 @@ from coherify.constructions import (
 )
 from coherify.bounds import mu_lower, mu_upper
 from coherify.errors import FamilyMismatch
-from coherify.states import coherify_state, purity
+from coherify.states import coherify_state, purity, spectrum
+from coherify.stochastic import majorizes
 
 T_EXAMPLE = np.array([[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]])
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -342,3 +345,75 @@ def test_auto_dispatch():
     assert coherify_auto(qubit_t(0.2, 0.7)).method == "qubit_optimal"
     assert coherify_auto(draw_cyclic(np.random.default_rng(5))).method == "qutrit_cyclic"
     assert coherify_auto(T_EXAMPLE).method == "c0"
+
+
+# ---------------------------------------------------------------------------
+# properties every construction has
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _stochastic(draw):
+    """A column-stochastic d x d matrix, d = 2..4, some entries possibly 0."""
+    d = draw(st.integers(2, 4))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    t = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    t += np.diag(t.sum(axis=0) == 0)
+    return t / t.sum(axis=0, keepdims=True)
+
+
+@st.composite
+def _qutrit_family(draw):
+    """A family name and a 3x3 matrix with that family's zero pattern."""
+    family = draw(st.sampled_from(["cyclic", "single_row", "double_row"]))
+    a, b, c = (draw(_unit) for _ in range(3))
+    if family == "cyclic":
+        t = np.array([[0, b, c], [a, 0, 1 - c], [1 - a, 1 - b, 0]])
+    elif family == "single_row":
+        t = np.array([[a, b, 0], [0, 0, c], [1 - a, 1 - b, 1 - c]])
+    else:
+        t = np.array([[a, b, c], [1 - a, 1 - b, 1 - c], [0, 0, 0]])
+    return family, t
+
+
+def _check_construction(res, t):
+    """CPTP, T's classical action to 1e-10, and a spectrum mu_upper(T) majorizes."""
+    ch = res.channel
+    d = t.shape[0]
+    jam = ch.jam
+    assert np.abs(jam - jam.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(jam).min() >= -1e-10
+    tr_out = jam.reshape(d, d, d, d).trace(axis1=0, axis2=2)
+    assert np.abs(tr_out - np.eye(d) / d).max() <= 1e-10
+    tp = sum(k.conj().T @ k for k in ch.kraus)
+    assert np.abs(tp - np.eye(d)).max() <= 1e-10
+    assert np.abs(classical_action(ch) - t).max() <= 1e-10
+    assert majorizes(mu_upper(t), spectrum(jam), slack=1e-10)
+
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY_SETTINGS
+@given(_stochastic())
+def test_c0_and_auto_properties(t):
+    _check_construction(coherify_c0(t), t)
+    _check_construction(coherify_auto(t), t)
+
+
+@_PROPERTY_SETTINGS
+@given(_unit, _unit)
+def test_qubit_properties(a, b):
+    t = qubit_t(a, b)
+    _check_construction(coherify_qubit(t), t)
+    _check_construction(coherify_auto(t), t)
+
+
+@_PROPERTY_SETTINGS
+@given(_qutrit_family())
+def test_qutrit_family_properties(case):
+    family, t = case
+    _check_construction(coherify_qutrit(t, family), t)
+    _check_construction(coherify_auto(t), t)

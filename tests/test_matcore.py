@@ -5,6 +5,7 @@ from coherify.errors import DimensionMismatch, NotHermitian
 from coherify.matcore import (
     dag,
     eig_hermitian,
+    eigvals_hermitian,
     kron,
     partial_trace,
     reshuffle,
@@ -140,3 +141,22 @@ def test_dag_of_stack():
     assert out.shape == (3, 4, 2)
     for i in range(3):
         assert np.array_equal(out[i], a[i].conj().T)
+
+
+def test_eigvals_hermitian_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.stack([rand_hermitian(5, rng) for _ in range(6)] + [np.eye(5)])
+    stack = np.stack([stack, stack[::-1]])           # (2, 7, 5, 5)
+    w = eigvals_hermitian(stack)
+    assert w.shape == (2, 7, 5)
+    for idx in np.ndindex(2, 7):
+        assert np.array_equal(w[idx], eig_hermitian(stack[idx]).eigenvalues)
+        assert np.array_equal(w[idx], eigvals_hermitian(stack[idx]))
+    # one non-Hermitian matrix rejects the stack
+    stack[1, 3, 0, 1] += 1e-6
+    with pytest.raises(NotHermitian):
+        eigvals_hermitian(stack)
+    with pytest.raises(DimensionMismatch):
+        eigvals_hermitian(np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        eig_hermitian(stack)

@@ -244,43 +244,51 @@ def test_maximize_purity_inside_bounds_random():
             assert pur <= float(up @ up) + 1e-6
 
 
+# _project's two layouts: the full one (one block, the matrix over the
+# support), then the block one (J's d diagonal blocks)
+LAYOUTS = (False, True)
+
+
 def test_project_batch_equals_members_alone():
     t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
-    feas = _FeasibleSet.for_action(T_EXAMPLE)
-    per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
-    shared = feas.target(T_EXAMPLE)
-    # growing perturbations need more Newton steps
-    x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) * (1 + 2 * i) for i in range(6)])
-    early = _project(feas, x0, per_member, 1e-9, 4)[1]
-    late = _project(feas, x0, per_member, 1e-9, 6)[1]
-    # members leave at different iterations, and some hit the cap
-    assert early.any() and (late & ~early).any() and not late.all()
-    # per-member warm starts: the multipliers of other points
-    warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
-    for y0 in (None, warm):
-        for target in (per_member, shared):
-            for cap in (4, 6):
-                y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
-                assert y.flags.c_contiguous
-                for i in range(len(x0)):
-                    tg = target[i:i + 1] if target.ndim == 2 else target
-                    y0_i = None if y0 is None else y0[i:i + 1]
-                    y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
-                    assert np.array_equal(y[i], y1[0])
-                    assert ok[i] == ok1[0]
-                    assert np.array_equal(dual[i], dual1[0])
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
+        per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
+        shared = feas.target(T_EXAMPLE)
+        # growing perturbations need more Newton steps
+        x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) * (1 + 2 * i)
+                       for i in range(6)])
+        early = _project(feas, x0, per_member, 1e-9, 4)[1]
+        late = _project(feas, x0, per_member, 1e-9, 6)[1]
+        # members leave at different iterations, and some hit the cap
+        assert early.any() and (late & ~early).any() and not late.all()
+        # per-member warm starts: the multipliers of other points
+        warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
+        for y0 in (None, warm):
+            for target in (per_member, shared):
+                for cap in (4, 6):
+                    y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
+                    assert y.flags.c_contiguous
+                    for i in range(len(x0)):
+                        tg = target[i:i + 1] if target.ndim == 2 else target
+                        y0_i = None if y0 is None else y0[i:i + 1]
+                        y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
+                        assert np.array_equal(y[i], y1[0])
+                        assert ok[i] == ok1[0]
+                        assert np.array_equal(dual[i], dual1[0])
 
 
 def test_project_ignores_input_layout():
-    feas = _FeasibleSet.for_action(T_EXAMPLE)
-    target = feas.target(T_EXAMPLE)
-    x = np.stack([feas.random_start(target, _rng(6, i)) for i in range(5)])
-    f_ordered = np.swapaxes(np.swapaxes(x, 1, 2).copy(), 1, 2)   # equal values
-    assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
-    y, ok, _ = _project(feas, x, target, 1e-9, 50)
-    y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
-    assert ok.all() and np.array_equal(ok, ok_f)
-    assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
+        target = feas.target(T_EXAMPLE)
+        x = np.stack([feas.random_start(target, _rng(6, i)) for i in range(5)])
+        f_ordered = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)   # equal values
+        assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
+        y, ok, _ = _project(feas, x, target, 1e-9, 50)
+        y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
+        assert ok.all() and np.array_equal(ok, ok_f)
+        assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
 
 
 def _affine_reference(feas, x, target):
@@ -308,7 +316,7 @@ def _dykstra_reference(feas, x0, target, tol):
         y = (y + y.conj().T) / 2
         p = s - y
         x = _affine_reference(feas, y, target)
-        if feas.residual(y, target) <= tol and np.abs(x - y).max() <= tol:
+        if feas.residual(y[None], target) <= tol and np.abs(x - y).max() <= tol:
             return y
     pytest.fail("reference Dykstra did not converge")
 
@@ -326,15 +334,22 @@ def test_project_matches_dykstra_reference():
         y, ok, _ = _project(feas, x0, target, 1e-11, 100)
         assert ok.all()
         for i in range(len(x0)):
-            ref = _dykstra_reference(feas, x0[i], target, 1e-11)
-            assert np.abs(y[i] - ref).max() <= 1e-9
+            # the full layout's one block is the matrix over the support
+            ref = _dykstra_reference(feas, x0[i, 0], target, 1e-11)
+            assert np.abs(y[i, 0] - ref).max() <= 1e-9
 
 
 @st.composite
-def _actions(draw):
+def _actions(draw, zeros=False):
+    """A d x d transition matrix, d = 2..4, entries down to 1e-3, and with
+    zeros=True some entries 0 (a column with none left gets a 1 on the
+    diagonal); and a seed."""
     d = draw(st.integers(2, 4))
     entries = st.one_of(st.floats(1e-3, 1e-2), st.floats(1e-2, 1.0))
+    if zeros:
+        entries = st.one_of(st.just(0.0), entries)
     t = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    t += np.diag(t.sum(axis=0) == 0)
     return t / t.sum(axis=0, keepdims=True), draw(st.integers(0, 2**16))
 
 
@@ -342,64 +357,80 @@ def _actions(draw):
 @given(_actions())
 def test_project_properties(case):
     t, seed = case
-    feas = _FeasibleSet.for_action(t)
-    target = feas.target(t)
-    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
-    tol = 1e-9
-    y, ok, _ = _project(feas, x0, target, tol, 100)
-    assert ok.all()
-    assert (np.linalg.eigvalsh(y).min(axis=-1) >= -1e-12).all()
-    assert (feas.residual(y, target) <= tol).all()
-    # variational inequality of the projection against the feasible c0 point
-    z = feas.compress(coherify.coherify_c0(t).channel.jam)
-    s = (x0 + np.swapaxes(x0, 1, 2).conj()) / 2
-    inner = np.einsum("bij,bij->b", (s - y).conj(), z[None] - y).real
-    assert (inner <= 1e-8).all()
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(t, blocks)
+        target = feas.target(t)
+        x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
+        tol = 1e-9
+        y, ok, _ = _project(feas, x0, target, tol, 100)
+        assert ok.all()
+        assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
+        assert (feas.residual(y, target) <= tol).all()
+        # variational inequality of the projection against the feasible c0
+        # point (in the block layout its diagonal blocks, also feasible)
+        z = feas.compress(coherify.coherify_c0(t).channel.jam)
+        s = (x0 + np.swapaxes(x0, -1, -2).conj()) / 2
+        inner = np.einsum("bkij,bkij->b", (s - y).conj(), z[None] - y).real
+        assert (inner <= 1e-8).all()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(_actions())
+@given(_actions(zeros=True))
 def test_project_keeps_block_diagonal_points_block_diagonal(case):
-    # the purity maximizer ascends in block space on this property
+    # the purity maximizer ascends in block space on this property: the full
+    # projection of a block-diagonal point stays block diagonal, and the
+    # block layout, whose rows outside the support are zero padding, finds
+    # the same point
     t, seed = case
     feas = _FeasibleSet.for_action(t)
+    blocks = _FeasibleSet.for_action(t, blocks=True)
     target = feas.target(t)
     blk = feas.support // feas.d
     cross = blk[:, None] != blk[None, :]
     x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
-    x0[:, cross] = 0.0
-    y, ok, _ = _project(feas, x0, target, 1e-9, 100)
-    assert ok.all()
-    assert np.abs(y[:, cross]).max(initial=0.0) <= 1e-12
+    x0[:, 0, cross] = 0.0
+    x0_blocks = blocks.compress(feas.embed(x0))
+    assert np.array_equal(blocks.embed(x0_blocks), feas.embed(x0))
+    # entries in the padding, as the ascent's gradient has them, are dropped
+    x0_blocks += (1.0 - blocks.mask) * _rng(seed, 98).standard_normal(x0_blocks.shape)
+    tol = 1e-11
+    y, ok, _ = _project(feas, x0, target, tol, 100)
+    y_blocks, ok_blocks, _ = _project(blocks, x0_blocks, target, tol, 100)
+    assert ok.all() and ok_blocks.all()
+    assert np.abs(y[:, 0, cross]).max(initial=0.0) <= 1e-12
+    assert np.abs(y_blocks * (1.0 - blocks.mask)).max() <= 1e-12
+    assert np.abs(blocks.embed(y_blocks) - feas.embed(y)).max() <= 1e-9
 
 
 def test_project_from_its_own_multipliers_takes_no_step():
-    feas = _FeasibleSet.for_action(T_EXAMPLE)
-    target = feas.target(T_EXAMPLE)
-    x0 = np.stack([3.0 * feas.random_start(target, _rng(9, i)) for i in range(5)])
-    y, ok, dual = _project(feas, x0, target, 1e-9, 50)
-    assert ok.all()
-    # a cap of 0 allows no Newton step, so every member converges at its start
-    y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
-    assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
-    assert np.array_equal(dual2, dual)
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
+        target = feas.target(T_EXAMPLE)
+        x0 = np.stack([3.0 * feas.random_start(target, _rng(9, i)) for i in range(5)])
+        y, ok, dual = _project(feas, x0, target, 1e-9, 50)
+        assert ok.all()
+        # a cap of 0 allows no Newton step, so every member converges at its start
+        y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
+        assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
+        assert np.array_equal(dual2, dual)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_actions(), st.floats(0.01, 10.0))
 def test_project_warm_start_reaches_the_same_point(case, scale):
     t, seed = case
-    feas = _FeasibleSet.for_action(t)
-    target = feas.target(t)
-    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(3)])
-    y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
-    tol = 1e-11
-    cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
-    warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
-    assert ok_cold.all() and ok_warm.all()
-    assert (feas.residual(warm, target) <= tol).all()
-    # the projection is unique, so the start only changes the path to it
-    assert np.abs(warm - cold).max() <= 1e-9
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(t, blocks)
+        target = feas.target(t)
+        x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(3)])
+        y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
+        tol = 1e-11
+        cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
+        warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
+        assert ok_cold.all() and ok_warm.all()
+        assert (feas.residual(warm, target) <= tol).all()
+        # the projection is unique, so the start only changes the path to it
+        assert np.abs(warm - cold).max() <= 1e-9
 
 
 def test_sampler_small_entries_of_t():

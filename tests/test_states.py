@@ -114,3 +114,15 @@ def test_fourier_unitary():
         f = fourier_matrix(d)
         assert np.abs(f @ dag(f) - np.eye(d)).max() < 1e-12
         assert np.abs(np.abs(f) ** 2 - 1.0 / d).max() < 1e-12
+
+
+def test_spectrum_of_a_stack_equals_each_matrix():
+    rng = np.random.default_rng(14)
+    # a pure state clamps round-off negatives
+    pure = np.outer([0.6, 0.8j, 0.0], [0.6, -0.8j, 0.0])
+    stack = np.stack([rand_density(3, rng) for _ in range(5)] + [pure])
+    lam = spectrum(stack)
+    assert lam.shape == (6, 3)
+    for rho, row in zip(stack, lam):
+        assert np.array_equal(spectrum(rho), row)
+    assert lam[-1].min() >= 0.0

@@ -184,3 +184,21 @@ def test_classify_d3_degenerate_pattern_falls_back_to_search():
             cls = classify(t)
             assert cls.unistochastic == "yes"
             assert witness_ok(cls.witness_unitary, t)
+
+
+def test_majorizes_on_stacks_equals_each_pair():
+    rng = np.random.default_rng(32)
+    p = rng.dirichlet(np.ones(3), size=40)
+    q = rng.dirichlet(np.ones(4), size=40)
+    verdicts = majorizes(p, q)
+    assert verdicts.shape == (40,) and verdicts.any() and not verdicts.all()
+    for pi, qi, v in zip(p, q, verdicts):
+        assert majorizes(pi, qi) == v
+    # one vector against a stack, each side zero-padded
+    one = majorizes(np.array([0.7, 0.3]), q, slack=1e-3)
+    assert np.array_equal(one, [majorizes([0.7, 0.3], qi, slack=1e-3) for qi in q])
+    assert type(majorizes(p[0], q[0])) is bool
+    # one vector off the simplex rejects the stack
+    q[5, 0] += 1e-3
+    with pytest.raises(ValueError):
+        majorizes(p, q)
