@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/bench_witness.py --before <git revision> --repeats 5 --out BENCH_witness.json
+    python3 bench/bench_witness.py --before <git revision> --repeats 5 --out BENCH_lmwitness.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per variant, alternating
@@ -17,13 +17,19 @@ which tree runs first, and times:
 - one round of the perfbench ``classify-construct`` workload (``classify``,
   ``coherify_auto``, ``compute_bounds``, ``diagnostics_report`` on each of
   its 37 inputs, every result checked) in three variants: the base tree,
-  this tree with the base revision's ``search_unistochastic_witness``
-  swapped in (the classify certificate alone), and this tree.
+  this tree with the base revision's search swapped in (``base_search``:
+  ``search_unistochastic_witness`` and every top-level function and
+  assignment of the base's ``oracle.py`` that it reaches, so the rest of
+  this tree runs unchanged), and this tree;
+- the default search on a Haar corpus, T = |U|^2 with U =
+  ``haar_unitary(d, default_rng(1000 d + s))``: s = 0..49 at d = 4 and 5,
+  s = 0..19 at d = 6, each input searched once, timed per d.
 
-Each call runs once untimed first; a call shorter than 0.2 s is timed as
-the mean of enough calls to fill 0.2 s. The report gives, per variant, the
-median and quartiles over the repeats, each search input's found /
-not-found result, and the machine it ran on.
+Each call of the first two kinds runs once untimed first; a call shorter
+than 0.2 s is timed as the mean of enough calls to fill 0.2 s. The report
+gives, per variant, the median and quartiles over the repeats, each search
+input's found / not-found result, the corpus's found count per d, and the
+machine it ran on.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUND_SEED = 11
+HAAR_CORPUS = ((4, 50), (5, 50), (6, 20))    # (d, inputs)
 
 
 def _import_tree(tree: Path):
@@ -55,14 +62,32 @@ def _import_tree(tree: Path):
 
 
 def _swap_in_search(base_tree: Path) -> None:
-    """Replace this tree's search by the base revision's, run in this tree's module."""
+    """Replace this tree's search by the base revision's, run in this tree's module.
+
+    The base's search and every top-level function and assignment of the
+    base's oracle.py that it reaches, directly or through another, are run
+    in a copy of this tree's module namespace; other names (classes,
+    imports) resolve to this tree's.
+    """
     import coherify.oracle as oracle
 
     source = (base_tree / "src" / "coherify" / "oracle.py").read_text()
-    fn = next(node for node in ast.parse(source).body
-              if isinstance(node, ast.FunctionDef) and node.name == "search_unistochastic_witness")
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                defs.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    reached, todo = [], ["search_unistochastic_witness"]
+    while todo:
+        node = defs.get(todo.pop())
+        if node is not None and node not in reached:
+            reached.append(node)
+            todo += [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]
+    body = sorted(reached, key=lambda node: node.lineno)
     namespace = dict(vars(oracle))
-    exec(compile(ast.Module(body=[fn], type_ignores=[]), "base oracle.py", "exec"), namespace)
+    exec(compile(ast.Module(body=body, type_ignores=[]), "base oracle.py", "exec"), namespace)
     oracle.search_unistochastic_witness = namespace["search_unistochastic_witness"]
 
 
@@ -112,6 +137,18 @@ def worker(tree: Path, task: str, base_tree: Path | None) -> dict:
     import coherify.oracle as oracle
     import workloads
 
+    if task == "corpus":
+        import numpy as np
+
+        oracle.search_unistochastic_witness(np.full((4, 4), 0.25))
+        out = {}
+        for d, n in HAAR_CORPUS:
+            ts = [np.abs(oracle.haar_unitary(d, np.random.default_rng(1000 * d + s))) ** 2
+                  for s in range(n)]
+            t0 = time.perf_counter()
+            found = sum(oracle.search_unistochastic_witness(t) is not None for t in ts)
+            out[str(d)] = {"seconds": time.perf_counter() - t0, "inputs": n, "found": found}
+        return out
     if task == "search":
         out = {}
         for name, t in _search_inputs(workloads).items():
@@ -154,9 +191,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_witness.json")
+    p.add_argument("--out", default="BENCH_lmwitness.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--task", choices=("search", "round"), help=argparse.SUPPRESS)
+    p.add_argument("--task", choices=("search", "round", "corpus"), help=argparse.SUPPRESS)
     p.add_argument("--swap-search-from", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is not None:
@@ -171,10 +208,11 @@ def main(argv=None) -> int:
         _extract(args.before, base)
         variants = {
             "before": (base, None),
-            "certificate_first": (ROOT, base),
+            "base_search": (ROOT, base),
             "after": (ROOT, None),
         }
         search = {"before": [], "after": []}
+        corpus = {"before": [], "after": []}
         rounds = {name: [] for name in variants}
         for rep in range(args.repeats):
             order = list(variants) if rep % 2 == 0 else list(reversed(variants))
@@ -183,6 +221,7 @@ def main(argv=None) -> int:
                 rounds[name].append(_run_worker(tree, "round", swap))
                 if name in search:
                     search[name].append(_run_worker(tree, "search"))
+                    corpus[name].append(_run_worker(tree, "corpus"))
     report = {
         "machine": {
             "nproc": os.cpu_count(),
@@ -197,6 +236,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "search": {},
         "classify_construct_round": {"seed": ROUND_SEED, "round": 0},
+        "haar_corpus": {},
     }
     for name in search["after"][0]:
         entry = {}
@@ -206,13 +246,26 @@ def main(argv=None) -> int:
             entry[side]["found"] = sorted({r["found"] for r in runs})
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
         report["search"][name] = entry
+    for d in corpus["after"][0]:
+        entry = {"inputs": corpus["after"][0][d]["inputs"]}
+        for side in ("before", "after"):
+            runs = [r[d] for r in corpus[side]]
+            entry[side] = _summary([r["seconds"] for r in runs])
+            entry[side]["found"] = sorted({r["found"] for r in runs})
+        entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
+        report["haar_corpus"][d] = entry
     for name, runs in rounds.items():
         entry = _summary([r["seconds"] for r in runs])
         entry.update({k: sorted({r[k] for r in runs}) for k in ("inputs", "failed", "unknown")})
         report["classify_construct_round"][name] = entry
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(json.dumps({k: v for k, v in report.items() if k != "search"}, indent=2))
+    print(json.dumps({k: v for k, v in report.items() if k not in ("search", "haar_corpus")},
+                     indent=2))
+    for d, entry in report["haar_corpus"].items():
+        print(f"Haar d = {d}: found {entry['before']['found']} -> {entry['after']['found']}"
+              f" of {entry['inputs']}, {entry['before']['median_s']:.2f} s ->"
+              f" {entry['after']['median_s']:.2f} s")
     for name, entry in report["search"].items():
         print(f"{name}: {entry['before']['median_s']:.4f} s -> {entry['after']['median_s']:.4f} s"
               f" ({entry['speedup']:.1f}x)")

@@ -20,6 +20,12 @@ theorem of :mod:`coherify.bounds`), so it ascends that function over
 block-diagonal points, projecting them block by block, and couples the best
 blocks into one state.
 
+The witness search is Levenberg-Marquardt on the (d - 1)^2 free phases of
+the dephased U = sqrt(T) o e^{i phi}, with the strict upper triangle of
+U^dag U as its residual: a zero-residual least-squares problem, on which
+it converges quadratically near a regular solution. Its restarts run
+batched in lockstep, and it stops at the first witness that verifies.
+
 Randomness comes from the counter-based Philox generator, keyed by
 ``seed + stream index``, so runs are bit-reproducible, and a member's
 projection does not depend on the batch it is projected in.
@@ -56,7 +62,8 @@ class OracleConfig:
     restarts is the number of starts per input of the purity maximizer and
     of the witness search;
     max_iterations caps the Newton steps of each projection onto the
-    feasible set, the steps of each purity ascent and each restart of the
+    feasible set, the steps of each purity ascent and the
+    Levenberg-Marquardt steps, accepted or rejected, of each restart of the
     witness search; tolerance is the feasibility residual of the sampled
     channels (the maximizer works at min(tolerance, 1e-9)).
     """
@@ -568,7 +575,8 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
 
 
 def _phase_waves(d: int, cfg: OracleConfig):
-    """Initial phases of restarts 1..restarts-1: Fourier alone, then the random ones."""
+    """Initial phases of restarts 1..restarts-1: Fourier alone, then the
+    random ones (Philox streams 20_000 + r). _phase_lm dephases them."""
     j = np.arange(d)
     if cfg.restarts > 1:
         yield (2 * np.pi * np.outer(j, j) / d)[None]
@@ -579,71 +587,120 @@ def _phase_waves(d: int, cfg: OracleConfig):
         ])
 
 
-def _phase_descent(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
-    """Lockstep phase descent of batched restarts; the first verified witness or None.
+# Levenberg-Marquardt on the phases: a fresh restart's damping, the factors
+# that divide it after an accepted step and multiply it after a rejected
+# one, the damping past which a restart has stalled, and the objective below
+# which it is solved
+_LM_DAMPING = 1e-3
+_LM_DOWN, _LM_UP = 3.0, 2.0
+_LM_STALL = 1e12
+_LM_SOLVED = 1e-24
 
-    waves yields (R_i, d, d) arrays of initial phases; wave i joins the batch
-    at iteration i, so a restart of the first wave that succeeds at once
-    never pays for the others. Each restart keeps its own step, halved
-    whenever its objective rises, and its own iteration count. A restart
-    leaves the batch when its objective drops below 1e-20, when its phases
-    stop changing (a fixed point: further steps would change nothing) or
-    after max_iterations steps; it is then polished and verified at once.
-    Restarts leaving together are verified in restart order.
+
+def _phase_residual(m: np.ndarray, phi: np.ndarray, jk, dirs: np.ndarray):
+    """Residual, Jacobian and objective of phases (B, d, d), batched.
+
+    The residual R holds the real, then the imaginary parts of the strict
+    upper triangle of G = U^dag U, U = m o e^{i phi}; G's diagonal holds T's
+    column sums whatever the phases. The Jacobian is taken in the (d - 1)^2
+    free phases phi_ab, a, b >= 1: dG_jk/dphi_ab = i conj(U_aj) U_ak
+    (delta_bk - delta_bj), with dirs[p, b - 1] = delta_bk - delta_bj for the
+    pair p = (j, k). Returns R (B, 2P), J (B, 2P, (d - 1)^2) and |R|^2.
+    """
+    j, k = jk
+    u = m * np.exp(1j * phi)
+    terms = u[:, :, j].conj() * u[:, :, k]         # conj(U_aj) U_ak, (B, d, P)
+    g = terms.sum(axis=1)
+    dg = np.einsum("nap,pb->npab", terms[:, 1:], dirs).reshape(len(u), len(j), -1)
+    # dG = i dg: Re dG = -Im dg, Im dG = Re dg
+    r = np.concatenate([g.real, g.imag], axis=-1)
+    jac = np.concatenate([-dg.imag, dg.real], axis=1)
+    return r, jac, (r * r).sum(axis=-1)
+
+
+def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
+    """Lockstep Levenberg-Marquardt of batched restarts; the first verified
+    witness or None.
+
+    waves yields (R_i, d, d) arrays of initial phases; wave i joins the
+    batch at iteration i, so a restart of the first wave that succeeds at
+    once never pays for the others. Each start is dephased, phi_ab - phi_a0
+    - phi_0b + phi_00: that multiplies U by diagonal phases on both sides,
+    which leaves every |(U^dag U - 1)_jk| unchanged, and zeroes the phases
+    of the first row and column. The unknowns are the (d - 1)^2 free
+    phases, and the residual is the strict upper triangle of U^dag U (see
+    _phase_residual). Each restart keeps its own damping lambda and steps
+    by (J^T J + lambda) delta = -J^T R, one batched solve for all; an
+    accepted step (the objective falls) divides lambda by 3, a rejected one
+    multiplies it by 2. A restart leaves the batch when its objective drops
+    below 1e-24, after max_iterations steps, or once lambda passes 1e12 (it
+    has stalled); it is then polished and verified at once. Restarts
+    leaving together are verified in restart order.
     """
     from .stochastic import _moduli_polish, _verify_witness
 
     d = t.shape[0]
     m = np.sqrt(t)
-    eye = np.eye(d)
+    jk = np.triu_indices(d, 1)
+    free = np.arange(1, d)
+    dirs = (free == jk[1][:, None]).astype(np.float64) - (free == jk[0][:, None])
+    eye = np.eye((d - 1) ** 2)
     phi = np.empty((0, d, d))
-    step = np.empty(0)
-    f_prev = np.empty(0)
+    r = np.empty((0, d * (d - 1)))
+    jac = np.empty((0, d * (d - 1), (d - 1) ** 2))
+    f = np.empty(0)
+    lam = np.empty(0)
     left = np.empty(0, dtype=np.intp)
     waves = iter(waves)
     while True:
         wave = next(waves, None)
         if wave is not None:
+            wave = wave - wave[:, :, :1] - wave[:, :1, :] + wave[:, :1, :1]
+            rw, jw, fw = _phase_residual(m, wave, jk, dirs)
             phi = np.concatenate([phi, wave])
-            step = np.concatenate([step, np.full(len(wave), 0.1)])
-            f_prev = np.concatenate([f_prev, np.full(len(wave), np.inf)])
+            r, jac, f = np.concatenate([r, rw]), np.concatenate([jac, jw]), np.concatenate([f, fw])
+            lam = np.concatenate([lam, np.full(len(wave), _LM_DAMPING)])
             left = np.concatenate([left, np.full(len(wave), max_iterations)])
         elif not len(phi):
             return None
-        u = m * np.exp(1j * phi)
-        u_dag = dag(u)
-        g = u_dag @ u - eye
-        f = (np.abs(g) ** 2).sum(axis=(-2, -1))
-        converged = f < 1e-20
-        step = np.where(f > f_prev, 0.5 * step, step)
-        f_prev = f
-        grad = -4.0 * np.imag(np.swapaxes(g @ u_dag, -1, -2) * u)
-        new = np.where(converged[:, None, None], phi, phi - step[:, None, None] * grad)
-        left = left - 1
-        out = converged | (left == 0) | (new == phi).all(axis=(-2, -1))
+        out = (f < _LM_SOLVED) | (left == 0) | (lam > _LM_STALL)
         if out.any():
-            for phases in new[out]:
+            for phases in phi[out]:
                 w = _moduli_polish(m * np.exp(1j * phases), t)
                 if _verify_witness(w, t):
                     return w
             keep = ~out
-            new, step, f_prev, left = new[keep], step[keep], f_prev[keep], left[keep]
-        phi = new
+            phi, r, jac, f, lam, left = phi[keep], r[keep], jac[keep], f[keep], lam[keep], left[keep]
+            if not len(phi):
+                continue
+        jac_t = np.swapaxes(jac, -1, -2)
+        step = np.linalg.solve(jac_t @ jac + lam[:, None, None] * eye, -(jac_t @ r[..., None]))
+        trial = phi.copy()
+        trial[:, 1:, 1:] += step.reshape(-1, d - 1, d - 1)
+        r_new, jac_new, f_new = _phase_residual(m, trial, jk, dirs)
+        ok = f_new < f
+        phi[ok], r[ok], jac[ok], f[ok] = trial[ok], r_new[ok], jac_new[ok], f_new[ok]
+        lam = np.where(ok, lam / _LM_DOWN, lam * _LM_UP)
+        left = left - 1
 
 
 def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarray | None:
     """Best-effort unitary witness search for bistochastic T of any size.
 
-    Parametrizes U as sqrt(T) entrywise times free phases and minimizes
-    |U^dag U - 1|_F^2 by gradient descent on the phases, finishing with an
-    alternating moduli/polar polish. Restart 0 uses zero phases (catching
-    permutations and real-orthogonal cases), restart 1 Fourier phases, the
-    rest random. Restart 0 makes U real, where the phase gradient vanishes,
-    so only its polish runs. The others run batched in lockstep (see
-    _phase_descent): restart 1 takes its first step alone, the random ones
-    join from the second, and the search stops at the first witness that
-    verifies. The result is reproducible for a given cfg. Returns None when
-    nothing verifies; absence of a witness is an "unknown", not a "no".
+    Parametrizes U as sqrt(T) entrywise times phases, in the dephased form
+    (zero phases on the first row and column; Tadej & Zyczkowski, Open Syst.
+    Inf. Dyn. 13, 2006), and drives the strict upper triangle of U^dag U to
+    zero by Levenberg-Marquardt on the (d - 1)^2 free phases, a
+    zero-residual least-squares problem on which it converges quadratically
+    near a regular solution; each candidate is finished by an alternating
+    moduli/polar polish. Restart 0 uses zero phases (catching permutations
+    and real-orthogonal cases), restart 1 Fourier phases, the rest random.
+    Restart 0 makes U real, where J^T R vanishes, so only its polish runs.
+    The others run batched in lockstep (see _phase_lm): restart 1 takes its
+    first step alone, the random ones join from the second, and the search
+    stops at the first witness that verifies. The result is reproducible
+    for a given cfg. Returns None when nothing verifies; absence of a
+    witness is an "unknown", not a "no".
     """
     from .stochastic import _moduli_polish, _verify_witness, is_bistochastic
 
@@ -654,4 +711,4 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     u = _moduli_polish(np.sqrt(t).astype(np.complex128), t)
     if _verify_witness(u, t):
         return u
-    return _phase_descent(t, _phase_waves(t.shape[0], cfg), cfg.max_iterations)
+    return _phase_lm(t, _phase_waves(t.shape[0], cfg), cfg.max_iterations)

@@ -208,7 +208,7 @@ def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarr
     """Unitary U with |U_ij|^2 = T_ij, for bistochastic T.
 
     Closed-form for d <= 2, triangle construction for d = 3 (with the oracle's
-    phase-descent search as fallback for degenerate zero patterns). For d >= 4
+    witness search as fallback for degenerate zero patterns). For d >= 4
     a couple of structured candidates (real sqrt(T), Fourier phases) are
     tried; anything beyond that needs a numerically found witness, which can
     be passed in.
@@ -257,7 +257,13 @@ def classify(t, search_cfg=None) -> StochasticClass:
     At d = 3 that decides the question, and a "yes" carries a constructed
     witness. For d >= 4 with every alpha = 1 the structured candidates and
     then the numerical witness search run (search_cfg, an OracleConfig,
-    configures it); the verdict is "unknown" when nothing verifies.
+    configures it); the verdict is "unknown" when nothing verifies. That
+    happens when T is not unistochastic although it meets every polygon
+    inequality (the inequalities are necessary, not sufficient, at d >= 4),
+    and on unistochastic T where every restart stalls away from a witness:
+    with the default config that was the case for none of 100 Haar |U|^2
+    inputs at d = 4 and 5, and for 1 of 20 at d = 6; a smaller restarts or
+    max_iterations misses more.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:

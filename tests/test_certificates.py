@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherify.oracle import OracleConfig
+from coherify.oracle import OracleConfig, haar_unitary
 from coherify.stochastic import alpha, classify
 
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -45,6 +45,13 @@ def kron_inputs(draw):
     a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     rows, cols = draw(st.permutations(range(4))), draw(st.permutations(range(4)))
     return np.kron(bistochastic_2x2(a), bistochastic_2x2(b))[rows][:, cols]
+
+
+@st.composite
+def haar_inputs(draw):
+    """|U|^2 of a Haar unitary: unistochastic."""
+    d, seed = draw(st.integers(4, 6)), draw(st.integers(0, 2**32 - 1))
+    return np.abs(haar_unitary(d, np.random.default_rng(seed))) ** 2
 
 
 @st.composite
@@ -85,6 +92,12 @@ def test_sinkhorn_verdicts_certified(t):
 @PROPERTY
 @given(kron_inputs())
 def test_kron_verdicts_certified_and_never_no(t):
+    assert assert_certified(t) != "no"
+
+
+@PROPERTY
+@given(haar_inputs())
+def test_haar_verdicts_certified_and_never_no(t):
     assert assert_certified(t) != "no"
 
 

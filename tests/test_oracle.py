@@ -20,7 +20,8 @@ from coherify.oracle import (
     sample_fixed_action,
     search_unistochastic_witness,
 )
-from coherify.stochastic import majorizes
+from coherify.stochastic import classify, majorizes
+from test_acceptance import Budget
 
 T_EXAMPLE = np.array([[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]])
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -128,13 +129,27 @@ def _kron_input(a, b):
 
 
 def _sequential_search(t, cfg):
-    """Reference: one restart at a time, each to convergence or the cap."""
+    """Reference: Levenberg-Marquardt one restart at a time, each to its exit,
+    with the Jacobian built entry by entry."""
     from coherify.oracle import _rng
     from coherify.stochastic import _moduli_polish, _verify_witness
 
     d = t.shape[0]
     m = np.sqrt(t)
     j = np.arange(d)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+
+    def residual(phi):
+        u = m * np.exp(1j * phi)
+        g = u.conj().T @ u
+        r = np.array([g[a, b].real for a, b in pairs] + [g[a, b].imag for a, b in pairs])
+        jac = np.zeros((len(r), (d - 1) ** 2))
+        for p, (a, b) in enumerate(pairs):
+            for col, (x, y) in enumerate((x, y) for x in range(1, d) for y in range(1, d)):
+                dg = 1j * u[x, a].conj() * u[x, b] * ((y == b) - (y == a))
+                jac[p, col], jac[len(pairs) + p, col] = dg.real, dg.imag
+        return r, jac, float(r @ r)
+
     for r in range(cfg.restarts):
         if r == 0:
             phi = np.zeros((d, d))
@@ -142,17 +157,21 @@ def _sequential_search(t, cfg):
             phi = 2 * np.pi * np.outer(j, j) / d
         else:
             phi = _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
-        step, f_prev = 0.1, np.inf
-        for _ in range(cfg.max_iterations):
-            u = m * np.exp(1j * phi)
-            g = u.conj().T @ u - np.eye(d)
-            f = float((np.abs(g) ** 2).sum())
-            if f < 1e-20:
-                break
-            if f > f_prev:
-                step *= 0.5
-            f_prev = f
-            phi = phi - step * (-4.0 * np.imag((g @ u.conj().T).T * u))
+        if r > 0:
+            phi = phi - phi[:, :1] - phi[:1, :] + phi[0, 0]
+            res, jac, f = residual(phi)
+            lam = 1e-3
+            for _ in range(cfg.max_iterations):
+                if f < 1e-24 or lam > 1e12:
+                    break
+                step = np.linalg.solve(jac.T @ jac + lam * np.eye((d - 1) ** 2), -jac.T @ res)
+                trial = phi.copy()
+                trial[1:, 1:] += step.reshape(d - 1, d - 1)
+                res_new, jac_new, f_new = residual(trial)
+                if f_new < f:
+                    phi, res, jac, f, lam = trial, res_new, jac_new, f_new, lam / 3
+                else:
+                    lam *= 2
         u = _moduli_polish(m * np.exp(1j * phi), t)
         if _verify_witness(u, t):
             return u
@@ -194,6 +213,20 @@ def test_witness_search_agrees_with_sequential_reference():
         assert (u is None) == (_sequential_search(t, cfg) is None)
         if u is not None:
             assert np.abs(np.abs(u) ** 2 - t).max() < 1e-8
+
+
+def test_witness_search_finds_haar_inputs():
+    """T = |U|^2 of a Haar unitary is unistochastic by construction; the
+    default search must find a witness for each of these 12 inputs."""
+    with Budget("witness search on 12 Haar inputs, d = 4 and 5", 30.0):
+        for d in (4, 5):
+            for s in range(100, 106):
+                t = np.abs(haar_unitary(d, np.random.default_rng(s))) ** 2
+                cls = classify(t)
+                assert cls.unistochastic == "yes", (d, s)
+                u = cls.witness_unitary
+                assert np.abs(np.abs(u) ** 2 - t).max() <= 1e-8
+                assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-8
 
 
 def test_rand_channel_valid():

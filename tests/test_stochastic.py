@@ -177,7 +177,7 @@ def test_classify_certifies_no_at_d4_and_d5():
 
 def test_classify_d3_degenerate_pattern_falls_back_to_search():
     # 1 (+) a 2x2 block: the triangle construction keeps the block real and
-    # fails, so the witness comes from the oracle's phase-descent search
+    # fails, so the witness comes from the oracle's witness search
     for a in (0.3, 0.5, 0.9):
         for perm in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
             t = np.array([[1.0, 0, 0], [0, a, 1 - a], [0, 1 - a, a]])[perm]
