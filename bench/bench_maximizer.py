@@ -3,7 +3,7 @@
 Run from the root of a source checkout:
 
     python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
-        --out BENCH_blockproject.json
+        --out BENCH_certexit.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -27,11 +27,12 @@ of the call: the coupling of each input's best point and the final
 polish (in trees that stack a face and a coupling stage, ``ascent`` holds
 them too). ``other`` is the rest of the round: the CLI's checks of the
 samples against the bounds. Each phase also counts the matrices
-``np.linalg.eigh`` decomposed, the sum of their sizes cubed, the linear
-systems ``np.linalg.solve`` solved in it (the Newton systems of the
-projection) and the step halvings of the projection's line search (each
-member's evaluations of the dual beyond the first of each projection and
-the one after each Newton step).
+``np.linalg.eigh`` decomposed, the sum of their sizes cubed, the Newton
+iterations of the projection (its batched ``np.linalg.solve`` calls), its
+Newton member-steps (the linear systems those calls solved, one per member
+and iteration) and the step halvings of its line search (each member's
+evaluations of the dual beyond the first of each projection and the one
+after each Newton step).
 
 Once per tree, outside the timed runs, one interpreter runs the gates:
 ``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on 16 dense
@@ -42,21 +43,32 @@ one dense 8x8 action (``default_rng(408)``), each with entries from
 round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
 optimum: the purity of ``coherify_auto``'s channel where that construction
 is flagged optimal (the three qutrit families, the flat input among them),
-none elsewhere.
-The report counts the byte-identical reports and gives the per-input change
-of ``best_purity`` (sum, min, max), the same for the 4x4 and 5x5 purities,
-and for criterion 3 the bitwise equal purities and each tree's largest gap
-below mu_upper . mu_upper and largest excess above it. The report gives,
-per tree, the median and quartiles over the repeats and the machine it ran
-on, and checks the gates: no validate input ends more than 1e-9 below the
-smaller of the base revision's value and its proven optimum (a base value
-above the optimum is a point feasible only to the tolerance, not a level to
-keep), and their sum does not fall; criterion 3's largest gap is at most
-1e-9 and its largest excess at most 1e-8; on the 4x4 and the 5x5 actions
-the sum does not fall and no input falls by more than 1e-4; the median 5x5
-call takes under 2 s and no longer than the base revision's, the 6x6 call
-under 10 s and no longer than the base revision's, and the 8x8 call under a
-third of the base revision's.
+none elsewhere. While they run, each ``maximize_purity`` call's ascent is
+followed from outside: after each block-layout projection the bench
+evaluates f on the converged members and records the first ascent step at
+which the input's best f reached its ceiling mu_upper . mu_upper to 1e-10
+(the input is certified there), and the call's number of ascent steps.
+The report counts the byte-identical reports and the violation counts that
+differ, and gives the per-input change of ``best_purity`` (sum, min, max),
+the same for the 4x4 and 5x5 purities, for criterion 3 the bitwise equal
+purities and each tree's largest gap below mu_upper . mu_upper and largest
+excess above it, and per tree the certified validate inputs with the step
+at which each certified. The report gives, per tree, the median and
+quartiles over the repeats and the machine it ran on, and checks the gates.
+Each purity is compared per input against a reference, the smaller of the
+base revision's value and the input's proven optimum (for the dense
+actions mu_upper . mu_upper, which bounds every feasible point): a base
+value above it is a point feasible only to the tolerance, not a level to
+keep, and a sum of values each feasible only to 1e-9 says nothing that the
+per-input rule does not. The gates: no validate, 4x4 or 5x5 input ends more
+than 1e-9 below its reference, and no 4x4 or 5x5 input falls by more than
+1e-4 against the base revision; the validate round's ascent takes at most
+three quarters of the base revision's Newton member-steps; criterion 3's
+largest gap is at most 1e-9, its largest excess at most 1e-8, and its
+median call no slower than the base revision's; the median 5x5 call takes
+under 2 s and no longer than the base revision's, the 6x6 call under 10 s
+and no longer than the base revision's, and the 8x8 call under a third of
+the base revision's.
 """
 
 from __future__ import annotations
@@ -79,7 +91,8 @@ ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
 PHASES = ("sample_fixed_action", "ascent", "couple_polish")
-COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_systems", "step_halvings")
+COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
+          "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
 # dense actions of the gates: (d, seeds of default_rng)
 DENSE_GATES = {"dense4": (4, range(500, 516)), "dense5": (5, range(505, 513)),
@@ -108,8 +121,9 @@ def _criterion3_inputs():
     return ts
 
 
-# what the wrappers count; step halvings are derived from the last two
-RAW_COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_systems", "dual_points", "projected")
+# what the wrappers count; step halvings are derived from the last three
+RAW_COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
+              "dual_points", "projected")
 
 
 def _time_phases(oracle) -> tuple[dict, dict]:
@@ -130,10 +144,13 @@ def _time_phases(oracle) -> tuple[dict, dict]:
     def bucket():
         return group_work if state["phase"] == "group" else work[state["phase"]]
 
-    def counted(fn, key, arg):
-        """Count the members (the length) of positional argument arg."""
+    def counted(fn, key, arg, calls_key=None):
+        """Count the members (the length) of positional argument arg, and
+        the calls under calls_key."""
         def wrapped(*args, **kwargs):
             bucket()[key] += len(args[arg])
+            if calls_key:
+                bucket()[calls_key] += 1
             return fn(*args, **kwargs)
         return wrapped
 
@@ -186,7 +203,7 @@ def _time_phases(oracle) -> tuple[dict, dict]:
     oracle._project = project
     oracle._dual_point = counted(dual_point, "dual_points", 1)
     np.linalg.eigh = eigh_counted
-    np.linalg.solve = counted(np.linalg.solve, "newton_systems", 0)
+    np.linalg.solve = counted(np.linalg.solve, "newton_member_steps", 0, "newton_iterations")
     return phases, work
 
 
@@ -195,11 +212,50 @@ def _step_halvings(work: dict) -> dict:
     the dual once per member at its start and once per member after each
     Newton step, so the other evaluations are step halvings."""
     return {
-        phase: {"eigh_matrices": raw["eigh_matrices"], "eigh_work_n3": raw["eigh_work_n3"],
-                "newton_systems": raw["newton_systems"],
-                "step_halvings": raw["dual_points"] - raw["newton_systems"] - raw["projected"]}
+        phase: {**{key: raw[key] for key in COUNTS[:-1]},
+                "step_halvings": raw["dual_points"] - raw["newton_member_steps"]
+                - raw["projected"]}
         for phase, raw in work.items()
     }
+
+
+def _follow_certificates(oracle, calls: list) -> None:
+    """Wrap oracle functions so that each ``_maximize_group`` call, of one
+    input, appends to calls its number of ascent steps (its block-layout
+    projections) and the first of them after which the best f of the
+    input's converged members reached mu_upper . mu_upper to 1e-10, or
+    None."""
+    import numpy as np
+    from coherify.bounds import mu_upper
+
+    group_fn, projection = oracle._maximize_group, oracle._project
+    state = {}
+
+    def maximize_group(group, *args, **kwargs):
+        if len(group) != 1:
+            raise SystemExit("the certificate trace follows one input per call")
+        up = mu_upper(group[0])
+        state.update(ceiling=float(up @ up), best=-np.inf, steps=0, certified=None)
+        try:
+            return group_fn(group, *args, **kwargs)
+        finally:
+            calls.append({"ascent_steps": state["steps"], "certified_step": state["certified"]})
+            state.clear()
+
+    def project(feas, *args, **kwargs):
+        z, ok, y = projection(feas, *args, **kwargs)
+        if state and feas.nb > 1:
+            state["steps"] += 1
+            # f of each converged member: its blocks' eigenvalues, coupled by rank
+            w = np.linalg.eigvalsh(z[ok])[..., ::-1]
+            f = (w.sum(axis=-2) ** 2).sum(axis=-1)
+            state["best"] = max(state["best"], float(f.max(initial=-np.inf)))
+            if state["certified"] is None and state["best"] >= state["ceiling"] - 1e-10:
+                state["certified"] = state["steps"]
+        return z, ok, y
+
+    oracle._maximize_group = maximize_group
+    oracle._project = project
 
 
 def _validate(wl, item) -> tuple[str, bool]:
@@ -232,7 +288,11 @@ def worker(tree: Path, task: str) -> dict:
         def project_starts(t):
             feas = oracle._FeasibleSet.for_action(t)
             target = feas.target(t)
-            x0 = np.stack([feas.random_start(target, oracle._rng(cfg.seed, i)) for i in range(100)])
+            rngs = [oracle._rng(cfg.seed, i) for i in range(100)]
+            if hasattr(feas, "random_starts"):
+                x0 = feas.random_starts(target, rngs)
+            else:       # a base revision that draws its starts one at a time
+                x0 = np.stack([feas.random_start(target, rng) for rng in rngs])
             t0 = time.perf_counter()
             ok = oracle._project(feas, x0, target, cfg.tolerance, cfg.max_iterations)[1]
             return time.perf_counter() - t0, ok
@@ -248,7 +308,7 @@ def worker(tree: Path, task: str) -> dict:
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
         gates = {}
         for name, (d, seeds) in DENSE_GATES.items():
-            gate = gates[name] = {"purities": [], "seconds": [], "gaps_below_mu_upper_sq": []}
+            gate = gates[name] = {"purities": [], "seconds": [], "mu_upper_sq": []}
             for seed in seeds:
                 m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
                 t = m / m.sum(axis=0, keepdims=True)
@@ -256,7 +316,7 @@ def worker(tree: Path, task: str) -> dict:
                 _, purity = oracle.maximize_purity(t, cfg)
                 gate["seconds"].append(time.perf_counter() - t0)
                 gate["purities"].append(purity)
-                gate["gaps_below_mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)) - purity)
+                gate["mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)))
         return gates
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
@@ -264,16 +324,19 @@ def worker(tree: Path, task: str) -> dict:
             from coherify.channels import channel_purity
             from coherify.constructions import coherify_auto
 
-            reports, optima = [], []
+            reports, optima, inputs, certificates = [], [], [], []
+            _follow_certificates(oracle, certificates)
             for seed in IDENTITY_SEEDS:
                 wl = workloads.ValidateQutrit(seed, False, workdir)
                 for item in wl.round(0):
                     reports.append(_validate(wl, item)[0])
+                    inputs.append(f"seed {seed} {item[0]} --seed {item[2]}")
                     with open(item[1], encoding="utf-8") as fh:
                         t = np.array(json.load(fh)["entries"]).reshape(3, 3)
                     res = coherify_auto(t)
                     optima.append(channel_purity(res.channel) if res.optimal else None)
-            return {"reports": reports, "proven_optima": optima}
+            return {"reports": reports, "proven_optima": optima, "inputs": inputs,
+                    "certificates": certificates}
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
         _validate(wl, wl.warmup_item())
         items = wl.round(0)
@@ -305,6 +368,19 @@ def _extract(rev: str, dest: Path) -> None:
         tf.extractall(dest, filter="data")
 
 
+def _certificates(collected: dict) -> dict:
+    """The validate inputs whose ascent reached mu_upper . mu_upper, each
+    with the ascent step at which it did and the ascent's length."""
+    calls = collected["certificates"]
+    return {
+        "inputs": len(calls),
+        "certified": sum(c["certified_step"] is not None for c in calls),
+        "ascent_steps": sum(c["ascent_steps"] for c in calls),
+        "certified_inputs": [{"input": name, **c} for name, c in zip(collected["inputs"], calls)
+                             if c["certified_step"] is not None],
+    }
+
+
 def _deltas(before: list[float], after: list[float]) -> dict:
     diffs = [a - b for a, b in zip(after, before)]
     return {"compared": len(diffs), "bitwise_equal": sum(d == 0.0 for d in diffs),
@@ -315,7 +391,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_blockproject.json")
+    p.add_argument("--out", default="BENCH_certexit.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=TASKS + ("gates", "reports"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -371,7 +447,8 @@ def main(argv=None) -> int:
     for entry in timings.values():
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
 
-    best = {name: [json.loads(text)["best_purity"] for text in reports[name]] for name in trees}
+    parsed = {name: [json.loads(text) for text in reports[name]] for name in trees}
+    best = {name: [r["best_purity"] for r in parsed[name]] for name in trees}
     # each input's reference: the base revision's value, capped at the proven optimum
     optima = collected["after"]["proven_optima"]
     references = [before if opt is None else min(before, opt)
@@ -394,11 +471,15 @@ def main(argv=None) -> int:
             "validate_reports": {
                 "seeds": list(IDENTITY_SEEDS), "round": 0,
                 "byte_identical": sum(a == b for a, b in zip(reports["before"], reports["after"])),
+                "all_ok": {name: all(r["ok"] is True for r in parsed[name]) for name in trees},
+                "violations_differ": sum(a["violations"] != b["violations"]
+                                         for a, b in zip(parsed["before"], parsed["after"])),
                 "best_purity_sum": {name: sum(best[name]) for name in trees},
                 "best_purity_delta": _deltas(best["before"], best["after"]),
                 "proven_optima": sum(o is not None for o in optima),
                 "worst_below_reference": min(
                     after - reference for after, reference in zip(best["after"], references)),
+                "certificates": {name: _certificates(collected[name]) for name in trees},
             },
             "criterion3": {
                 "purity_delta": _deltas(*([float.fromhex(h) for h in c3[name]["purities"]]
@@ -413,8 +494,15 @@ def main(argv=None) -> int:
                     "purity_sum": {name: sum(gates[name][gate]["purities"]) for name in trees},
                     "purity_delta": _deltas(gates["before"][gate]["purities"],
                                             gates["after"][gate]["purities"]),
+                    # each input's reference: the base revision's value, capped at mu_upper^2
+                    "worst_below_reference": min(
+                        after - min(before, ceiling) for before, after, ceiling in zip(
+                            gates["before"][gate]["purities"], gates["after"][gate]["purities"],
+                            gates["after"][gate]["mu_upper_sq"])),
                     "max_gap_below_mu_upper_sq": {
-                        name: max(gates[name][gate]["gaps_below_mu_upper_sq"]) for name in trees},
+                        name: max(c - p for c, p in zip(gates[name][gate]["mu_upper_sq"],
+                                                        gates[name][gate]["purities"]))
+                        for name in trees},
                     "median_call_s": {
                         name: statistics.median(gates[name][gate]["seconds"]) for name in trees},
                     "calls_s": {name: gates[name][gate]["seconds"] for name in trees},
@@ -423,17 +511,21 @@ def main(argv=None) -> int:
             },
         },
     }
-    validate_delta = report["purity"]["validate_reports"]["best_purity_delta"]
     dense = {gate: report["purity"][gate] for gate in DENSE_GATES}
     calls = {gate: dense[gate]["median_call_s"] for gate in DENSE_GATES}
+    ascent = {name: timings["validate_qutrit_round"][name]["phases_work"]["ascent"]
+              ["newton_member_steps"] for name in trees}
+    c3_median = {name: timings["criterion3_maximize_purity_many"][name]["median_s"]
+                 for name in trees}
     report["purity"]["gates_hold"] = {
         "validate_worst_input": report["purity"]["validate_reports"]["worst_below_reference"]
         >= -1e-9,
-        "validate_sum": validate_delta["sum"] >= 0.0,
+        "validate_ascent_member_steps_down_25pct": ascent["after"] <= 0.75 * ascent["before"],
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
+        "criterion3_median_call_no_slower": c3_median["after"] <= c3_median["before"],
         **{f"{gate}_{check}": ok for gate in ("dense4", "dense5") for check, ok in (
-            ("sum", dense[gate]["purity_delta"]["sum"] >= 0.0),
+            ("worst_below_reference", dense[gate]["worst_below_reference"] >= -1e-9),
             ("worst_input", dense[gate]["purity_delta"]["min"] >= -1e-4))},
         "dense5_median_call_under_2s": dense["dense5"]["median_call_s"]["after"] < 2.0,
         "dense5_median_call_no_slower": calls["dense5"]["after"] <= calls["dense5"]["before"],

@@ -10,15 +10,19 @@ steps on the dual of the projection problem, whose variables are the m
 affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
 2004; Qi & Sun, SIAM J. Matrix Anal. Appl. 28(2), 2006). Newton converges
 quadratically on that dual, also where some entries of T are tiny. The
-projection returns its multipliers, and the purity ascent starts each
-projection from the previous one's.
+projection returns its multipliers. A projection without earlier ones (the
+sampler's, and the first of each purity ascent) starts from the affine
+projection's multipliers; every later step of the ascent starts from the
+previous step's.
 
 The purity maximizer works in block space: every constraint lies in the
 diagonal blocks of J, and the largest purity over the states with given
 blocks is a convex function of the blocks' spectra (the block-majorization
 theorem of :mod:`coherify.bounds`), so it ascends that function over
 block-diagonal points, projecting them block by block, and couples the best
-blocks into one state.
+blocks into one state. mu_upper(T) majorizes every feasible spectrum, so
+no point has purity above |mu_upper|^2; once an input's best point reaches
+that ceiling (to 1e-10) it is optimal, and all of its starts stop.
 
 The witness search is Levenberg-Marquardt on the (d - 1)^2 free phases of
 the dephased U = sqrt(T) o e^{i phi}, with the strict upper triangle of
@@ -39,6 +43,7 @@ import numpy as np
 
 from .channels import Channel
 from .constructions import coherify_c0
+from .bounds import mu_upper
 from .errors import ConvergenceFailure
 from .matcore import dag
 from .stochastic import assert_transition_matrix
@@ -281,20 +286,32 @@ class _FeasibleSet:
             err = np.maximum(err, np.abs(self.group_sums(x)).max(axis=-1))
         return err
 
-    def random_start(self, target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Random Hermitian start near the feasible set, as a layout point.
+    def random_starts(self, target: np.ndarray, rngs) -> np.ndarray:
+        """Random Hermitian starts near the feasible set, one layout point per
+        generator, as a (len(rngs), nb, s, s) stack.
 
-        Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest modulus
-        the PSD cone allows at that position, so starts stay well conditioned
-        even when some diagonal targets are tiny. The block layout keeps the
-        noise inside the blocks.
+        Each generator draws the start's scale, then the real and the
+        imaginary part of its noise; the arithmetic then runs once on the
+        stack. target is one diagonal target for every start or one per
+        start. Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest
+        modulus the PSD cone allows at that position, so starts stay well
+        conditioned even when some diagonal targets are tiny. The block
+        layout keeps the noise inside the blocks.
         """
-        env = np.sqrt(np.outer(target, target))
-        scale = rng.uniform(0.1, 0.9)
-        g = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-        x = np.diag(target) + scale * (g + dag(g)) / 2 * env
-        out = self._points(())
-        out[self._in_layout] = x[self._in_support]
+        size, n = len(rngs), self.n
+        target = np.broadcast_to(target, (size, n))
+        scale = np.empty(size)
+        re, im = np.empty((size, n, n)), np.empty((size, n, n))
+        for i, rng in enumerate(rngs):
+            scale[i] = rng.uniform(0.1, 0.9)
+            re[i], im[i] = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        env = np.sqrt(target[:, :, None] * target[:, None, :])
+        g = re + 1j * im
+        x = scale[:, None, None] * (g + np.swapaxes(g.conj(), -1, -2)) / 2 * env
+        idx = np.arange(n)
+        x[:, idx, idx] += target
+        out = self._points((size,))
+        out[(slice(None),) + self._in_layout] = x[(slice(None),) + self._in_support]
         return out
 
 
@@ -425,9 +442,7 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     t = assert_transition_matrix(t)
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    starts = np.empty((n, feas.nb, feas.s, feas.s), dtype=np.complex128)
-    for i in range(n):
-        starts[i] = feas.random_start(target, _rng(cfg.seed, i))
+    starts = feas.random_starts(target, [_rng(cfg.seed, i) for i in range(n)])
     y, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
     if not ok.all():
         raise ConvergenceFailure(
@@ -468,16 +483,14 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     blocks = _FeasibleSet.for_action(group[0], blocks=True)
     per = cfg.restarts
     tol = min(cfg.tolerance, 1e-9)
-    targets = np.empty((len(group) * per, feas.n))
+    targets = np.repeat([feas.target(t) for t in group], per, axis=0)
+    # the ceiling |mu_upper|^2: no feasible block point has a larger f
+    ceilings = np.array([float(up @ up) for up in map(mu_upper, group)])
     x = np.empty((len(group) * per, blocks.nb, blocks.s, blocks.s), dtype=np.complex128)
-    for gi, t in enumerate(group):
-        tg = feas.target(t)
-        base = gi * per
-        targets[base:base + per] = tg
-        x[base] = blocks.compress(coherify_c0(t).channel.jam)
-        for k in range(1, per):
-            rng = _rng(cfg.seed, 10_000 + global_idx[gi] * per + k)
-            x[base + k] = blocks.random_start(tg, rng)
+    x[::per] = blocks.compress(np.stack([coherify_c0(t).channel.jam for t in group]))
+    random = np.flatnonzero(np.arange(len(x)) % per)
+    x[random] = blocks.random_starts(targets[random], [
+        _rng(cfg.seed, 10_000 + global_idx[i // per] * per + i % per) for i in random])
 
     def f_and_grad(x):
         w, v = np.linalg.eigh(x)
@@ -490,21 +503,25 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # least its squared length: the ascent is monotone without a step rule.
     # The starts themselves are not projected (nor counted as feasible): each
     # takes its first step from where it is. The gradient has entries in the
-    # padding rows; the projection drops them
+    # padding rows; the projection drops them. The first projection starts
+    # from the affine multipliers, every later one from its start's last.
+    # Once an input's best f reaches its ceiling to 1e-10 it is optimal to
+    # that margin, and all its starts stop
     _, g = f_and_grad(x)
     f = np.full(len(x), -np.inf)
-    duals = np.zeros((len(x), feas.m))
-    live = np.arange(len(x))
+    live, duals = np.arange(len(x)), None
     for _ in range(cfg.max_iterations):
         if not live.size:
             break
         z, ok, y = _project(blocks, x[live] + g[live], targets[live], tol, cfg.max_iterations,
-                            duals[live])
+                            duals)
         fz, gz = f_and_grad(z[ok])
         moved = live[ok]
         gain = fz - f[moved]
-        x[moved], duals[moved], f[moved], g[moved] = z[ok], y[ok], fz, gz
-        live = moved[gain > 1e-12 * fz]
+        x[moved], f[moved], g[moved] = z[ok], fz, gz
+        certified = f.reshape(len(group), per).max(axis=1) >= ceilings - 1e-10
+        keep = (gain > 1e-12 * fz) & ~certified[moved // per]
+        live, duals = moved[keep], y[ok][keep]
 
     f = f.reshape(len(group), per)
     if np.isneginf(f.max(axis=1)).any():
@@ -533,21 +550,26 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     eigenvectors. So each start ascends f over feasible block-diagonal
     points by x <- Pi(x + grad f(x)), beginning at the start itself. The
     projection of a block-diagonal point is block diagonal, so it runs on
-    the d diagonal blocks alone (the block layout of _FeasibleSet), and each
-    one is warm-started from the multipliers of the step before. f is
-    convex, so from a feasible point every step gains at least its own
+    the d diagonal blocks alone (the block layout of _FeasibleSet). The
+    first step's projection starts from the affine projection's
+    multipliers, each later one from the multipliers of the step before. f
+    is convex, so from a feasible point every step gains at least its own
     squared length; a start stops once its gain is at most 1e-12 f, when
-    its projection fails, or after cfg.max_iterations steps. The starts of
-    each input are the diagonal blocks of the row-grouping coherification
-    (feasible, so the result is never below its purity, the known lower
-    bound) and cfg.restarts - 1 random block-diagonal points. The best point
-    of each input is coupled and projected once more.
+    its projection fails, or after cfg.max_iterations steps. All starts of
+    an input stop once its best f reaches |mu_upper(T)|^2 - 1e-10: mu_upper
+    majorizes every feasible spectrum, so no point is purer than that
+    ceiling, and the input is optimal to within 1e-10 (each input of a
+    batch stops on its own ceiling). The starts of each input are the
+    diagonal blocks of the row-grouping coherification (feasible, so the
+    result is never below its purity, the known lower bound) and
+    cfg.restarts - 1 random block-diagonal points. The best point of each
+    input is coupled and projected once more.
 
     Every projection works to the residual min(cfg.tolerance, 1e-9). The
     value returned is the purity of a point feasible to that residual, at a
-    local maximum of f: it is no optimality certificate, and it can exceed
-    the true optimum by a few 1e-9. Raises ConvergenceFailure when no start
-    of an input reaches a feasible point.
+    local maximum of f: short of the ceiling it is no optimality
+    certificate, and it can exceed the true optimum by a few 1e-9. Raises
+    ConvergenceFailure when no start of an input reaches a feasible point.
     """
     return maximize_purity_many([t], cfg)[0]
 
@@ -589,12 +611,14 @@ def _phase_waves(d: int, cfg: OracleConfig):
 
 # Levenberg-Marquardt on the phases: a fresh restart's damping, the factors
 # that divide it after an accepted step and multiply it after a rejected
-# one, the damping past which a restart has stalled, and the objective below
-# which it is solved
+# one, the damping past which a restart has stalled, the objective below
+# which it is solved, and the objective below which a leaving restart is
+# near enough a witness to be polished
 _LM_DAMPING = 1e-3
 _LM_DOWN, _LM_UP = 3.0, 2.0
 _LM_STALL = 1e12
 _LM_SOLVED = 1e-24
+_LM_NEAR = 1e-10
 
 
 def _phase_residual(m: np.ndarray, phi: np.ndarray, jk, dirs: np.ndarray):
@@ -634,8 +658,10 @@ def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
     accepted step (the objective falls) divides lambda by 3, a rejected one
     multiplies it by 2. A restart leaves the batch when its objective drops
     below 1e-24, after max_iterations steps, or once lambda passes 1e12 (it
-    has stalled); it is then polished and verified at once. Restarts
-    leaving together are verified in restart order.
+    has stalled); if its objective is below 1e-10 it is then polished and
+    verified at once, and otherwise dropped: a restart stalled far from a
+    witness costs up to 50 SVDs of polish for nothing. Restarts leaving
+    together are verified in restart order.
     """
     from .stochastic import _moduli_polish, _verify_witness
 
@@ -665,7 +691,7 @@ def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
             return None
         out = (f < _LM_SOLVED) | (left == 0) | (lam > _LM_STALL)
         if out.any():
-            for phases in phi[out]:
+            for phases in phi[out & (f < _LM_NEAR)]:
                 w = _moduli_polish(m * np.exp(1j * phases), t)
                 if _verify_witness(w, t):
                     return w
@@ -692,9 +718,10 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     Inf. Dyn. 13, 2006), and drives the strict upper triangle of U^dag U to
     zero by Levenberg-Marquardt on the (d - 1)^2 free phases, a
     zero-residual least-squares problem on which it converges quadratically
-    near a regular solution; each candidate is finished by an alternating
-    moduli/polar polish. Restart 0 uses zero phases (catching permutations
-    and real-orthogonal cases), restart 1 Fourier phases, the rest random.
+    near a regular solution; each candidate whose squared residual is below
+    1e-10 is finished by an alternating moduli/polar polish. Restart 0 uses
+    zero phases (catching permutations and real-orthogonal cases), restart
+    1 Fourier phases, the rest random.
     Restart 0 makes U real, where J^T R vanishes, so only its polish runs.
     The others run batched in lockstep (see _phase_lm): restart 1 takes its
     first step alone, the random ones join from the second, and the search

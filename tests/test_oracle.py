@@ -130,7 +130,8 @@ def _kron_input(a, b):
 
 def _sequential_search(t, cfg):
     """Reference: Levenberg-Marquardt one restart at a time, each to its exit,
-    with the Jacobian built entry by entry."""
+    with the Jacobian built entry by entry; a restart is polished only if it
+    exits with |R|^2 below 1e-10 (restart 0, the zero phases, always)."""
     from coherify.oracle import _rng
     from coherify.stochastic import _moduli_polish, _verify_witness
 
@@ -172,6 +173,8 @@ def _sequential_search(t, cfg):
                     phi, res, jac, f, lam = trial, res_new, jac_new, f_new, lam / 3
                 else:
                     lam *= 2
+        if r > 0 and f >= 1e-10:
+            continue
         u = _moduli_polish(m * np.exp(1j * phi), t)
         if _verify_witness(u, t):
             return u
@@ -237,6 +240,50 @@ def test_rand_channel_valid():
         assert np.abs(classical_action(ch).sum(axis=0) - 1).max() < 1e-9
 
 
+def test_maximize_purity_stops_at_the_ceiling(monkeypatch):
+    # every start of a permutation reaches |mu_upper|^2 = 1 in its first
+    # ascent step, which certifies the input: one ascent projection, then
+    # the polish
+    import coherify.oracle as oracle
+
+    calls = []
+    project = oracle._project
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_project", counted)
+    _, pur = maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
+    assert calls == [64, 1]
+    assert abs(pur - 1.0) <= 1e-9
+
+
+def test_maximize_purity_certificate_is_per_input():
+    # one zero pattern: the three inputs ascend in one batch. t_cert reaches
+    # its ceiling and stops its own starts, never t_x's
+    from coherify.oracle import maximize_purity_many
+
+    def dense(seed):
+        m = np.random.default_rng(seed).uniform(0.02, 1.0, (3, 3))
+        return m / m.sum(axis=0, keepdims=True)
+
+    t_cert = np.array([[0.51, 0.12, 0.33], [0.27, 0.64, 0.21], [0.22, 0.24, 0.46]])
+    t_cert /= t_cert.sum(axis=0, keepdims=True)
+    t_y, t_x = dense(0), dense(10)
+    cfg = OracleConfig(seed=5, restarts=8)
+    (_, p_cert), (ch_a, p_a) = maximize_purity_many([t_cert, t_x], cfg)
+    (_, p_y), (ch_b, p_b) = maximize_purity_many([t_y, t_x], cfg)
+
+    def ceiling(t):
+        return float(mu_upper(t) @ mu_upper(t))
+
+    assert p_cert >= ceiling(t_cert) - 1e-10
+    assert p_y < ceiling(t_y) - 1e-6 and p_a < ceiling(t_x) - 1e-6
+    assert p_a == p_b
+    assert np.array_equal(ch_a.jam, ch_b.jam)
+
+
 def test_maximize_purity_deterministic():
     cfg = OracleConfig(seed=9, restarts=3)
     ch1, p1 = maximize_purity(T_EXAMPLE, cfg)
@@ -289,8 +336,8 @@ def test_project_batch_equals_members_alone():
         per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
         shared = feas.target(T_EXAMPLE)
         # growing perturbations need more Newton steps
-        x0 = np.stack([feas.random_start(per_member[i], _rng(5, i)) * (1 + 2 * i)
-                       for i in range(6)])
+        x0 = feas.random_starts(per_member, [_rng(5, i) for i in range(6)])
+        x0 *= (1 + 2 * np.arange(6))[:, None, None, None]
         early = _project(feas, x0, per_member, 1e-9, 4)[1]
         late = _project(feas, x0, per_member, 1e-9, 6)[1]
         # members leave at different iterations, and some hit the cap
@@ -311,11 +358,35 @@ def test_project_batch_equals_members_alone():
                         assert np.array_equal(dual[i], dual1[0])
 
 
+def _random_start_reference(feas, target, rng):
+    """One start at a time, as a (nb, s, s) layout point."""
+    env = np.sqrt(np.outer(target, target))
+    scale = rng.uniform(0.1, 0.9)
+    g = rng.standard_normal((feas.n, feas.n)) + 1j * rng.standard_normal((feas.n, feas.n))
+    x = np.diag(target) + scale * (g + g.conj().T) / 2 * env
+    out = np.zeros((feas.nb, feas.s, feas.s), dtype=np.complex128)
+    out[feas._in_layout] = x[feas._in_support]
+    return out
+
+
+def test_random_starts_match_one_at_a_time_reference():
+    t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
+        shared = feas.target(T_EXAMPLE)
+        per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(5)])
+        for target in (shared, per_member):
+            x = feas.random_starts(target, [_rng(4, i) for i in range(5)])
+            for i in range(5):
+                tg = target if target.ndim == 1 else target[i]
+                assert np.array_equal(x[i], _random_start_reference(feas, tg, _rng(4, i)))
+
+
 def test_project_ignores_input_layout():
     for blocks in LAYOUTS:
         feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
         target = feas.target(T_EXAMPLE)
-        x = np.stack([feas.random_start(target, _rng(6, i)) for i in range(5)])
+        x = feas.random_starts(target, [_rng(6, i) for i in range(5)])
         f_ordered = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)   # equal values
         assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
         y, ok, _ = _project(feas, x, target, 1e-9, 50)
@@ -363,7 +434,8 @@ def test_project_matches_dykstra_reference():
         feas = _FeasibleSet.for_action(t)
         target = feas.target(t)
         # scaled away from the set, so that the cone clips eigenvalues
-        x0 = np.stack([(1.5 + i) * feas.random_start(target, _rng(8, i)) for i in range(3)])
+        x0 = feas.random_starts(target, [_rng(8, i) for i in range(3)])
+        x0 *= (1.5 + np.arange(3))[:, None, None, None]
         y, ok, _ = _project(feas, x0, target, 1e-11, 100)
         assert ok.all()
         for i in range(len(x0)):
@@ -393,7 +465,7 @@ def test_project_properties(case):
     for blocks in LAYOUTS:
         feas = _FeasibleSet.for_action(t, blocks)
         target = feas.target(t)
-        x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
+        x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(4)])
         tol = 1e-9
         y, ok, _ = _project(feas, x0, target, tol, 100)
         assert ok.all()
@@ -420,7 +492,7 @@ def test_project_keeps_block_diagonal_points_block_diagonal(case):
     target = feas.target(t)
     blk = feas.support // feas.d
     cross = blk[:, None] != blk[None, :]
-    x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(4)])
+    x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(4)])
     x0[:, 0, cross] = 0.0
     x0_blocks = blocks.compress(feas.embed(x0))
     assert np.array_equal(blocks.embed(x0_blocks), feas.embed(x0))
@@ -439,7 +511,7 @@ def test_project_from_its_own_multipliers_takes_no_step():
     for blocks in LAYOUTS:
         feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
         target = feas.target(T_EXAMPLE)
-        x0 = np.stack([3.0 * feas.random_start(target, _rng(9, i)) for i in range(5)])
+        x0 = 3.0 * feas.random_starts(target, [_rng(9, i) for i in range(5)])
         y, ok, dual = _project(feas, x0, target, 1e-9, 50)
         assert ok.all()
         # a cap of 0 allows no Newton step, so every member converges at its start
@@ -455,7 +527,7 @@ def test_project_warm_start_reaches_the_same_point(case, scale):
     for blocks in LAYOUTS:
         feas = _FeasibleSet.for_action(t, blocks)
         target = feas.target(t)
-        x0 = np.stack([2.0 * feas.random_start(target, _rng(seed, i)) for i in range(3)])
+        x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(3)])
         y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
         tol = 1e-11
         cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
