@@ -3,7 +3,7 @@
 Run from the root of a source checkout:
 
     python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
-        --out BENCH_certexit.json
+        --out BENCH_warmchoice.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -21,25 +21,32 @@ alternating which tree runs first, and times:
   action; the number of starts that converged is reported.
 
 The validate round is also split into phases by wrapping oracle functions:
-``sample_fixed_action``; inside ``_maximize_group`` the ascent, up to the
-end of its second-to-last ``_project`` call, and ``couple_polish``, the rest
-of the call: the coupling of each input's best point and the final
-polish (in trees that stack a face and a coupling stage, ``ascent`` holds
-them too). ``other`` is the rest of the round: the CLI's checks of the
-samples against the bounds. Each phase also counts the matrices
-``np.linalg.eigh`` decomposed, the sum of their sizes cubed, the Newton
-iterations of the projection (its batched ``np.linalg.solve`` calls), its
-Newton member-steps (the linear systems those calls solved, one per member
-and iteration) and the step halvings of its line search (each member's
-evaluations of the dual beyond the first of each projection and the one
-after each Newton step).
+``sample_fixed_action`` splits into ``sampler_projection``, its ``_project``
+call, ``sampler_checks``, its construction of the ``Channel`` objects with
+their checks (``Channel`` or ``Channel.from_stack``), and ``sampler_other``,
+the rest: drawing the starts and embedding the projected points; inside
+``_maximize_group`` the ascent, up to the end of its second-to-last
+``_project`` call, and ``couple_polish``, the rest of the call: the coupling
+of each input's best point and the final polish (in trees that stack a face
+and a coupling stage, ``ascent`` holds them too). ``other`` is the rest of
+the round: the CLI's checks of the samples against the bounds. Each phase
+also counts the matrices ``np.linalg.eigh`` decomposed, the sum of their
+sizes cubed, the Newton iterations of the projection (its batched
+``np.linalg.solve`` calls), its Newton member-steps (the linear systems
+those calls solved, one per member and iteration) and the step halvings of
+its line search (each member's evaluations of the dual beyond those at the
+start of each projection, one or, where it chooses between two starts,
+two, and the one after each Newton step).
 
 Once per tree, outside the timed runs, one interpreter runs the gates:
 ``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on 16 dense
 4x4 actions (``default_rng(500..515)``), 8 dense 5x5 actions
 (``default_rng(505..512)``), one dense 6x6 action (``default_rng(406)``) and
 one dense 8x8 action (``default_rng(408)``), each with entries from
-[0.02, 1) and columns normalized, timing every call; and the 48 reports of
+[0.02, 1) and columns normalized. Each 4x4 and 5x5 call is timed once; the
+6x6 and the 8x8 action are each called once untimed, to warm up at that
+size, then timed as the median of 3 calls. The gates also collect the 48
+reports of
 round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
 optimum: the purity of ``coherify_auto``'s channel where that construction
 is flagged optimal (the three qutrit families, the flat input among them),
@@ -62,13 +69,12 @@ value above it is a point feasible only to the tolerance, not a level to
 keep, and a sum of values each feasible only to 1e-9 says nothing that the
 per-input rule does not. The gates: no validate, 4x4 or 5x5 input ends more
 than 1e-9 below its reference, and no 4x4 or 5x5 input falls by more than
-1e-4 against the base revision; the validate round's ascent takes at most
-three quarters of the base revision's Newton member-steps; criterion 3's
-largest gap is at most 1e-9, its largest excess at most 1e-8, and its
-median call no slower than the base revision's; the median 5x5 call takes
-under 2 s and no longer than the base revision's, the 6x6 call under 10 s
-and no longer than the base revision's, and the 8x8 call under a third of
-the base revision's.
+1e-4 against the base revision; the validate round's ascent takes no more
+Newton member-steps than the base revision's; criterion 3's largest gap is
+at most 1e-9, its largest excess at most 1e-8, and its median call no
+slower than the base revision's; the median 5x5 call takes under 2 s and no
+longer than the base revision's, the 6x6 call under 10 s and no longer than
+the base revision's, and the 8x8 call no longer than the base revision's.
 """
 
 from __future__ import annotations
@@ -90,13 +96,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
-PHASES = ("sample_fixed_action", "ascent", "couple_polish")
+PHASES = ("sampler_projection", "sampler_checks", "sampler_other", "ascent", "couple_polish")
 COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
           "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
-# dense actions of the gates: (d, seeds of default_rng)
-DENSE_GATES = {"dense4": (4, range(500, 516)), "dense5": (5, range(505, 513)),
-               "dense6": (6, (406,)), "dense8": (8, (408,))}
+# dense actions of the gates: (d, seeds of default_rng, timed calls per
+# input); an input timed more than once is warmed up first
+DENSE_GATES = {"dense4": (4, range(500, 516), 1), "dense5": (5, range(505, 513), 1),
+               "dense6": (6, (406,), 3), "dense8": (8, (408,), 3)}
 SMALL_ENTRY_ACTION = [[0.4043, 0.4914, 0.2938],
                       [0.4544, 0.2575, 0.7058],
                       [0.1413, 0.2511, 0.0004]]
@@ -123,7 +130,7 @@ def _criterion3_inputs():
 
 # what the wrappers count; step halvings are derived from the last three
 RAW_COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
-              "dual_points", "projected")
+              "dual_points", "start_points")
 
 
 def _time_phases(oracle) -> tuple[dict, dict]:
@@ -165,13 +172,30 @@ def _time_phases(oracle) -> tuple[dict, dict]:
         return eigh(a, *args, **kwargs)
 
     def sample_fixed_action(*args, **kwargs):
-        state["phase"] = "sample_fixed_action"
+        state["phase"] = "sampler_other"
         t0 = time.perf_counter()
         try:
             return sampler(*args, **kwargs)
         finally:
-            phases["sample_fixed_action"] += time.perf_counter() - t0
+            phases["sampler_other"] += time.perf_counter() - t0
             state["phase"] = "other"
+
+    def sampler_part(phase, fn):
+        """Inside the sampler, move fn's time and work from sampler_other
+        to phase."""
+        def wrapped(*args, **kwargs):
+            if state["phase"] != "sampler_other":
+                return fn(*args, **kwargs)
+            state["phase"] = phase
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                phases[phase] += elapsed
+                phases["sampler_other"] -= elapsed
+                state["phase"] = "sampler_other"
+        return wrapped
 
     def maximize_group(*args, **kwargs):
         group_work.update(dict.fromkeys(RAW_COUNTS, 0))
@@ -191,17 +215,29 @@ def _time_phases(oracle) -> tuple[dict, dict]:
                 work["couple_polish"][key] += group_work[key] - split_work[key]
 
     def project(*args, **kwargs):
-        bucket()["projected"] += len(args[1])       # the members of x0
+        state["start"] = True
         try:
             return projection(*args, **kwargs)
         finally:
             if state["phase"] == "group":
                 marks.append((time.perf_counter(), dict(group_work)))
 
+    channel = sampler_part("sampler_checks", oracle.Channel)
+    if hasattr(oracle.Channel, "from_stack"):
+        channel.from_stack = sampler_part("sampler_checks", oracle.Channel.from_stack)
     oracle.sample_fixed_action = sample_fixed_action
     oracle._maximize_group = maximize_group
-    oracle._project = project
-    oracle._dual_point = counted(dual_point, "dual_points", 1)
+    oracle._project = sampler_part("sampler_projection", project)
+    oracle.Channel = channel
+    def dual_point_counted(*args, **kwargs):
+        members = len(args[1])
+        bucket()["dual_points"] += members
+        # the first evaluation of each projection is at its start(s)
+        if state.pop("start", False):
+            bucket()["start_points"] += members
+        return dual_point(*args, **kwargs)
+
+    oracle._dual_point = dual_point_counted
     np.linalg.eigh = eigh_counted
     np.linalg.solve = counted(np.linalg.solve, "newton_member_steps", 0, "newton_iterations")
     return phases, work
@@ -209,12 +245,12 @@ def _time_phases(oracle) -> tuple[dict, dict]:
 
 def _step_halvings(work: dict) -> dict:
     """Per phase, ``COUNTS`` from ``RAW_COUNTS``: each projection evaluates
-    the dual once per member at its start and once per member after each
-    Newton step, so the other evaluations are step halvings."""
+    the dual at its start(s) and once per member after each Newton step, so
+    the other evaluations are step halvings."""
     return {
         phase: {**{key: raw[key] for key in COUNTS[:-1]},
                 "step_halvings": raw["dual_points"] - raw["newton_member_steps"]
-                - raw["projected"]}
+                - raw["start_points"]}
         for phase, raw in work.items()
     }
 
@@ -307,15 +343,22 @@ def worker(tree: Path, task: str) -> dict:
         cfg = oracle.OracleConfig(seed=42, restarts=4)
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
         gates = {}
-        for name, (d, seeds) in DENSE_GATES.items():
+        for name, (d, seeds, calls) in DENSE_GATES.items():
             gate = gates[name] = {"purities": [], "seconds": [], "mu_upper_sq": []}
             for seed in seeds:
                 m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
                 t = m / m.sum(axis=0, keepdims=True)
-                t0 = time.perf_counter()
-                _, purity = oracle.maximize_purity(t, cfg)
-                gate["seconds"].append(time.perf_counter() - t0)
-                gate["purities"].append(purity)
+                if calls > 1:
+                    oracle.maximize_purity(t, cfg)
+                seconds, purities = [], set()
+                for _ in range(calls):
+                    t0 = time.perf_counter()
+                    purities.add(oracle.maximize_purity(t, cfg)[1])
+                    seconds.append(time.perf_counter() - t0)
+                if len(purities) != 1:
+                    raise SystemExit(f"{name} input {seed}: purity differs between calls")
+                gate["seconds"].append(statistics.median(seconds))
+                gate["purities"].append(purities.pop())
                 gate["mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)))
         return gates
     with tempfile.TemporaryDirectory() as workdir:
@@ -391,7 +434,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_certexit.json")
+    p.add_argument("--out", default="BENCH_warmchoice.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=TASKS + ("gates", "reports"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -520,7 +563,7 @@ def main(argv=None) -> int:
     report["purity"]["gates_hold"] = {
         "validate_worst_input": report["purity"]["validate_reports"]["worst_below_reference"]
         >= -1e-9,
-        "validate_ascent_member_steps_down_25pct": ascent["after"] <= 0.75 * ascent["before"],
+        "validate_ascent_member_steps_no_more": ascent["after"] <= ascent["before"],
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
         "criterion3_median_call_no_slower": c3_median["after"] <= c3_median["before"],
@@ -531,7 +574,7 @@ def main(argv=None) -> int:
         "dense5_median_call_no_slower": calls["dense5"]["after"] <= calls["dense5"]["before"],
         "dense6_call_under_10s": calls["dense6"]["after"] < 10.0,
         "dense6_call_no_slower": calls["dense6"]["after"] <= calls["dense6"]["before"],
-        "dense8_call_under_a_third": calls["dense8"]["after"] < calls["dense8"]["before"] / 3,
+        "dense8_call_no_slower": calls["dense8"]["after"] <= calls["dense8"]["before"],
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

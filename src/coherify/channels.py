@@ -18,10 +18,38 @@ import threading
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotTracePreserving
-from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
+from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize
 from .states import assert_density_matrix, shannon_entropy, spectrum
 
 KRAUS_RANK_TOL = 1e-10
+
+
+def _checked_jams(jams: np.ndarray, atol: float, atol_psd: float) -> np.ndarray:
+    """Hermitian parts of a (B, d^2, d^2) stack of Jamiolkowski states.
+
+    The checks run in :class:`Channel`'s order, each once on the whole
+    stack: shape, Hermiticity, positivity (one batched eigvalsh) and trace
+    preservation. A stack with one bad member raises what Channel raises on
+    that member alone; the message names the first failing member's value.
+    """
+    n = jams.shape[-1]
+    d = int(round(np.sqrt(n)))
+    if jams.shape[1] != n or d * d != n or not n:
+        raise DimensionMismatch(f"J must be d^2 x d^2, got {jams.shape[1:]}")
+    herm = np.abs(jams - dag(jams)).max(axis=(-2, -1), initial=0.0)
+    if (herm > atol).any():
+        raise NotHermitian(f"J is not Hermitian: deviation {herm[herm > atol][0]:.3e}")
+    jams = hermitize(jams)
+    wmin = np.linalg.eigvalsh(jams).min(axis=-1, initial=np.inf)
+    bad = wmin < -max(atol_psd, atol)
+    if bad.any():
+        raise ValueError(f"J is not positive semi-definite: min eigenvalue {wmin[bad][0]:.3e}")
+    pt = np.einsum("bakal->bkl", jams.reshape(-1, d, d, d, d))
+    pt_err = np.abs(pt - np.eye(d) / d).max(axis=(-2, -1), initial=0.0)
+    if (pt_err > atol).any():
+        raise ValueError(
+            f"J violates trace preservation: |Tr_1 J - 1/d| = {pt_err[pt_err > atol][0]:.3e}")
+    return jams
 
 
 class Channel:
@@ -32,26 +60,8 @@ class Channel:
     """
 
     def __init__(self, jam, kraus=None, *, atol: float = 1e-9, atol_psd: float = 1e-10):
-        jam = as_complex_matrix(jam, "J")
-        n = jam.shape[0]
-        d = int(round(np.sqrt(n)))
-        if jam.shape != (n, n) or d * d != n:
-            raise DimensionMismatch(f"J must be d^2 x d^2, got {jam.shape}")
-        herm = np.abs(jam - dag(jam)).max()
-        if herm > atol:
-            raise NotHermitian(f"J is not Hermitian: deviation {herm:.3e}")
-        jam = hermitize(jam)
-        wmin = np.linalg.eigvalsh(jam).min()
-        if wmin < -max(atol_psd, atol):
-            raise ValueError(f"J is not positive semi-definite: min eigenvalue {wmin:.3e}")
-        pt_err = np.abs(partial_trace(jam, d, "first") - np.eye(d) / d).max()
-        if pt_err > atol:
-            raise ValueError(f"J violates trace preservation: |Tr_1 J - 1/d| = {pt_err:.3e}")
-        self._jam = jam
-        self._jam.setflags(write=False)
-        self.dim = d
-        self.atol = atol
-        self._kraus_lock = threading.Lock()
+        jam = _checked_jams(as_complex_matrix(jam, "J")[None], atol, atol_psd)[0]
+        self._set_jam(jam, atol)
         if kraus is not None:
             kraus = [as_complex_matrix(k, "K") for k in kraus]
             tp_err = _tp_deviation(kraus)
@@ -61,6 +71,34 @@ class Channel:
             if rec_err > atol:
                 raise ValueError(f"Kraus list does not reproduce J: deviation {rec_err:.3e}")
         self._kraus = kraus
+
+    @classmethod
+    def from_stack(cls, jams, *, atol: float = 1e-9, atol_psd: float = 1e-10) -> list["Channel"]:
+        """One channel per matrix of a (B, d^2, d^2) stack, each equal to
+        ``Channel(jams[i], atol=atol, atol_psd=atol_psd)``, with the checks
+        run once on the whole stack."""
+        try:
+            jams = as_complex_matrix(jams, "J", stack=True)
+        except ValueError:
+            # members of different shapes: each is checked alone
+            return [cls(jam, atol=atol, atol_psd=atol_psd) for jam in jams]
+        if jams.ndim != 3:
+            raise DimensionMismatch(f"J must be a stack of d^2 x d^2 matrices, got {jams.shape}")
+        jams = _checked_jams(jams, atol, atol_psd)
+        channels = []
+        for jam in jams:
+            ch = cls.__new__(cls)
+            ch._set_jam(jam, atol)
+            ch._kraus = None
+            channels.append(ch)
+        return channels
+
+    def _set_jam(self, jam: np.ndarray, atol: float) -> None:
+        self._jam = jam
+        self._jam.setflags(write=False)
+        self.dim = int(round(np.sqrt(jam.shape[0])))
+        self.atol = atol
+        self._kraus_lock = threading.Lock()
 
     @property
     def jam(self) -> np.ndarray:

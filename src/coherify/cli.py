@@ -374,7 +374,8 @@ def cmd_validate(args) -> int:
     viol_t1 = violations_of(bounds_mod.theorem1_bound(jams), 1e-9)
     viol_pp = viol_pm = 0
     if poly is not None:
-        viol_pp = sum(ch_mod.channel_purity(smp) > poly.purity_upper + slack for smp in samples)
+        purities = (np.abs(jams) ** 2).sum(axis=(-2, -1))
+        viol_pp = int((purities > poly.purity_upper + slack).sum())
         viol_pm = violations_of(poly.majorization_upper, slack)
     best_ch, best_purity = oracle_mod.maximize_purity(t, cfg)
     bracket = (float(lo @ lo), float(up @ up))

@@ -12,8 +12,8 @@ affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
 quadratically on that dual, also where some entries of T are tiny. The
 projection returns its multipliers. A projection without earlier ones (the
 sampler's, and the first of each purity ascent) starts from the affine
-projection's multipliers; every later step of the ascent starts from the
-previous step's.
+projection's multipliers; every later step of the ascent evaluates the dual
+at both those and the previous step's, and each start takes the lower.
 
 The purity maximizer works in block space: every constraint lies in the
 diagonal blocks of J, and the largest purity over the states with given
@@ -31,8 +31,9 @@ it converges quadratically near a regular solution. Its restarts run
 batched in lockstep, and it stops at the first witness that verifies.
 
 Randomness comes from the counter-based Philox generator, keyed by
-``seed + stream index``, so runs are bit-reproducible, and a member's
-projection does not depend on the batch it is projected in.
+``seed + stream index`` (one Philox, re-keyed per stream by
+:func:`_streams`), so runs are bit-reproducible, and a member's projection
+does not depend on the batch it is projected in.
 """
 
 from __future__ import annotations
@@ -85,8 +86,30 @@ class OracleConfig:
             raise ValueError("tolerance must be positive")
 
 
+def _streams(seed: int, streams):
+    """One generator per stream index, each drawing what
+    ``Generator(Philox(key=seed + stream))`` draws.
+
+    All of them are one Philox, re-keyed through its state setter before each
+    is yielded, so a generator must be used up before the next is taken; a
+    new Philox would cost a SeedSequence built from OS entropy and then
+    discarded.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    # the state of a fresh Philox(key=k): counter and buffer zero, buffer empty
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    for stream in streams:
+        key[0] = np.uint64(seed) + np.uint64(stream)
+        bitgen.state = state
+        yield rng
+
+
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(stream)))
+    return next(_streams(seed, [stream]))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,23 +311,28 @@ class _FeasibleSet:
 
     def random_starts(self, target: np.ndarray, rngs) -> np.ndarray:
         """Random Hermitian starts near the feasible set, one layout point per
-        generator, as a (len(rngs), nb, s, s) stack.
+        generator, as a (B, nb, s, s) stack for B generators.
 
-        Each generator draws the start's scale, then the real and the
-        imaginary part of its noise; the arithmetic then runs once on the
-        stack. target is one diagonal target for every start or one per
-        start. Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest
+        rngs is any iterable of generators, consumed lazily: each generator
+        draws the start's scale, then the real and the imaginary part of its
+        noise, before the next is taken (so :func:`_streams` can re-key one
+        Philox between them); the arithmetic then runs once on the stack.
+        target is one diagonal target for every start or one per start.
+        Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest
         modulus the PSD cone allows at that position, so starts stay well
         conditioned even when some diagonal targets are tiny. The block
         layout keeps the noise inside the blocks.
         """
-        size, n = len(rngs), self.n
+        n = self.n
+        scale, re, im = [], [], []
+        for rng in rngs:
+            scale.append(rng.uniform(0.1, 0.9))
+            re.append(rng.standard_normal((n, n)))
+            im.append(rng.standard_normal((n, n)))
+        size = len(scale)
+        scale = np.array(scale)
+        re, im = np.array(re).reshape(size, n, n), np.array(im).reshape(size, n, n)
         target = np.broadcast_to(target, (size, n))
-        scale = np.empty(size)
-        re, im = np.empty((size, n, n)), np.empty((size, n, n))
-        for i, rng in enumerate(rngs):
-            scale[i] = rng.uniform(0.1, 0.9)
-            re[i], im[i] = rng.standard_normal((n, n)), rng.standard_normal((n, n))
         env = np.sqrt(target[:, :, None] * target[:, None, :])
         g = re + 1j * im
         x = scale[:, None, None] * (g + np.swapaxes(g.conj(), -1, -2)) / 2 * env
@@ -371,11 +399,13 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     the support are dropped. Minimizes the dual theta(y) = |Pi_+(S + A^*
     y)|^2 / 2 - b.y, whose minimizer gives the projection Y = Pi_+(S + A^* y)
     and whose gradient is A(Y) - b, by semismooth Newton with Armijo
-    backtracking. It starts from the multipliers y0, one row per member, or
-    from the affine projection's multipliers when y0 is None. Returns (Y,
-    converged, y): Y is exactly PSD and C-ordered, y holds each member's
-    final multipliers, so that Y = Pi_+(S + A^* y); a member is converged,
-    and leaves the batch, once feas.residual(Y) <= tol, and max_iter caps its
+    backtracking. It starts from the affine projection's multipliers (b -
+    A(S)) / gram; given y0, one row per member, it evaluates theta at both
+    in one batched eigendecomposition, and each member starts from the one
+    with the lower theta, the affine one on a tie. Returns (Y, converged,
+    y): Y is exactly PSD and C-ordered, y holds each member's final
+    multipliers, so that Y = Pi_+(S + A^* y); a member is converged, and
+    leaves the batch, once feas.residual(Y) <= tol, and max_iter caps its
     Newton steps (a member that starts converged takes none). target is one
     diagonal target for every member or one per member. Each member's
     arithmetic does not depend on the rest of the batch, so projecting a
@@ -389,11 +419,17 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     target = np.broadcast_to(target, (size, feas.n))
     b = np.zeros((size, feas.m))
     b[:, :feas.n] = target
+    y = (b - feas.constraints(s)) / feas.gram
     if y0 is None:
-        y = (b - feas.constraints(s)) / feas.gram
+        w, v, theta, slack = _dual_point(feas, s, y, b)
     else:
-        y = np.asarray(y0, dtype=np.float64)
-    w, v, theta, slack = _dual_point(feas, s, y, b)
+        # both starts in one eigh call; each member keeps the lower theta,
+        # the affine one on a tie
+        y = np.concatenate([y, np.asarray(y0, dtype=np.float64)])
+        both = _dual_point(feas, np.concatenate([s, s]), y, np.concatenate([b, b]))
+        pick = np.arange(size) + size * (both[2][size:] < both[2][:size])
+        y = y[pick]
+        w, v, theta, slack = (part[pick] for part in both)
     out = np.empty_like(s)
     y_out = np.empty_like(y)
     converged = np.zeros(size, dtype=bool)
@@ -442,14 +478,14 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     t = assert_transition_matrix(t)
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    starts = feas.random_starts(target, [_rng(cfg.seed, i) for i in range(n)])
+    starts = feas.random_starts(target, _streams(cfg.seed, range(n)))
     y, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
     if not ok.all():
         raise ConvergenceFailure(
             f"{int((~ok).sum())} of {n} samples did not reach tolerance "
             f"{cfg.tolerance} within {cfg.max_iterations} Newton steps"
         )
-    return [Channel(feas.embed(y[i]), atol=1e-6) for i in range(n)]
+    return Channel.from_stack(feas.embed(y), atol=1e-6)
 
 
 def _purity(x: np.ndarray) -> np.ndarray:
@@ -489,8 +525,8 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     x = np.empty((len(group) * per, blocks.nb, blocks.s, blocks.s), dtype=np.complex128)
     x[::per] = blocks.compress(np.stack([coherify_c0(t).channel.jam for t in group]))
     random = np.flatnonzero(np.arange(len(x)) % per)
-    x[random] = blocks.random_starts(targets[random], [
-        _rng(cfg.seed, 10_000 + global_idx[i // per] * per + i % per) for i in random])
+    x[random] = blocks.random_starts(targets[random], _streams(
+        cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
 
     def f_and_grad(x):
         w, v = np.linalg.eigh(x)
@@ -504,7 +540,8 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # The starts themselves are not projected (nor counted as feasible): each
     # takes its first step from where it is. The gradient has entries in the
     # padding rows; the projection drops them. The first projection starts
-    # from the affine multipliers, every later one from its start's last.
+    # from the affine multipliers, every later one from the better of those
+    # and its start's last.
     # Once an input's best f reaches its ceiling to 1e-10 it is optimal to
     # that margin, and all its starts stop
     _, g = f_and_grad(x)
@@ -552,7 +589,9 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     projection of a block-diagonal point is block diagonal, so it runs on
     the d diagonal blocks alone (the block layout of _FeasibleSet). The
     first step's projection starts from the affine projection's
-    multipliers, each later one from the multipliers of the step before. f
+    multipliers; each later one, start by start, from whichever of those
+    and the multipliers of the step before has the lower dual objective
+    (after a long first step the affine ones often need no Newton step). f
     is convex, so from a feasible point every step gains at least its own
     squared length; a start stops once its gain is at most 1e-12 f, when
     its projection fails, or after cfg.max_iterations steps. All starts of
@@ -604,8 +643,8 @@ def _phase_waves(d: int, cfg: OracleConfig):
         yield (2 * np.pi * np.outer(j, j) / d)[None]
     if cfg.restarts > 2:
         yield np.stack([
-            _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
-            for r in range(2, cfg.restarts)
+            rng.uniform(0, 2 * np.pi, size=(d, d))
+            for rng in _streams(cfg.seed, range(20_002, 20_000 + cfg.restarts))
         ])
 
 

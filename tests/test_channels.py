@@ -225,3 +225,61 @@ def test_non_hermitian_raises_not_hermitian_and_value_error():
         for exc in (NotHermitian, ValueError):
             with pytest.raises(exc, match="not Hermitian"):
                 build()
+
+
+def test_from_stack_equals_channel_per_member():
+    rng = np.random.default_rng(31)
+    for d in (2, 3):
+        jams = np.stack([rand_channel(d, rng).jam for _ in range(5)])
+        # an anti-Hermitian part below atol, which both routes symmetrize away
+        noise = rng.standard_normal(jams.shape) * 1e-9
+        jams = jams + 1j * (noise + np.swapaxes(noise, -1, -2))
+        channels = Channel.from_stack(jams, atol=1e-6)
+        assert len(channels) == len(jams)
+        for jam, ch in zip(jams, channels):
+            ref = Channel(jam, atol=1e-6)
+            assert np.array_equal(ch.jam, ref.jam)
+            assert not np.array_equal(ch.jam, jam)
+            assert (ch.dim, ch.atol) == (ref.dim, ref.atol)
+            assert not ch.jam.flags.writeable
+            assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, ref.kraus))
+    assert Channel.from_stack(np.zeros((0, 4, 4))) == []
+
+
+def _bad_members(d):
+    """(name, matrix) pairs, each failing one of Channel's checks."""
+    n = d * d
+    non_hermitian = np.eye(n, dtype=complex) / n
+    non_hermitian[0, 1] = 0.1
+    # an off-diagonal-block entry: Hermitian and trace preserving, not PSD
+    negative = np.eye(n, dtype=complex) / n
+    negative[0, d + 1] = negative[d + 1, 0] = 0.5
+    wrong_trace = np.zeros((n, n), dtype=complex)
+    wrong_trace[0, 0] = 1.0
+    return [("non_hermitian", non_hermitian), ("negative_eigenvalue", negative),
+            ("wrong_partial_trace", wrong_trace), ("wrong_shape", np.eye(n + 1) / (n + 1))]
+
+
+@pytest.mark.parametrize("name, bad", _bad_members(3))
+def test_from_stack_raises_what_channel_raises_on_the_bad_member(name, bad):
+    rng = np.random.default_rng(32)
+    members = [rand_channel(3, rng).jam for _ in range(4)]
+    with pytest.raises(Exception) as alone:
+        Channel(bad)
+    if bad.shape == members[0].shape:
+        stacks = [np.stack(members[:2] + [bad] + members[2:])]
+    else:
+        # a ragged list, and a stack whose every member has the wrong shape
+        stacks = [members[:2] + [bad] + members[2:], np.stack([bad] * 3)]
+    for stack in stacks:
+        with pytest.raises(Exception) as stacked:
+            Channel.from_stack(stack)
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_from_stack_rejects_a_single_matrix():
+    from coherify.errors import DimensionMismatch
+
+    with pytest.raises(DimensionMismatch):
+        Channel.from_stack(np.eye(4) / 4)

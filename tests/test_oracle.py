@@ -13,6 +13,7 @@ from coherify.oracle import (
     _FeasibleSet,
     _project,
     _rng,
+    _streams,
     haar_unitarity_mc,
     haar_unitary,
     maximize_purity,
@@ -20,6 +21,7 @@ from coherify.oracle import (
     sample_fixed_action,
     search_unistochastic_witness,
 )
+from coherify.states import spectrum
 from coherify.stochastic import classify, majorizes
 from test_acceptance import Budget
 
@@ -259,6 +261,37 @@ def test_maximize_purity_stops_at_the_ceiling(monkeypatch):
     assert abs(pur - 1.0) <= 1e-9
 
 
+def test_ascent_projections_after_the_first_take_no_newton_step(monkeypatch):
+    # validate's cyclic and polygon inputs at --seed 1: the second ascent
+    # projection starts from the affine multipliers, which beat the previous
+    # step's (from those it took 8-9 Newton iterations on every start), and
+    # then the input reaches its ceiling
+    import coherify.oracle as oracle
+    from coherify.constructions import coherify_auto
+
+    steps = []
+    project, newton_step = oracle._project, oracle._newton_step
+
+    def counted_project(*args, **kwargs):
+        steps.append(0)
+        return project(*args, **kwargs)
+
+    def counted_step(*args, **kwargs):
+        steps[-1] += 1
+        return newton_step(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_project", counted_project)
+    monkeypatch.setattr(oracle, "_newton_step", counted_step)
+    cyclic = np.array([[0.0, 0.3, 0.6], [0.5, 0.0, 0.4], [0.5, 0.7, 0.0]])
+    for t in (cyclic, T_FLAT_OFFDIAG):
+        steps.clear()
+        _, pur = maximize_purity(t, OracleConfig(seed=1))
+        assert len(steps) >= 3 and steps[1:] == [0] * (len(steps) - 1)
+        # the proven optimum (both are solved families)
+        res = coherify_auto(t)
+        assert res.optimal and abs(pur - channel_purity(res.channel)) <= 1e-12
+
+
 def test_maximize_purity_certificate_is_per_input():
     # one zero pattern: the three inputs ascend in one batch. t_cert reaches
     # its ceiling and stops its own starts, never t_x's
@@ -342,9 +375,22 @@ def test_project_batch_equals_members_alone():
         late = _project(feas, x0, per_member, 1e-9, 6)[1]
         # members leave at different iterations, and some hit the cap
         assert early.any() and (late & ~early).any() and not late.all()
-        # per-member warm starts: the multipliers of other points
+        # per-member warm starts: the multipliers of other points; then the
+        # members' own multipliers, which beat the affine start, alternating
+        # with far-off ones, which lose to it
         warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
-        for y0 in (None, warm):
+        own = _project(feas, x0, per_member, 1e-9, 50)[2]
+        far = 100.0 * _rng(5, 99).standard_normal(own.shape)
+        odd = np.arange(len(x0)) % 2 == 1
+        mixed = np.where(odd[:, None], own, far)
+        # the choice goes both ways: odd members start converged, even ones
+        # take the affine start's path
+        cold = _project(feas, x0, per_member, 1e-9, 4)
+        chosen = _project(feas, x0, per_member, 1e-9, 4, mixed)
+        assert chosen[1][odd].all() and not cold[1][odd].all()
+        for a, b in zip(cold, chosen):
+            assert np.array_equal(a[~odd], b[~odd])
+        for y0 in (None, warm, mixed):
             for target in (per_member, shared):
                 for cap in (4, 6):
                     y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
@@ -356,6 +402,30 @@ def test_project_batch_equals_members_alone():
                         assert np.array_equal(y[i], y1[0])
                         assert ok[i] == ok1[0]
                         assert np.array_equal(dual[i], dual1[0])
+
+
+def test_streams_match_a_fresh_philox_per_stream():
+    # the streams of the sampler, the ascent's random starts and the phase waves
+    streams = [*range(100), *range(10_000, 10_064), *range(20_002, 20_064)]
+    for seed in (0, 42, 2**32 - 1):
+        for stream, rng in zip(streams, _streams(seed, streams), strict=True):
+            ref = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(stream)))
+            assert rng.uniform(0.1, 0.9) == ref.uniform(0.1, 0.9)
+            assert np.array_equal(rng.standard_normal((3, 3)), ref.standard_normal((3, 3)))
+            assert np.array_equal(rng.uniform(0, 2 * np.pi, (3, 3)),
+                                  ref.uniform(0, 2 * np.pi, (3, 3)))
+        assert np.array_equal(_rng(seed, 7).standard_normal(5),
+                              np.random.Generator(np.random.Philox(key=seed + 7)).standard_normal(5))
+
+
+def test_random_starts_take_a_lazy_iterable():
+    for blocks in LAYOUTS:
+        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
+        target = feas.target(T_EXAMPLE)
+        listed = feas.random_starts(target, [_rng(4, i) for i in range(5)])
+        assert np.array_equal(feas.random_starts(target, _streams(4, range(5))), listed)
+        assert np.array_equal(feas.random_starts(target, (_rng(4, i) for i in range(5))), listed)
+        assert feas.random_starts(target, iter(())).shape == (0, feas.nb, feas.s, feas.s)
 
 
 def _random_start_reference(feas, target, rng):
@@ -536,6 +606,23 @@ def test_project_warm_start_reaches_the_same_point(case, scale):
         assert (feas.residual(warm, target) <= tol).all()
         # the projection is unique, so the start only changes the path to it
         assert np.abs(warm - cold).max() <= 1e-9
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions())
+def test_sampler_channels_lie_between_the_spectral_bounds(case):
+    # mu_upper(T) majorizes every feasible spectrum, and the spectrum of a
+    # Hermitian matrix majorizes its diagonal vec(T)/d (Schur-Horn). mu_lower
+    # is no bound here: it is the spectrum of one coherent construction and
+    # bounds only the optimum, which random samples fall short of
+    t, seed = case
+    d = t.shape[0]
+    samples = sample_fixed_action(t, 20, OracleConfig(seed=seed))
+    lam = spectrum(np.stack([smp.jam for smp in samples]))
+    for smp in samples:
+        assert np.abs(classical_action(smp) - t).max() <= 1e-6
+    assert majorizes(mu_upper(t), lam, slack=1e-6, sum_atol=1e-5).all()
+    assert majorizes(lam, t.reshape(-1) / d, slack=1e-6, sum_atol=1e-5).all()
 
 
 def test_sampler_small_entries_of_t():
