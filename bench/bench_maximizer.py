@@ -3,7 +3,7 @@
 Run from the root of a source checkout:
 
     python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
-        --out BENCH_warmchoice.json
+        --out BENCH_blocklayout.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
 directory. Each repeat starts one fresh interpreter per tree and task,
@@ -14,22 +14,27 @@ alternating which tree runs first, and times:
   ``"ok": true``), after one untimed warm-up call on a 2x2 input;
 - criterion 3's ``maximize_purity_many`` call (1000 qubit inputs drawn from
   ``default_rng(2026)``, ``OracleConfig(seed=42, restarts=3)``), after an
-  untimed call on its first 5 inputs;
-- the projection of ``sample_fixed_action``'s 100 starts for a 3x3 action
-  whose smallest entry is 4e-4 (``OracleConfig(seed=0)``: tolerance 1e-7,
-  2000 iterations), after an untimed projection of a well-conditioned
-  action; the number of starts that converged is reported.
+  untimed call on its first 5 inputs; one more, untimed call counts the
+  Newton iterations and member-steps of its ascent and of its final
+  projection (each ``_maximize_group`` call's last: the polish or the
+  final ascent step), which repeat exactly;
+- ``sample_fixed_action`` drawing 100 samples of a 3x3 action whose
+  smallest entry is 4e-4 (``OracleConfig(seed=0)``: tolerance 1e-7, 2000
+  iterations), after an untimed call on a well-conditioned action; the
+  number of samples returned is reported (0 if it raised).
 
 The validate round is also split into phases by wrapping oracle functions:
 ``sample_fixed_action`` splits into ``sampler_projection``, its ``_project``
 call, ``sampler_checks``, its construction of the ``Channel`` objects with
 their checks (``Channel`` or ``Channel.from_stack``), and ``sampler_other``,
-the rest: drawing the starts and embedding the projected points; inside
-``_maximize_group`` the ascent, up to the end of its second-to-last
-``_project`` call, and ``couple_polish``, the rest of the call: the coupling
-of each input's best point and the final polish (in trees that stack a face
-and a coupling stage, ``ascent`` holds them too). ``other`` is the rest of
-the round: the CLI's checks of the samples against the bounds. Each phase
+the rest: drawing the starts and building J from the projected points (an
+embedding, or a coupling of the blocks); inside ``_maximize_group`` the
+ascent, up to the end of its second-to-last ``_project`` call, and
+``couple_polish``, the rest of the call: the final projection (a polish of
+the coupled point, or one more ascent step) and the coupling (in trees
+that stack a face and a coupling stage, ``ascent`` holds them too).
+``other`` is the rest of the round: the CLI's checks of the samples
+against the bounds. Each phase
 also counts the matrices ``np.linalg.eigh`` decomposed, the sum of their
 sizes cubed, the Newton iterations of the projection (its batched
 ``np.linalg.solve`` calls), its Newton member-steps (the linear systems
@@ -45,8 +50,9 @@ Once per tree, outside the timed runs, one interpreter runs the gates:
 one dense 8x8 action (``default_rng(408)``), each with entries from
 [0.02, 1) and columns normalized. Each 4x4 and 5x5 call is timed once; the
 6x6 and the 8x8 action are each called once untimed, to warm up at that
-size, then timed as the median of 3 calls. The gates also collect the 48
-reports of
+size, then timed as the median of 3 calls. One ``coherify validate`` run
+on the 8x8 action, with the CLI's default ``OracleConfig`` and 100
+samples, is timed once per tree. The 48 reports of
 round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
 optimum: the purity of ``coherify_auto``'s channel where that construction
 is flagged optimal (the three qutrit families, the flat input among them),
@@ -54,7 +60,10 @@ none elsewhere. While they run, each ``maximize_purity`` call's ascent is
 followed from outside: after each block-layout projection the bench
 evaluates f on the converged members and records the first ascent step at
 which the input's best f reached its ceiling mu_upper . mu_upper to 1e-10
-(the input is certified there), and the call's number of ascent steps.
+(the input is certified there), and the call's number of ascent steps
+(every block-layout projection, so in a tree whose final step is one it
+counts too); and each ``sample_fixed_action`` call's min, median and max
+sample purity.
 The report counts the byte-identical reports and the violation counts that
 differ, and gives the per-input change of ``best_purity`` (sum, min, max),
 the same for the 4x4 and 5x5 purities, for criterion 3 the bitwise equal
@@ -70,9 +79,18 @@ keep, and a sum of values each feasible only to 1e-9 says nothing that the
 per-input rule does not. The gates: no validate, 4x4 or 5x5 input ends more
 than 1e-9 below its reference, and no 4x4 or 5x5 input falls by more than
 1e-4 against the base revision; the validate round's ascent takes no more
-Newton member-steps than the base revision's; criterion 3's largest gap is
-at most 1e-9, its largest excess at most 1e-8, and its median call no
-slower than the base revision's; the median 5x5 call takes under 2 s and no
+Newton member-steps than the base revision's; no validate input's largest
+sample purity is lower than the base revision's; the 8x8 validate report
+is ok; criterion 3's largest gap is at most 1e-9, its largest excess at
+most 1e-8, its ascent takes no more Newton iterations than the base
+revision's, and its median call is no slower than the base revision's (a
+timing gate of two overlapping run sets, which can read run noise; the
+Newton iterations repeat exactly). The Newton iterations of criterion 3's
+final projection are reported beside the ascent's and gated by nothing: a
+final ascent step projected to 1e-13 is more work than a polish of a point
+feasible to 1e-9, and only the timing gate covers it. The number of
+validate inputs whose smallest sample purity is above the base revision's
+is reported, not gated. The median 5x5 call takes under 2 s and no
 longer than the base revision's, the 6x6 call under 10 s and no longer than
 the base revision's, and the 8x8 call no longer than the base revision's.
 """
@@ -100,6 +118,8 @@ PHASES = ("sampler_projection", "sampler_checks", "sampler_other", "ascent", "co
 COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
           "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
+# the d = 8 validate run: the CLI's default OracleConfig, 100 samples
+VALIDATE8_SAMPLES = 100
 # dense actions of the gates: (d, seeds of default_rng, timed calls per
 # input); an input timed more than once is warmed up first
 DENSE_GATES = {"dense4": (4, range(500, 516), 1), "dense5": (5, range(505, 513), 1),
@@ -280,7 +300,8 @@ def _follow_certificates(oracle, calls: list) -> None:
 
     def project(feas, *args, **kwargs):
         z, ok, y = projection(feas, *args, **kwargs)
-        if state and feas.nb > 1:
+        # a block-layout point has d > 1 blocks, a full-layout one a single one
+        if state and z.shape[-3] > 1:
             state["steps"] += 1
             # f of each converged member: its blocks' eigenvalues, coupled by rank
             w = np.linalg.eigvalsh(z[ok])[..., ::-1]
@@ -292,6 +313,55 @@ def _follow_certificates(oracle, calls: list) -> None:
 
     oracle._maximize_group = maximize_group
     oracle._project = project
+
+
+def _count_newton(oracle) -> dict:
+    """Wrap oracle functions so that each later ``_maximize_group`` call adds
+    to the returned counts the Newton iterations and member-steps of its
+    projections: its last projection (the final polish or step) under
+    ``final``, the others under ``ascent``."""
+    counts = {part: {"newton_iterations": 0, "newton_member_steps": 0}
+              for part in ("ascent", "final")}
+    group_fn, projection, newton_step = oracle._maximize_group, oracle._project, oracle._newton_step
+    calls = []
+
+    def maximize_group(*args, **kwargs):
+        calls.clear()
+        try:
+            return group_fn(*args, **kwargs)
+        finally:
+            for i, (iterations, steps) in enumerate(calls):
+                part = counts["final" if i == len(calls) - 1 else "ascent"]
+                part["newton_iterations"] += iterations
+                part["newton_member_steps"] += steps
+
+    def project(*args, **kwargs):
+        calls.append([0, 0])
+        return projection(*args, **kwargs)
+
+    def step(feas, w, *args, **kwargs):
+        calls[-1][0] += 1
+        calls[-1][1] += len(w)
+        return newton_step(feas, w, *args, **kwargs)
+
+    oracle._maximize_group, oracle._project, oracle._newton_step = maximize_group, project, step
+    return counts
+
+
+def _follow_samples(oracle, purities: list) -> None:
+    """Wrap ``sample_fixed_action`` so that each call appends to purities
+    the min, median and max purity of its samples."""
+    import numpy as np
+
+    sampler = oracle.sample_fixed_action
+
+    def sample_fixed_action(*args, **kwargs):
+        samples = sampler(*args, **kwargs)
+        p = [float((np.abs(smp.jam) ** 2).sum()) for smp in samples]
+        purities.append({"min": min(p), "median": statistics.median(p), "max": max(p)})
+        return samples
+
+    oracle.sample_fixed_action = sample_fixed_action
 
 
 def _validate(wl, item) -> tuple[str, bool]:
@@ -314,28 +384,40 @@ def worker(tree: Path, task: str) -> dict:
         from coherify.bounds import mu_upper
 
         gaps = [float(mu_upper(t) @ mu_upper(t)) - p for t, (_, p) in zip(ts, results)]
+        # the Newton work of the same call, counted outside the timed one
+        newton = _count_newton(oracle)
+        oracle.maximize_purity_many(ts, cfg)
         return {"seconds": seconds, "purities": [float(p).hex() for _, p in results],
-                "max_gap": max(gaps), "max_excess": max(0.0, -min(gaps))}
+                "max_gap": max(gaps), "max_excess": max(0.0, -min(gaps)), "newton": newton}
     if task == "sampler":
         import numpy as np
 
         cfg = oracle.OracleConfig(seed=0)
+        oracle.sample_fixed_action(workloads.T_EXAMPLE, 100, cfg)
+        t0 = time.perf_counter()
+        try:
+            converged = len(oracle.sample_fixed_action(np.array(SMALL_ENTRY_ACTION), 100, cfg))
+        except oracle.ConvergenceFailure:
+            converged = 0
+        return {"seconds": time.perf_counter() - t0, "converged": converged}
+    if task == "validate8":
+        import numpy as np
+        from coherify import cli
 
-        def project_starts(t):
-            feas = oracle._FeasibleSet.for_action(t)
-            target = feas.target(t)
-            rngs = [oracle._rng(cfg.seed, i) for i in range(100)]
-            if hasattr(feas, "random_starts"):
-                x0 = feas.random_starts(target, rngs)
-            else:       # a base revision that draws its starts one at a time
-                x0 = np.stack([feas.random_start(target, rng) for rng in rngs])
+        m = np.random.default_rng(408).uniform(0.02, 1.0, (8, 8))
+        t = m / m.sum(axis=0, keepdims=True)
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "dense8.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"dim": 8, "kind": "real", "entries": t.reshape(-1).tolist()}, fh)
+            buf = io.StringIO()
             t0 = time.perf_counter()
-            ok = oracle._project(feas, x0, target, cfg.tolerance, cfg.max_iterations)[1]
-            return time.perf_counter() - t0, ok
-
-        project_starts(workloads.T_EXAMPLE)
-        seconds, ok = project_starts(np.array(SMALL_ENTRY_ACTION))
-        return {"seconds": seconds, "converged": int(ok.sum())}
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(["validate", path, "--samples", str(VALIDATE8_SAMPLES)])
+            seconds = time.perf_counter() - t0
+        report = json.loads(buf.getvalue())
+        return {"seconds": seconds, "ok": code == 0 and report["ok"] is True,
+                "violations": report["violations"], "best_purity": report["best_purity"]}
     if task == "gates":
         import numpy as np
         from coherify.bounds import mu_upper
@@ -367,8 +449,9 @@ def worker(tree: Path, task: str) -> dict:
             from coherify.channels import channel_purity
             from coherify.constructions import coherify_auto
 
-            reports, optima, inputs, certificates = [], [], [], []
+            reports, optima, inputs, certificates, samples = [], [], [], [], []
             _follow_certificates(oracle, certificates)
+            _follow_samples(oracle, samples)
             for seed in IDENTITY_SEEDS:
                 wl = workloads.ValidateQutrit(seed, False, workdir)
                 for item in wl.round(0):
@@ -379,7 +462,7 @@ def worker(tree: Path, task: str) -> dict:
                     res = coherify_auto(t)
                     optima.append(channel_purity(res.channel) if res.optimal else None)
             return {"reports": reports, "proven_optima": optima, "inputs": inputs,
-                    "certificates": certificates}
+                    "certificates": certificates, "sample_purities": samples}
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
         _validate(wl, wl.warmup_item())
         items = wl.round(0)
@@ -434,9 +517,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_warmchoice.json")
+    p.add_argument("--out", default="BENCH_blocklayout.json")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--task", choices=TASKS + ("gates", "reports"), help=argparse.SUPPRESS)
+    p.add_argument("--task", choices=TASKS + ("gates", "reports", "validate8"),
+                   help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker is not None:
         with contextlib.redirect_stdout(sys.stderr):
@@ -460,11 +544,12 @@ def main(argv=None) -> int:
         collected = {name: _run_worker(tree, "reports") for name, tree in trees.items()}
         reports = {name: collected[name]["reports"] for name in trees}
         gates = {name: _run_worker(tree, "gates") for name, tree in trees.items()}
+        validate8 = {name: _run_worker(tree, "validate8") for name, tree in trees.items()}
 
     timings = {
         "validate_qutrit_round": {"seed": VALIDATE_SEED, "round": 0},
         "criterion3_maximize_purity_many": {"inputs": 1000, "restarts": 3},
-        "small_entry_sampler_projection": {"samples": 100, "min_entry": 4e-4},
+        "small_entry_sampler": {"samples": 100, "min_entry": 4e-4},
     }
     for name in trees:
         vruns = runs[name]["validate"]
@@ -482,11 +567,13 @@ def main(argv=None) -> int:
         cruns = runs[name]["criterion3"]
         entry = _summary([r["seconds"] for r in cruns])
         entry["purities_repeat_exactly"] = all(r["purities"] == cruns[0]["purities"] for r in cruns)
+        entry["newton"] = cruns[0]["newton"]
+        entry["newton_repeats_exactly"] = all(r["newton"] == cruns[0]["newton"] for r in cruns)
         timings["criterion3_maximize_purity_many"][name] = entry
         sruns = runs[name]["sampler"]
         entry = _summary([r["seconds"] for r in sruns])
         entry["converged"] = sorted({r["converged"] for r in sruns})
-        timings["small_entry_sampler_projection"][name] = entry
+        timings["small_entry_sampler"][name] = entry
     for entry in timings.values():
         entry["speedup"] = entry["before"]["median_s"] / entry["after"]["median_s"]
 
@@ -510,6 +597,8 @@ def main(argv=None) -> int:
             capture_output=True, text=True, check=True).stdout.strip(),
         "repeats": args.repeats,
         **timings,
+        "validate_dense8": {"samples": VALIDATE8_SAMPLES, "input": "default_rng(408)",
+                            **validate8},
         "purity": {
             "validate_reports": {
                 "seeds": list(IDENTITY_SEEDS), "round": 0,
@@ -523,6 +612,16 @@ def main(argv=None) -> int:
                 "worst_below_reference": min(
                     after - reference for after, reference in zip(best["after"], references)),
                 "certificates": {name: _certificates(collected[name]) for name in trees},
+                "sample_purities": [
+                    {"input": name, **{tree: collected[tree]["sample_purities"][i] for tree in trees}}
+                    for i, name in enumerate(collected["after"]["inputs"])],
+                # how many inputs' samples span less than the base revision's at each end
+                "sample_max_below_base": sum(
+                    a["max"] < b["max"] for a, b in zip(collected["after"]["sample_purities"],
+                                                        collected["before"]["sample_purities"])),
+                "sample_min_above_base": sum(
+                    a["min"] > b["min"] for a, b in zip(collected["after"]["sample_purities"],
+                                                        collected["before"]["sample_purities"])),
             },
             "criterion3": {
                 "purity_delta": _deltas(*([float.fromhex(h) for h in c3[name]["purities"]]
@@ -560,6 +659,9 @@ def main(argv=None) -> int:
               ["newton_member_steps"] for name in trees}
     c3_median = {name: timings["criterion3_maximize_purity_many"][name]["median_s"]
                  for name in trees}
+    c3_ascent = {name: timings["criterion3_maximize_purity_many"][name]["newton"]["ascent"]
+                 ["newton_iterations"] for name in trees}
+    sample_max = {name: [s["max"] for s in collected[name]["sample_purities"]] for name in trees}
     report["purity"]["gates_hold"] = {
         "validate_worst_input": report["purity"]["validate_reports"]["worst_below_reference"]
         >= -1e-9,
@@ -567,6 +669,10 @@ def main(argv=None) -> int:
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
         "criterion3_median_call_no_slower": c3_median["after"] <= c3_median["before"],
+        "criterion3_ascent_newton_iterations_no_more": c3_ascent["after"] <= c3_ascent["before"],
+        "validate_sample_max_purity_no_lower": all(
+            a >= b for a, b in zip(sample_max["after"], sample_max["before"])),
+        "validate8_ok": validate8["after"]["ok"],
         **{f"{gate}_{check}": ok for gate in ("dense4", "dense5") for check, ok in (
             ("worst_below_reference", dense[gate]["worst_below_reference"] >= -1e-9),
             ("worst_input", dense[gate]["purity_delta"]["min"] >= -1e-4))},
@@ -580,6 +686,12 @@ def main(argv=None) -> int:
     for title, entry in timings.items():
         print(f"{title}: {entry['before']['median_s']:.3f} s -> {entry['after']['median_s']:.3f} s"
               f" ({entry['speedup']:.2f}x)")
+    print(f"validate_dense8: {validate8['before']['seconds']:.1f} s -> "
+          f"{validate8['after']['seconds']:.1f} s")
+    newton = {name: timings["criterion3_maximize_purity_many"][name]["newton"] for name in trees}
+    print("criterion3 Newton iterations: ascent (gated) {} -> {}, final projection (not gated) "
+          "{} -> {}".format(*(newton[name][part]["newton_iterations"]
+                              for part in ("ascent", "final") for name in ("before", "after"))))
     print(json.dumps(report["purity"], indent=2))
     return 0
 

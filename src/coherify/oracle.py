@@ -4,25 +4,29 @@ matrices.
 
 The feasible set explored here is the spectrahedron of Jamiolkowski states
 with a fixed diagonal (equivalently a fixed classical action) and the
-trace-preservation partial-trace constraint. Points are produced by the
-exact Frobenius projection onto it (:func:`_project`): semismooth Newton
-steps on the dual of the projection problem, whose variables are the m
-affine constraints' multipliers (Malick, SIAM J. Matrix Anal. Appl. 26(1),
-2004; Qi & Sun, SIAM J. Matrix Anal. Appl. 28(2), 2006). Newton converges
-quadratically on that dual, also where some entries of T are tiny. The
-projection returns its multipliers. A projection without earlier ones (the
-sampler's, and the first of each purity ascent) starts from the affine
-projection's multipliers; every later step of the ascent evaluates the dual
-at both those and the previous step's, and each start takes the lower.
+trace-preservation partial-trace constraint. Every constraint lies in J's
+d diagonal blocks, so the work happens on them (:class:`_FeasibleSet`),
+and J is built only at the end by coupling them (:func:`_couple`). Block
+points are produced by the exact Frobenius projection (:func:`_project`):
+semismooth Newton steps on the dual of the projection problem, whose
+variables are the m affine constraints' multipliers (Malick, SIAM J.
+Matrix Anal. Appl. 26(1), 2004; Qi & Sun, SIAM J. Matrix Anal. Appl.
+28(2), 2006). Newton converges quadratically on that dual, also where some
+entries of T are tiny. The projection returns its multipliers. A
+projection without earlier ones (the sampler's, and the first of each
+purity ascent) starts from the affine projection's multipliers; every later
+one evaluates the dual at both those and the given ones, and each member
+takes the lower.
 
-The purity maximizer works in block space: every constraint lies in the
-diagonal blocks of J, and the largest purity over the states with given
-blocks is a convex function of the blocks' spectra (the block-majorization
-theorem of :mod:`coherify.bounds`), so it ascends that function over
-block-diagonal points, projecting them block by block, and couples the best
-blocks into one state. mu_upper(T) majorizes every feasible spectrum, so
-no point has purity above |mu_upper|^2; once an input's best point reaches
-that ceiling (to 1e-10) it is optimal, and all of its starts stop.
+The sampler couples random projected blocks through a random coupling,
+from the least pure one (J block diagonal) through a random Wishart one to
+the purest. The purity maximizer ascends a convex function f of the blocks'
+spectra, the largest purity of a state with those blocks (the
+block-majorization theorem of :mod:`coherify.bounds`). mu_upper(T)
+majorizes every feasible spectrum, so no point has purity above
+|mu_upper|^2; once an input's best point reaches that ceiling (to 1e-10)
+it is optimal, and all of its starts stop. The purity returned is that of
+a coupled channel feasible to about 1e-13, so some channel attains it.
 
 The witness search is Levenberg-Marquardt on the (d - 1)^2 free phases of
 the dephased U = sqrt(T) o e^{i phi}, with the strict upper triangle of
@@ -32,8 +36,9 @@ batched in lockstep, and it stops at the first witness that verifies.
 
 Randomness comes from the counter-based Philox generator, keyed by
 ``seed + stream index`` (one Philox, re-keyed per stream by
-:func:`_streams`), so runs are bit-reproducible, and a member's projection
-does not depend on the batch it is projected in.
+:func:`_streams`; see there which streams each search draws), so runs are
+bit-reproducible, and a member's projection does not depend on the batch
+it is projected in.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, channel_purity
 from .constructions import coherify_c0
 from .bounds import mu_upper
 from .errors import ConvergenceFailure
@@ -71,7 +76,8 @@ class OracleConfig:
     feasible set, the steps of each purity ascent and the
     Levenberg-Marquardt steps, accepted or rejected, of each restart of the
     witness search; tolerance is the feasibility residual of the sampled
-    channels (the maximizer works at min(tolerance, 1e-9)).
+    channels (the maximizer's ascent works at min(tolerance, 1e-9), and
+    its final step at 1e-13).
     """
 
     seed: int = 42
@@ -89,6 +95,12 @@ class OracleConfig:
 def _streams(seed: int, streams):
     """One generator per stream index, each drawing what
     ``Generator(Philox(key=seed + stream))`` draws.
+
+    Stream i draws sample i's start and 30_000 + i its coupling's Wishart
+    rank and factor and its place u on the coupling's path
+    (:func:`sample_fixed_action`); 10_000 + k * restarts + r the
+    random ascent start r >= 1 of input k (:func:`maximize_purity_many`);
+    20_000 + r the random phases of witness-search restart r >= 2.
 
     All of them are one Philox, re-keyed through its state setter before each
     is yielded, so a generator must be used up before the next is taken; a
@@ -139,71 +151,47 @@ def rand_channel(d: int, rng: np.random.Generator, rank: int | None = None) -> C
 
 
 class _FeasibleSet:
-    """The spectrahedron {J >= 0, diag J = vec(T)/d, off-diagonal Tr_1 J = 0}.
+    """The spectrahedron {J >= 0, diag J = vec(T)/d, off-diagonal Tr_1 J = 0},
+    held as J's diagonal blocks.
 
     Zero entries of vec(T)/d force the corresponding rows and columns of J to
-    vanish (|J_mn|^2 <= J_mm J_nn), so all work happens on the rows over the
-    support of vec(T). The object holds only the support structure and the
-    layout; per-member diagonal targets are passed to the projections, which
-    lets one batch many transition matrices with a common zero pattern.
+    vanish (|J_mn|^2 <= J_mm J_nn), so only the rows over the support of
+    vec(T) carry constraints. The object holds only the support structure;
+    per-member diagonal targets are passed to the projections, which lets
+    one batch many transition matrices with a common zero pattern.
 
-    Points are stacks (..., nb, s, s) of nb blocks of size s. In the full
-    layout nb = 1 and s = n, the size of the support: the submatrix of J over
-    the support. In the block layout nb = s = d: J's diagonal blocks, block i
-    holding the rows (i, k), k = 0..d-1, of J; rows outside the support are
-    zero padding, in no constraint (a point's padding stays zero under the
-    projection). The block layout holds only block-diagonal points, and the
-    projection of a block-diagonal point is block diagonal, since every
-    constraint lies in J's diagonal blocks.
+    Every constraint lies in J's diagonal blocks, so points are stacks
+    (..., d, d, d) of them: block i holds the rows (i, k), k = 0..d-1, of J;
+    rows outside the support are zero padding, in no constraint (a point's
+    padding stays zero under the projection). Coupled (:func:`_couple`),
+    feasible blocks give a feasible J, so no projection needs all of J.
 
     The affine constraints are A(J) = b with m = n + 2 * n_groups real rows:
     the n diagonal entries, then the real and the imaginary part of each
-    group's sum of entries (one group per pair k < l of output indices). Both
-    layouts order them alike, so targets and multipliers carry over.
+    group's sum of entries. There is one group per pair k < l of output
+    indices, with one member, the entry ((i, k), (i, l)) in block i, per i
+    whose rows (i, k) and (i, l) both lie in the support.
     """
 
-    def __init__(self, d: int, support: np.ndarray, blocks: bool = False):
+    def __init__(self, d: int, support: np.ndarray):
         self.d = d
-        self.full_dim = d * d
         self.support = support
         self.n = support.size
         # (block, row) of each support index
-        if blocks:
-            self.nb, self.s = d, d
-            self.blk, self.row = support // d, support % d
-        else:
-            self.nb, self.s = 1, self.n
-            self.blk, self.row = np.zeros(self.n, dtype=np.intp), np.arange(self.n)
-        # the support is sorted, so each block's diagonal entries are a slice
-        edges = np.searchsorted(self.blk, np.arange(self.nb + 1))
-        self.block_entries = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        live = np.zeros((self.nb, self.s), dtype=bool)
+        self.blk, self.row = support // d, support % d
+        live = np.zeros((d, d), dtype=bool)
         live[self.blk, self.row] = True
         # 1 on the entries whose row and column lie in the support, 0 on the padding
         self.mask = (live[:, :, None] & live[:, None, :]).astype(np.float64)
-        compressed = {m: i for i, m in enumerate(support)}
-        pos, group_id, slots = [], [], []
+        pos, group_id = [], []
         gid = 0
         for k in range(d):
             for l in range(k + 1, d):
-                # a member's row and column share a block, the i of J's rows
-                # (i, k) and (i, l)
-                members = [
-                    (self.blk[compressed[i * d + k]], self.row[compressed[i * d + k]],
-                     self.row[compressed[i * d + l]])
-                    for i in range(d)
-                    if i * d + k in compressed and i * d + l in compressed
-                ]
-                if not members:
+                members = np.flatnonzero(live[:, k] & live[:, l])
+                if not members.size:
                     continue
-                pos += members
-                group_id += [gid] * len(members)
-                # a group's members in one block form a slot: the whole group
-                # in the full layout, each member alone in the block layout
-                by_block = {}
-                for b, r, c in members:
-                    by_block.setdefault(b, []).append((r, c))
-                slots += [(gid, b, pairs) for b, pairs in by_block.items()]
+                pos += [(i, k, l) for i in members]
+                group_id += [gid] * members.size
                 gid += 1
         # each member's (block, row, col) position, listed group by group
         self.pos_b, self.pos_r, self.pos_c = np.asarray(pos, dtype=np.intp).reshape(-1, 3).T
@@ -212,47 +200,30 @@ class _FeasibleSet:
         self.m = self.n + 2 * gid
         sizes = np.bincount(self.group_id, minlength=gid)
         self.group_start = np.cumsum(sizes) - sizes
-        # per slot its group, its block and its members' rows and columns,
-        # padded with the index s of a zero row
-        width = max((len(pairs) for _, _, pairs in slots), default=0)
-        pad = [(self.s, self.s)]
-        table = np.asarray([pairs + pad * (width - len(pairs)) for _, _, pairs in slots],
-                           dtype=np.intp).reshape(len(slots), width, 2)
-        self.slot_group = np.asarray([g for g, _, _ in slots], dtype=np.intp)
-        self.slot_block = np.asarray([b for _, b, _ in slots], dtype=np.intp)
-        self.slot_rows, self.slot_cols = table[..., 0], table[..., 1]
         # A A^* is diagonal: the constraint matrices have disjoint supports
         self.gram = np.concatenate([np.ones(self.n), sizes / 2, sizes / 2])
-        # (block, row, col) positions moving points between layouts: the
-        # support pairs (p, q) in a common block, and their places in J
+        # (block, row, col) positions of the support pairs (p, q) in a common
+        # block, and those pairs
         p, q = np.nonzero(self.blk[:, None] == self.blk[None, :])
-        self._in_layout = (self.blk[p], self.row[p], self.row[q])
+        self._in_blocks = (self.blk[p], self.row[p], self.row[q])
         self._in_support = (p, q)
-        self._in_full = (support[p], support[q])
 
     @classmethod
-    def for_action(cls, t: np.ndarray, blocks: bool = False) -> "_FeasibleSet":
+    def for_action(cls, t: np.ndarray) -> "_FeasibleSet":
         d = t.shape[0]
-        return cls(d, np.flatnonzero(t.reshape(-1) > 0), blocks)
+        return cls(d, np.flatnonzero(t.reshape(-1) > 0))
 
     def target(self, t: np.ndarray) -> np.ndarray:
         return (t.reshape(-1) / self.d)[self.support]
 
     def _points(self, batch: tuple) -> np.ndarray:
-        return np.zeros(batch + (self.nb, self.s, self.s), dtype=np.complex128)
+        return np.zeros(batch + (self.d, self.d, self.d), dtype=np.complex128)
 
     def compress(self, x_full: np.ndarray) -> np.ndarray:
-        """Layout points of (..., d^2, d^2) matrices (in the block layout, of
-        their diagonal blocks)."""
-        out = self._points(x_full.shape[:-2])
-        out[(...,) + self._in_layout] = x_full[(...,) + self._in_full]
-        return out
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """The (..., d^2, d^2) matrices of layout points x."""
-        out = np.zeros(x.shape[:-3] + (self.full_dim, self.full_dim), dtype=np.complex128)
-        out[(...,) + self._in_full] = x[(...,) + self._in_layout]
-        return out
+        """The diagonal blocks of (..., d^2, d^2) matrices, padding zeroed."""
+        d = self.d
+        x = x_full.reshape(x_full.shape[:-2] + (d, d, d, d))
+        return np.einsum("...iaib->...iab", x) * self.mask
 
     def group_sums(self, x: np.ndarray) -> np.ndarray:
         # reduceat adds each row in order, so a member's sums do not depend on
@@ -281,26 +252,24 @@ class _FeasibleSet:
 
     def rotated_constraints(self, v: np.ndarray) -> np.ndarray:
         """V^dag G_k V for the m constraint matrices G_k and the eigenvectors
-        V of each block, as (B, m, nb * s * s).
+        V of each block, as (B, m, d * d * d).
 
-        G_k = e_i e_i^T for a diagonal row, in the block of row i; a group's
+        G_k = e_r e_r^T in block i for the diagonal entry (i, r); a group's
         rows are the Hermitian and anti-Hermitian parts of E = sum of its
-        e_r e_c^T, so with P = V^dag E V, block by block, they are
-        (P + P^dag) / 2 and i (P - P^dag) / 2.
+        members' e_k e_l^T, at most one per block i, so with P = V^dag E V
+        there they are (P + P^dag) / 2 and i (P - P^dag) / 2.
         """
         n, groups = self.n, self.n_groups
-        out = np.zeros((len(v), self.m, self.nb, self.s, self.s), dtype=np.complex128)
-        rows = v[:, self.blk, self.row]          # row i of V, for each diagonal entry i
-        for b, entries in enumerate(self.block_entries):
-            np.multiply(rows[:, entries, :, None].conj(), rows[:, entries, None, :],
-                        out=out[:, entries, b])
+        out = np.zeros((len(v), self.m, self.d, self.d, self.d), dtype=np.complex128)
+        rows = v[:, self.blk, self.row]          # row (i, r) of V, for each diagonal entry
+        out[:, np.arange(n), self.blk] = rows[..., :, None].conj() * rows[..., None, :]
         if groups:
-            vz = np.concatenate([v, np.zeros(v.shape[:2] + (1, self.s))], axis=2)
-            blk = self.slot_block[:, None]
-            p = np.swapaxes(vz[:, blk, self.slot_rows].conj(), -1, -2) @ vz[:, blk, self.slot_cols]
+            # a matmul's rounding, not a product's: slow ascents stop where it
+            # leads them (the bench's dense 4x4 input 511 moves by 6e-9)
+            p = v[:, self.pos_b, self.pos_r, :, None].conj() @ v[:, self.pos_b, self.pos_c, None, :]
             ph = dag(p)
-            out[:, n + self.slot_group, self.slot_block] = (p + ph) * 0.5
-            out[:, n + groups + self.slot_group, self.slot_block] = (p - ph) * 0.5j
+            out[:, n + self.group_id, self.pos_b] = (p + ph) * 0.5
+            out[:, n + groups + self.group_id, self.pos_b] = (p - ph) * 0.5j
         return out.reshape(len(v), self.m, -1)
 
     def residual(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -310,8 +279,8 @@ class _FeasibleSet:
         return err
 
     def random_starts(self, target: np.ndarray, rngs) -> np.ndarray:
-        """Random Hermitian starts near the feasible set, one layout point per
-        generator, as a (B, nb, s, s) stack for B generators.
+        """Random Hermitian starts near the feasible set, one block point per
+        generator, as a (B, d, d, d) stack for B generators.
 
         rngs is any iterable of generators, consumed lazily: each generator
         draws the start's scale, then the real and the imaginary part of its
@@ -320,8 +289,9 @@ class _FeasibleSet:
         target is one diagonal target for every start or one per start.
         Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest
         modulus the PSD cone allows at that position, so starts stay well
-        conditioned even when some diagonal targets are tiny. The block
-        layout keeps the noise inside the blocks.
+        conditioned even when some diagonal targets are tiny. Each generator
+        draws noise on all n x n support pairs; the pairs outside a common
+        block are dropped.
         """
         n = self.n
         scale, re, im = [], [], []
@@ -339,7 +309,7 @@ class _FeasibleSet:
         idx = np.arange(n)
         x[:, idx, idx] += target
         out = self._points((size,))
-        out[(slice(None),) + self._in_layout] = x[(slice(None),) + self._in_support]
+        out[(slice(None),) + self._in_blocks] = x[(slice(None),) + self._in_support]
         return out
 
 
@@ -395,8 +365,9 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
              y0: np.ndarray | None = None):
     """Batched Frobenius projection of Herm(x0) onto the feasible set.
 
-    x0 is a stack (B, nb, s, s) of points in feas's layout; entries outside
-    the support are dropped. Minimizes the dual theta(y) = |Pi_+(S + A^*
+    x0 is a stack (B, d, d, d) of block points, each block projected with
+    the others (the group constraints couple them); entries in the padding
+    are dropped. Minimizes the dual theta(y) = |Pi_+(S + A^*
     y)|^2 / 2 - b.y, whose minimizer gives the projection Y = Pi_+(S + A^* y)
     and whose gradient is A(Y) - b, by semismooth Newton with Armijo
     backtracking. It starts from the affine projection's multipliers (b -
@@ -467,29 +438,60 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     return out, converged, y_out
 
 
+def _couple(feas: _FeasibleSet, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """J_ij = B_i^{1/2} Q_i Q_j^dag B_j^{1/2} as a (B, d^2, d^2) stack, for
+    PSD blocks B_i of eigenvalues w (B, d, d) and eigenvectors v (B, d, d, d)
+    and co-isometries Q_i (B, d, d, r): J = K K^dag, K_i = B_i^{1/2} Q_i, is
+    PSD, its diagonal blocks are the B_i and its padding rows zero."""
+    root = _psd_part(np.sqrt(np.maximum(w, 0.0)), v) * feas.mask
+    k = (root @ q).reshape(len(w), feas.d * feas.d, -1)
+    return k @ dag(k)
+
+
 def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Channel]:
     """n random channels whose classical action is T.
 
-    Each sample starts from the classical (diagonal) Jamiolkowski state plus
-    a random Hermitian perturbation of random magnitude and is projected
-    onto the feasible set; non-converged samples raise.
+    Each sample projects random diagonal blocks, vec(T)/d plus a random
+    Hermitian perturbation of random magnitude, onto the feasible set
+    (non-converged samples raise), and couples them, J_ij = B_i^{1/2} C_ij
+    B_j^{1/2}, C PSD with identity diagonal blocks (every feasible J with
+    invertible blocks has this form). For u uniform in [0, 1), C is
+    (1 - 2u) I + 2u C_W below u = 1/2 and (2 - 2u) C_W + (2u - 1) C_A above:
+    from J block diagonal, the least pure coupling of the blocks, to C_A =
+    V_i V_j^dag, their ordered eigenvectors, the purest (purity f(B), see
+    :func:`maximize_purity`). C_W = D^{-1/2} W D^{-1/2}, W = G G^dag complex
+    Wishart, G a d^2 x r Gaussian whose rank r, uniform in d..d^2, sets how
+    pure C_W is, D = blockdiag(W_ii); D^{-1/2} G is the polar factor of each
+    block row G_i. Sample i draws its start from stream i, and r, G and u
+    from stream 30_000 + i.
     """
     cfg = cfg or OracleConfig()
     t = assert_transition_matrix(t)
+    d = t.shape[0]
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
     starts = feas.random_starts(target, _streams(cfg.seed, range(n)))
-    y, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
+    blocks, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
     if not ok.all():
         raise ConvergenceFailure(
             f"{int((~ok).sum())} of {n} samples did not reach tolerance "
             f"{cfg.tolerance} within {cfg.max_iterations} Newton steps"
         )
-    return Channel.from_stack(feas.embed(y), atol=1e-6)
-
-
-def _purity(x: np.ndarray) -> np.ndarray:
-    return (np.abs(x) ** 2).sum(axis=(-3, -2, -1)).real
+    g = np.zeros((n, d * d, d * d), dtype=np.complex128)    # zero past rank r
+    u = np.empty(n)
+    for i, rng in enumerate(_streams(cfg.seed, range(30_000, 30_000 + n))):
+        rank = rng.integers(d, d * d, endpoint=True)
+        g[i, :, :rank] = rng.standard_normal((d * d, rank))
+        g[i, :, :rank] += 1j * rng.standard_normal((d * d, rank))
+        u[i] = rng.uniform()
+    left, _, right = np.linalg.svd(g.reshape(n, d, d, d * d), full_matrices=False)
+    # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
+    # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
+    a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
+    w, v = np.linalg.eigh(blocks)
+    q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
+                        np.sqrt(1 - a * a - c * c) * (left @ right), c * v], axis=-1)
+    return Channel.from_stack(_couple(feas, w, v, q), atol=1e-6)
 
 
 def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Channel, float]]:
@@ -516,16 +518,15 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     """Block-space ascent for inputs sharing one zero pattern (see
     :func:`maximize_purity`)."""
     feas = _FeasibleSet.for_action(group[0])
-    blocks = _FeasibleSet.for_action(group[0], blocks=True)
     per = cfg.restarts
     tol = min(cfg.tolerance, 1e-9)
     targets = np.repeat([feas.target(t) for t in group], per, axis=0)
     # the ceiling |mu_upper|^2: no feasible block point has a larger f
     ceilings = np.array([float(up @ up) for up in map(mu_upper, group)])
-    x = np.empty((len(group) * per, blocks.nb, blocks.s, blocks.s), dtype=np.complex128)
-    x[::per] = blocks.compress(np.stack([coherify_c0(t).channel.jam for t in group]))
+    x = feas._points((len(group) * per,))
+    x[::per] = feas.compress(np.stack([coherify_c0(t).channel.jam for t in group]))
     random = np.flatnonzero(np.arange(len(x)) % per)
-    x[random] = blocks.random_starts(targets[random], _streams(
+    x[random] = feas.random_starts(targets[random], _streams(
         cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
 
     def f_and_grad(x):
@@ -537,44 +538,43 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
 
     # f is convex, so from a feasible point each projected unit step gains at
     # least its squared length: the ascent is monotone without a step rule.
-    # The starts themselves are not projected (nor counted as feasible): each
-    # takes its first step from where it is. The gradient has entries in the
-    # padding rows; the projection drops them. The first projection starts
-    # from the affine multipliers, every later one from the better of those
-    # and its start's last.
-    # Once an input's best f reaches its ceiling to 1e-10 it is optimal to
-    # that margin, and all its starts stop
+    # The starts are not projected (nor counted as feasible): each takes its
+    # first step from where it is; the projection drops the gradient's
+    # padding entries. Once an input's best f reaches its ceiling to 1e-10
+    # it is optimal to that margin, and all its starts stop
     _, g = f_and_grad(x)
     f = np.full(len(x), -np.inf)
-    live, duals = np.arange(len(x)), None
-    for _ in range(cfg.max_iterations):
+    duals = np.zeros((len(x), feas.m))        # each start's last multipliers
+    live = np.arange(len(x))
+    for step in range(cfg.max_iterations):
         if not live.size:
             break
-        z, ok, y = _project(blocks, x[live] + g[live], targets[live], tol, cfg.max_iterations,
-                            duals)
+        z, ok, y = _project(feas, x[live] + g[live], targets[live], tol, cfg.max_iterations,
+                            duals[live] if step else None)
         fz, gz = f_and_grad(z[ok])
         moved = live[ok]
         gain = fz - f[moved]
-        x[moved], f[moved], g[moved] = z[ok], fz, gz
+        x[moved], f[moved], g[moved], duals[moved] = z[ok], fz, gz, y[ok]
         certified = f.reshape(len(group), per).max(axis=1) >= ceilings - 1e-10
         keep = (gain > 1e-12 * fz) & ~certified[moved // per]
-        live, duals = moved[keep], y[ok][keep]
+        live = moved[keep]
 
     f = f.reshape(len(group), per)
     if np.isneginf(f.max(axis=1)).any():
         raise ConvergenceFailure("no restart reached a feasible point")
-    # couple each input's best blocks: psi_n = sum_i sqrt(lambda_n^i) e_i (x) v_n^i
-    # has J's blocks and purity f
-    w, v = np.linalg.eigh(x[np.arange(len(group)) * per + f.argmax(axis=1)])
-    w, v = w[..., ::-1], v[..., ::-1]
-    psi = np.sqrt(np.maximum(w, 0.0)[..., blocks.blk, :]) * v[..., blocks.blk, blocks.row, :]
-    couplers = np.einsum("bpn,bqn->bpq", psi, psi.conj())
-    # the full layout's one block is the matrix over the support
-    y, _, _ = _project(feas, couplers[:, None], targets[::per], tol, cfg.max_iterations)
-    purities = _purity(y)
-    return [
-        (Channel(feas.embed(y[gi]), atol=1e-6), float(purities[gi])) for gi in range(len(group))
-    ]
+    # one more ascent step from each input's best start, projected to 1e-13,
+    # so that the blocks coupled below are feasible to that residual
+    best = np.arange(len(group)) * per + f.argmax(axis=1)
+    z, ok, _ = _project(feas, x[best] + g[best], targets[best], 1e-13, cfg.max_iterations,
+                        duals[best])
+    if not ok.all():
+        raise ConvergenceFailure(f"{int((~ok).sum())} of {len(group)} final projections did "
+                                 f"not reach 1e-13 within {cfg.max_iterations} Newton steps")
+    # couple each input's blocks by their eigenvectors, C_ij = V_i V_j^dag,
+    # eigenvalues in the same order in every block: J's purity is then f(z)
+    w, v = np.linalg.eigh(z)
+    channels = Channel.from_stack(_couple(feas, w, v, v), atol=1e-6)
+    return [(ch, channel_purity(ch)) for ch in channels]
 
 
 def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]:
@@ -584,31 +584,30 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     diagonal blocks B^i, and by the block-majorization theorem the largest
     purity of a J with given blocks is f(B) = sum_n (sum_i lambda_n(B^i))^2,
     eigenvalues in decreasing order, reached by coupling the blocks' ordered
-    eigenvectors. So each start ascends f over feasible block-diagonal
-    points by x <- Pi(x + grad f(x)), beginning at the start itself. The
-    projection of a block-diagonal point is block diagonal, so it runs on
-    the d diagonal blocks alone (the block layout of _FeasibleSet). The
-    first step's projection starts from the affine projection's
-    multipliers; each later one, start by start, from whichever of those
-    and the multipliers of the step before has the lower dual objective
-    (after a long first step the affine ones often need no Newton step). f
-    is convex, so from a feasible point every step gains at least its own
-    squared length; a start stops once its gain is at most 1e-12 f, when
-    its projection fails, or after cfg.max_iterations steps. All starts of
-    an input stop once its best f reaches |mu_upper(T)|^2 - 1e-10: mu_upper
-    majorizes every feasible spectrum, so no point is purer than that
-    ceiling, and the input is optimal to within 1e-10 (each input of a
-    batch stops on its own ceiling). The starts of each input are the
-    diagonal blocks of the row-grouping coherification (feasible, so the
-    result is never below its purity, the known lower bound) and
-    cfg.restarts - 1 random block-diagonal points. The best point of each
-    input is coupled and projected once more.
+    eigenvectors. So each start ascends f over feasible block points by x
+    <- Pi(x + grad f(x)), beginning at the start itself. The first step's
+    projection starts from the affine projection's multipliers, each later
+    one, start by start, from whichever of those and the step before's has
+    the lower dual objective. f is convex, so from a feasible point every
+    step gains at least its own squared length; a start stops once its gain
+    is at most 1e-12 f, when its projection fails, or after
+    cfg.max_iterations steps. All starts of an input stop once its best f
+    reaches |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible
+    spectrum, so no point is purer, and the input is optimal to within
+    1e-10 (each input of a batch stops on its own ceiling). The starts of
+    each input are the diagonal blocks of the row-grouping coherification
+    (feasible, so the result is never below its purity, the known lower
+    bound) and cfg.restarts - 1 random block-diagonal points. The best point
+    of each input then takes one more ascent step, projected to the residual
+    1e-13 (the ascent's to min(cfg.tolerance, 1e-9)), and its blocks are
+    coupled by their ordered eigenvectors, C_ij = V_i V_j^dag.
 
-    Every projection works to the residual min(cfg.tolerance, 1e-9). The
-    value returned is the purity of a point feasible to that residual, at a
-    local maximum of f: short of the ceiling it is no optimality
-    certificate, and it can exceed the true optimum by a few 1e-9. Raises
-    ConvergenceFailure when no start of an input reaches a feasible point.
+    The value returned is the purity of the returned channel, feasible to
+    about 1e-13: some channel attains it, so it is a lower bound on the
+    optimum, above |mu_upper(T)|^2 by no more than rounding; short of the
+    ceiling it is no optimality certificate. Raises ConvergenceFailure when
+    no start of an input reaches a feasible point, or when an input's final
+    projection does not reach 1e-13 within cfg.max_iterations Newton steps.
     """
     return maximize_purity_many([t], cfg)[0]
 

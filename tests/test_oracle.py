@@ -48,9 +48,18 @@ def test_samples_respect_bounds():
     cfg = OracleConfig(seed=42)
     samples = sample_fixed_action(T_EXAMPLE, 200, cfg)
     up = mu_upper(T_EXAMPLE)
+    positions = []
     for smp in samples:
         lam = path_distribution(smp)
         assert majorizes(up, lam, slack=1e-6, sum_atol=1e-5)
+        # the purity of a J with blocks B_i lies between sum_i |B_i|^2 (J
+        # block diagonal) and f(B) (the blocks' ordered eigenvectors coupled)
+        blocks = np.stack([smp.jam[3 * i:3 * i + 3, 3 * i:3 * i + 3] for i in range(3)])
+        floor = float((np.abs(blocks) ** 2).sum())
+        top = float((np.linalg.eigvalsh(blocks).sum(axis=0) ** 2).sum())
+        positions.append((channel_purity(smp) - floor) / (top - floor))
+    # and the samples come near both ends
+    assert -1e-9 < min(positions) < 0.1 and 0.9 < max(positions) < 1 + 1e-9
     poly = polygon_report(T_FLAT_OFFDIAG)
     for smp in sample_fixed_action(T_FLAT_OFFDIAG, 200, cfg):
         assert channel_purity(smp) <= poly.purity_upper + 1e-6
@@ -317,6 +326,24 @@ def test_maximize_purity_certificate_is_per_input():
     assert np.array_equal(ch_a.jam, ch_b.jam)
 
 
+def test_maximize_purity_raises_when_the_final_projection_fails(monkeypatch):
+    # a permutation certifies in its first ascent projection (see above), so
+    # the second projection, failed here, is the final one
+    import coherify.oracle as oracle
+
+    project, calls = oracle._project, []
+
+    def failing_final(*args, **kwargs):
+        y, ok, dual = project(*args, **kwargs)
+        calls.append(len(ok))
+        return y, ok & (len(calls) == 1), dual
+
+    monkeypatch.setattr(oracle, "_project", failing_final)
+    with pytest.raises(coherify.ConvergenceFailure):
+        maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
+    assert calls == [64, 1]
+
+
 def test_maximize_purity_deterministic():
     cfg = OracleConfig(seed=9, restarts=3)
     ch1, p1 = maximize_purity(T_EXAMPLE, cfg)
@@ -357,51 +384,45 @@ def test_maximize_purity_inside_bounds_random():
             assert pur <= float(up @ up) + 1e-6
 
 
-# _project's two layouts: the full one (one block, the matrix over the
-# support), then the block one (J's d diagonal blocks)
-LAYOUTS = (False, True)
-
-
 def test_project_batch_equals_members_alone():
     t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
-        per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
-        shared = feas.target(T_EXAMPLE)
-        # growing perturbations need more Newton steps
-        x0 = feas.random_starts(per_member, [_rng(5, i) for i in range(6)])
-        x0 *= (1 + 2 * np.arange(6))[:, None, None, None]
-        early = _project(feas, x0, per_member, 1e-9, 4)[1]
-        late = _project(feas, x0, per_member, 1e-9, 6)[1]
-        # members leave at different iterations, and some hit the cap
-        assert early.any() and (late & ~early).any() and not late.all()
-        # per-member warm starts: the multipliers of other points; then the
-        # members' own multipliers, which beat the affine start, alternating
-        # with far-off ones, which lose to it
-        warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
-        own = _project(feas, x0, per_member, 1e-9, 50)[2]
-        far = 100.0 * _rng(5, 99).standard_normal(own.shape)
-        odd = np.arange(len(x0)) % 2 == 1
-        mixed = np.where(odd[:, None], own, far)
-        # the choice goes both ways: odd members start converged, even ones
-        # take the affine start's path
-        cold = _project(feas, x0, per_member, 1e-9, 4)
-        chosen = _project(feas, x0, per_member, 1e-9, 4, mixed)
-        assert chosen[1][odd].all() and not cold[1][odd].all()
-        for a, b in zip(cold, chosen):
-            assert np.array_equal(a[~odd], b[~odd])
-        for y0 in (None, warm, mixed):
-            for target in (per_member, shared):
-                for cap in (4, 6):
-                    y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
-                    assert y.flags.c_contiguous
-                    for i in range(len(x0)):
-                        tg = target[i:i + 1] if target.ndim == 2 else target
-                        y0_i = None if y0 is None else y0[i:i + 1]
-                        y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
-                        assert np.array_equal(y[i], y1[0])
-                        assert ok[i] == ok1[0]
-                        assert np.array_equal(dual[i], dual1[0])
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(6)])
+    shared = feas.target(T_EXAMPLE)
+    # growing perturbations need more Newton steps
+    x0 = feas.random_starts(per_member, [_rng(5, i) for i in range(6)])
+    x0 *= (1 + 2 * np.arange(6))[:, None, None, None]
+    early = _project(feas, x0, per_member, 1e-9, 4)[1]
+    late = _project(feas, x0, per_member, 1e-9, 6)[1]
+    # members leave at different iterations, and some hit the cap
+    assert early.any() and (late & ~early).any() and not late.all()
+    # per-member warm starts: the multipliers of other points; then the
+    # members' own multipliers, which beat the affine start, alternating
+    # with far-off ones, which lose to it
+    warm = _project(feas, 0.5 * x0, per_member, 1e-9, 50)[2]
+    own = _project(feas, x0, per_member, 1e-9, 50)[2]
+    far = 100.0 * _rng(5, 99).standard_normal(own.shape)
+    odd = np.arange(len(x0)) % 2 == 1
+    mixed = np.where(odd[:, None], own, far)
+    # the choice goes both ways: odd members start converged, even ones
+    # take the affine start's path
+    cold = _project(feas, x0, per_member, 1e-9, 4)
+    chosen = _project(feas, x0, per_member, 1e-9, 4, mixed)
+    assert chosen[1][odd].all() and not cold[1][odd].all()
+    for a, b in zip(cold, chosen):
+        assert np.array_equal(a[~odd], b[~odd])
+    for y0 in (None, warm, mixed):
+        for target in (per_member, shared):
+            for cap in (4, 6):
+                y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
+                assert y.flags.c_contiguous
+                for i in range(len(x0)):
+                    tg = target[i:i + 1] if target.ndim == 2 else target
+                    y0_i = None if y0 is None else y0[i:i + 1]
+                    y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
+                    assert np.array_equal(y[i], y1[0])
+                    assert ok[i] == ok1[0]
+                    assert np.array_equal(dual[i], dual1[0])
 
 
 def test_streams_match_a_fresh_philox_per_stream():
@@ -419,59 +440,60 @@ def test_streams_match_a_fresh_philox_per_stream():
 
 
 def test_random_starts_take_a_lazy_iterable():
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
-        target = feas.target(T_EXAMPLE)
-        listed = feas.random_starts(target, [_rng(4, i) for i in range(5)])
-        assert np.array_equal(feas.random_starts(target, _streams(4, range(5))), listed)
-        assert np.array_equal(feas.random_starts(target, (_rng(4, i) for i in range(5))), listed)
-        assert feas.random_starts(target, iter(())).shape == (0, feas.nb, feas.s, feas.s)
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    target = feas.target(T_EXAMPLE)
+    listed = feas.random_starts(target, [_rng(4, i) for i in range(5)])
+    assert np.array_equal(feas.random_starts(target, _streams(4, range(5))), listed)
+    assert np.array_equal(feas.random_starts(target, (_rng(4, i) for i in range(5))), listed)
+    assert feas.random_starts(target, iter(())).shape == (0, 3, 3, 3)
 
 
 def _random_start_reference(feas, target, rng):
-    """One start at a time, as a (nb, s, s) layout point."""
+    """One start at a time, as a (d, d, d) block point."""
     env = np.sqrt(np.outer(target, target))
     scale = rng.uniform(0.1, 0.9)
     g = rng.standard_normal((feas.n, feas.n)) + 1j * rng.standard_normal((feas.n, feas.n))
     x = np.diag(target) + scale * (g + g.conj().T) / 2 * env
-    out = np.zeros((feas.nb, feas.s, feas.s), dtype=np.complex128)
-    out[feas._in_layout] = x[feas._in_support]
+    out = np.zeros((feas.d, feas.d, feas.d), dtype=np.complex128)
+    out[feas._in_blocks] = x[feas._in_support]
     return out
 
 
 def test_random_starts_match_one_at_a_time_reference():
     t2 = np.array([[0.5, 0.3, 0.6], [0.2, 0.5, 0.4], [0.3, 0.2, 0.0]])
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
-        shared = feas.target(T_EXAMPLE)
-        per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(5)])
-        for target in (shared, per_member):
-            x = feas.random_starts(target, [_rng(4, i) for i in range(5)])
-            for i in range(5):
-                tg = target if target.ndim == 1 else target[i]
-                assert np.array_equal(x[i], _random_start_reference(feas, tg, _rng(4, i)))
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    shared = feas.target(T_EXAMPLE)
+    per_member = np.stack([feas.target(T_EXAMPLE if i % 2 else t2) for i in range(5)])
+    for target in (shared, per_member):
+        x = feas.random_starts(target, [_rng(4, i) for i in range(5)])
+        for i in range(5):
+            tg = target if target.ndim == 1 else target[i]
+            assert np.array_equal(x[i], _random_start_reference(feas, tg, _rng(4, i)))
 
 
 def test_project_ignores_input_layout():
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
-        target = feas.target(T_EXAMPLE)
-        x = feas.random_starts(target, [_rng(6, i) for i in range(5)])
-        f_ordered = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)   # equal values
-        assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
-        y, ok, _ = _project(feas, x, target, 1e-9, 50)
-        y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
-        assert ok.all() and np.array_equal(ok, ok_f)
-        assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    target = feas.target(T_EXAMPLE)
+    x = feas.random_starts(target, [_rng(6, i) for i in range(5)])
+    f_ordered = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)   # equal values
+    assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
+    y, ok, _ = _project(feas, x, target, 1e-9, 50)
+    y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
+    assert ok.all() and np.array_equal(ok, ok_f)
+    assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
 
 
 def _affine_reference(feas, x, target):
-    """Frobenius projection onto the affine constraints, one group at a time."""
+    """Frobenius projection of a matrix over the support onto the affine
+    constraints, one group at a time."""
     x = (x + x.conj().T) / 2
     idx = np.arange(feas.n)
     x[idx, idx] = target
+    # each group member's row and column in the matrix over the support
+    rows, cols = (np.searchsorted(feas.support, feas.pos_b * feas.d + at)
+                  for at in (feas.pos_r, feas.pos_c))
     for g in range(feas.n_groups):
-        r, c = feas.pos_r[feas.group_id == g], feas.pos_c[feas.group_id == g]
+        r, c = rows[feas.group_id == g], cols[feas.group_id == g]
         vals = x[r, c] - x[r, c].sum() / len(r)
         x[r, c] = vals
         x[c, r] = vals.conj()
@@ -480,7 +502,8 @@ def _affine_reference(feas, x, target):
 
 def _dykstra_reference(feas, x0, target, tol):
     """Dykstra's alternating projections (PSD cone with its correction term,
-    then the affine set), to tol in both the residual and the step."""
+    then the affine set) of a matrix over the support, to tol in both the
+    residual and the step."""
     x = _affine_reference(feas, x0, target)
     p = np.zeros_like(x)
     for _ in range(500_000):
@@ -490,12 +513,18 @@ def _dykstra_reference(feas, x0, target, tol):
         y = (y + y.conj().T) / 2
         p = s - y
         x = _affine_reference(feas, y, target)
-        if feas.residual(y[None], target) <= tol and np.abs(x - y).max() <= tol:
+        # the residual of y's blocks (its affine constraints lie in them)
+        blocks = feas._points(())
+        blocks[feas._in_blocks] = y[feas._in_support]
+        if feas.residual(blocks, target) <= tol and np.abs(x - y).max() <= tol:
             return y
     pytest.fail("reference Dykstra did not converge")
 
 
 def test_project_matches_dykstra_reference():
+    # the reference projects the whole matrix over the support; from a block-
+    # diagonal start it stays block diagonal, and the block projection finds
+    # the same point: the reduction to J's diagonal blocks is exact
     rng = np.random.default_rng(77)
     dense = [rng.uniform(0, 1, (d, d)) for d in (2, 3)]
     # a zero entry, and a support with no group constraint at all
@@ -503,15 +532,22 @@ def test_project_matches_dykstra_reference():
         t = t / t.sum(axis=0, keepdims=True)
         feas = _FeasibleSet.for_action(t)
         target = feas.target(t)
+        blk = feas.support // feas.d
+        cross = blk[:, None] != blk[None, :]
         # scaled away from the set, so that the cone clips eigenvalues
         x0 = feas.random_starts(target, [_rng(8, i) for i in range(3)])
         x0 *= (1.5 + np.arange(3))[:, None, None, None]
-        y, ok, _ = _project(feas, x0, target, 1e-11, 100)
+        # entries in the padding, as the ascent's gradient has them, are dropped
+        padded = x0 + (1.0 - feas.mask) * _rng(8, 98).standard_normal(x0.shape)
+        y, ok, _ = _project(feas, padded, target, 1e-11, 100)
         assert ok.all()
+        assert np.abs(y * (1.0 - feas.mask)).max() <= 1e-12
         for i in range(len(x0)):
-            # the full layout's one block is the matrix over the support
-            ref = _dykstra_reference(feas, x0[i, 0], target, 1e-11)
-            assert np.abs(y[i, 0] - ref).max() <= 1e-9
+            start = np.zeros((feas.n, feas.n), dtype=np.complex128)
+            start[feas._in_support] = x0[i][feas._in_blocks]
+            ref = _dykstra_reference(feas, start, target, 1e-11)
+            assert np.abs(ref[cross]).max(initial=0.0) <= 1e-12
+            assert np.abs(y[i][feas._in_blocks] - ref[feas._in_support]).max() <= 1e-9
 
 
 @st.composite
@@ -532,97 +568,66 @@ def _actions(draw, zeros=False):
 @given(_actions())
 def test_project_properties(case):
     t, seed = case
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(t, blocks)
-        target = feas.target(t)
-        x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(4)])
-        tol = 1e-9
-        y, ok, _ = _project(feas, x0, target, tol, 100)
-        assert ok.all()
-        assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
-        assert (feas.residual(y, target) <= tol).all()
-        # variational inequality of the projection against the feasible c0
-        # point (in the block layout its diagonal blocks, also feasible)
-        z = feas.compress(coherify.coherify_c0(t).channel.jam)
-        s = (x0 + np.swapaxes(x0, -1, -2).conj()) / 2
-        inner = np.einsum("bkij,bkij->b", (s - y).conj(), z[None] - y).real
-        assert (inner <= 1e-8).all()
-
-
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(_actions(zeros=True))
-def test_project_keeps_block_diagonal_points_block_diagonal(case):
-    # the purity maximizer ascends in block space on this property: the full
-    # projection of a block-diagonal point stays block diagonal, and the
-    # block layout, whose rows outside the support are zero padding, finds
-    # the same point
-    t, seed = case
     feas = _FeasibleSet.for_action(t)
-    blocks = _FeasibleSet.for_action(t, blocks=True)
     target = feas.target(t)
-    blk = feas.support // feas.d
-    cross = blk[:, None] != blk[None, :]
     x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(4)])
-    x0[:, 0, cross] = 0.0
-    x0_blocks = blocks.compress(feas.embed(x0))
-    assert np.array_equal(blocks.embed(x0_blocks), feas.embed(x0))
-    # entries in the padding, as the ascent's gradient has them, are dropped
-    x0_blocks += (1.0 - blocks.mask) * _rng(seed, 98).standard_normal(x0_blocks.shape)
-    tol = 1e-11
+    tol = 1e-9
     y, ok, _ = _project(feas, x0, target, tol, 100)
-    y_blocks, ok_blocks, _ = _project(blocks, x0_blocks, target, tol, 100)
-    assert ok.all() and ok_blocks.all()
-    assert np.abs(y[:, 0, cross]).max(initial=0.0) <= 1e-12
-    assert np.abs(y_blocks * (1.0 - blocks.mask)).max() <= 1e-12
-    assert np.abs(blocks.embed(y_blocks) - feas.embed(y)).max() <= 1e-9
+    assert ok.all()
+    assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
+    assert (feas.residual(y, target) <= tol).all()
+    # variational inequality of the projection against the diagonal blocks
+    # of the feasible c0 point
+    z = feas.compress(coherify.coherify_c0(t).channel.jam)
+    s = (x0 + np.swapaxes(x0, -1, -2).conj()) / 2
+    inner = np.einsum("bkij,bkij->b", (s - y).conj(), z[None] - y).real
+    assert (inner <= 1e-8).all()
 
 
 def test_project_from_its_own_multipliers_takes_no_step():
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(T_EXAMPLE, blocks)
-        target = feas.target(T_EXAMPLE)
-        x0 = 3.0 * feas.random_starts(target, [_rng(9, i) for i in range(5)])
-        y, ok, dual = _project(feas, x0, target, 1e-9, 50)
-        assert ok.all()
-        # a cap of 0 allows no Newton step, so every member converges at its start
-        y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
-        assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
-        assert np.array_equal(dual2, dual)
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    target = feas.target(T_EXAMPLE)
+    x0 = 3.0 * feas.random_starts(target, [_rng(9, i) for i in range(5)])
+    y, ok, dual = _project(feas, x0, target, 1e-9, 50)
+    assert ok.all()
+    # a cap of 0 allows no Newton step, so every member converges at its start
+    y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
+    assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
+    assert np.array_equal(dual2, dual)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_actions(), st.floats(0.01, 10.0))
 def test_project_warm_start_reaches_the_same_point(case, scale):
     t, seed = case
-    for blocks in LAYOUTS:
-        feas = _FeasibleSet.for_action(t, blocks)
-        target = feas.target(t)
-        x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(3)])
-        y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
-        tol = 1e-11
-        cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
-        warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
-        assert ok_cold.all() and ok_warm.all()
-        assert (feas.residual(warm, target) <= tol).all()
-        # the projection is unique, so the start only changes the path to it
-        assert np.abs(warm - cold).max() <= 1e-9
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(3)])
+    y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
+    tol = 1e-11
+    cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
+    warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
+    assert ok_cold.all() and ok_warm.all()
+    assert (feas.residual(warm, target) <= tol).all()
+    # the projection is unique, so the start only changes the path to it
+    assert np.abs(warm - cold).max() <= 1e-9
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(_actions())
-def test_sampler_channels_lie_between_the_spectral_bounds(case):
+@given(_actions(), _actions(zeros=True))
+def test_sampler_channels_lie_between_the_spectral_bounds(case, sparse_case):
     # mu_upper(T) majorizes every feasible spectrum, and the spectrum of a
     # Hermitian matrix majorizes its diagonal vec(T)/d (Schur-Horn). mu_lower
     # is no bound here: it is the spectrum of one coherent construction and
     # bounds only the optimum, which random samples fall short of
-    t, seed = case
-    d = t.shape[0]
-    samples = sample_fixed_action(t, 20, OracleConfig(seed=seed))
-    lam = spectrum(np.stack([smp.jam for smp in samples]))
-    for smp in samples:
-        assert np.abs(classical_action(smp) - t).max() <= 1e-6
-    assert majorizes(mu_upper(t), lam, slack=1e-6, sum_atol=1e-5).all()
-    assert majorizes(lam, t.reshape(-1) / d, slack=1e-6, sum_atol=1e-5).all()
+    for t, seed in (case, sparse_case):
+        d = t.shape[0]
+        samples = sample_fixed_action(t, 20, OracleConfig(seed=seed))
+        lam = spectrum(np.stack([smp.jam for smp in samples]))
+        for smp in samples:
+            assert np.abs(classical_action(smp) - t).max() <= 1e-6
+        assert majorizes(mu_upper(t), lam, slack=1e-6, sum_atol=1e-5).all()
+        assert majorizes(lam, t.reshape(-1) / d, slack=1e-6, sum_atol=1e-5).all()
 
 
 def test_sampler_small_entries_of_t():
