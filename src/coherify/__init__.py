@@ -58,7 +58,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     FamilyMismatch,
-    NoConvergence,
     NotBistochastic,
     NotHermitian,
     NotTracePreserving,

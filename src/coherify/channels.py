@@ -55,22 +55,15 @@ def _checked_jams(jams: np.ndarray, atol: float, atol_psd: float) -> np.ndarray:
 class Channel:
     """Immutable CPTP map, canonically a trace-1 Jamiolkowski state.
 
-    The Kraus list is cached: either supplied at construction (and checked
-    against J) or extracted lazily from the eigenvectors of J on first use.
+    The Kraus list is cached: either the one a channel was built from
+    (:func:`channel_from_kraus`) or extracted lazily from the eigenvectors
+    of J on first use.
     """
 
-    def __init__(self, jam, kraus=None, *, atol: float = 1e-9, atol_psd: float = 1e-10):
+    def __init__(self, jam, *, atol: float = 1e-9, atol_psd: float = 1e-10):
         jam = _checked_jams(as_complex_matrix(jam, "J")[None], atol, atol_psd)[0]
         self._set_jam(jam, atol)
-        if kraus is not None:
-            kraus = [as_complex_matrix(k, "K") for k in kraus]
-            tp_err = _tp_deviation(kraus)
-            if tp_err > atol:
-                raise NotTracePreserving(tp_err)
-            rec_err = np.abs(jam_from_kraus(kraus) - jam).max()
-            if rec_err > atol:
-                raise ValueError(f"Kraus list does not reproduce J: deviation {rec_err:.3e}")
-        self._kraus = kraus
+        self._kraus = None
 
     @classmethod
     def from_stack(cls, jams, *, atol: float = 1e-9, atol_psd: float = 1e-10) -> list["Channel"]:
@@ -138,7 +131,9 @@ def channel_from_kraus(kraus, *, atol: float = 1e-9) -> Channel:
     tp_err = _tp_deviation(kraus)
     if tp_err > atol:
         raise NotTracePreserving(tp_err)
-    return Channel(jam_from_kraus(kraus), kraus=kraus, atol=atol)
+    ch = Channel(jam_from_kraus(kraus), atol=atol)
+    ch._kraus = kraus
+    return ch
 
 
 def kraus_from_channel(ch: Channel, rank_tol: float = KRAUS_RANK_TOL) -> list[np.ndarray]:

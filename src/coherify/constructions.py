@@ -11,7 +11,7 @@ solved 3x3 zero-pattern families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,17 +83,12 @@ def coherify_c0(t) -> CoherificationResult:
     """
     t = assert_transition_matrix(t)
     d = t.shape[0]
-    kraus = []
-    for n in range(d):
-        k = np.zeros((d, d), dtype=np.complex128)
-        for i in range(d):
-            cols = sorted(range(d), key=lambda c: (-t[i, c], c))
-            c = cols[n]
-            if t[i, c] > 0:
-                k[i, c] = np.sqrt(t[i, c])
-        if np.any(k != 0):
-            kraus.append(k)
-    ch = channel_from_kraus(kraus)
+    # cols[i, n]: the column of row i's n-th largest entry, ties to the smaller
+    cols = np.argsort(-t, axis=1, kind="stable")
+    rows = np.arange(d)[:, None]
+    kraus = np.zeros((d, d, d), dtype=np.complex128)
+    kraus[np.arange(d), rows, cols] = np.sqrt(t[rows, cols])
+    ch = channel_from_kraus([k for k in kraus if np.any(k != 0)])
     optimal = bool(np.abs(mu_lower(t) - mu_upper(t)).max() <= 1e-9) or _matches_family(
         t, "cyclic"
     )
@@ -350,8 +345,8 @@ def coherify_qutrit(t, family: str) -> CoherificationResult:
         raise DimensionMismatch(f"qutrit construction needs d = 3, got {t.shape[0]}")
     if family == "cyclic":
         _check_pattern(t, "cyclic")
-        kraus = coherify_c0(t).channel.kraus
-    elif family == "single_row":
+        return replace(coherify_c0(t), method="qutrit_cyclic", optimal=True)
+    if family == "single_row":
         kraus = _qutrit_single_row(t)
     elif family == "double_row":
         kraus = _qutrit_double_row(t)

@@ -52,8 +52,3 @@ class ConvergenceFailure(CoherifyError):
     Raised when a LAPACK eigensolver fails, and when a sampling or
     optimization run does not reach feasibility within its iteration limit.
     """
-
-
-# the second public name of the same class, so that code catching either
-# name catches every convergence failure
-NoConvergence = ConvergenceFailure

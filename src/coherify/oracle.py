@@ -22,7 +22,9 @@ The sampler couples random projected blocks through a random coupling,
 from the least pure one (J block diagonal) through a random Wishart one to
 the purest. The purity maximizer ascends a convex function f of the blocks'
 spectra, the largest purity of a state with those blocks (the
-block-majorization theorem of :mod:`coherify.bounds`). mu_upper(T)
+block-majorization theorem of :mod:`coherify.bounds`), from random starts
+and from the diagonal point diag(T_i.)/d, the blocks of the row-grouping
+coherification C0, where f = |mu_lower|^2. mu_upper(T)
 majorizes every feasible spectrum, so no point has purity above
 |mu_upper|^2; once an input's best point reaches that ceiling (to 1e-10)
 it is optimal, and all of its starts stop. The purity returned is that of
@@ -47,12 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, channel_purity
-from .constructions import coherify_c0
 from .bounds import mu_upper
+from .channels import Channel, channel_purity
+from .diagnostics import maxmixed_output_purity
 from .errors import ConvergenceFailure
 from .matcore import dag
-from .stochastic import assert_transition_matrix
+from .stochastic import _moduli_polish, _verify_witness, assert_transition_matrix, is_bistochastic
 
 __all__ = [
     "OracleConfig",
@@ -218,12 +220,6 @@ class _FeasibleSet:
 
     def _points(self, batch: tuple) -> np.ndarray:
         return np.zeros(batch + (self.d, self.d, self.d), dtype=np.complex128)
-
-    def compress(self, x_full: np.ndarray) -> np.ndarray:
-        """The diagonal blocks of (..., d^2, d^2) matrices, padding zeroed."""
-        d = self.d
-        x = x_full.reshape(x_full.shape[:-2] + (d, d, d, d))
-        return np.einsum("...iaib->...iab", x) * self.mask
 
     def group_sums(self, x: np.ndarray) -> np.ndarray:
         # reduceat adds each row in order, so a member's sums do not depend on
@@ -463,10 +459,15 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     Wishart, G a d^2 x r Gaussian whose rank r, uniform in d..d^2, sets how
     pure C_W is, D = blockdiag(W_ii); D^{-1/2} G is the polar factor of each
     block row G_i. Sample i draws its start from stream i, and r, G and u
-    from stream 30_000 + i.
+    from stream 30_000 + i. n = 0 gives no samples; a negative n raises
+    ValueError.
     """
     cfg = cfg or OracleConfig()
     t = assert_transition_matrix(t)
+    if n < 0:
+        raise ValueError(f"the number of samples must be non-negative, got {n}")
+    if n == 0:
+        return []
     d = t.shape[0]
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
@@ -524,7 +525,9 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # the ceiling |mu_upper|^2: no feasible block point has a larger f
     ceilings = np.array([float(up @ up) for up in map(mu_upper, group)])
     x = feas._points((len(group) * per,))
-    x[::per] = feas.compress(np.stack([coherify_c0(t).channel.jam for t in group]))
+    # start 0: the blocks diag(T_i.)/d, those of the row-grouping
+    # coherification C0 (whose coherence lies off J's diagonal blocks)
+    x[::per, feas.blk, feas.row, feas.row] = targets[::per]
     random = np.flatnonzero(np.arange(len(x)) % per)
     x[random] = feas.random_starts(targets[random], _streams(
         cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
@@ -595,12 +598,14 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     reaches |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible
     spectrum, so no point is purer, and the input is optimal to within
     1e-10 (each input of a batch stops on its own ceiling). The starts of
-    each input are the diagonal blocks of the row-grouping coherification
-    (feasible, so the result is never below its purity, the known lower
-    bound) and cfg.restarts - 1 random block-diagonal points. The best point
-    of each input then takes one more ascent step, projected to the residual
-    1e-13 (the ascent's to min(cfg.tolerance, 1e-9)), and its blocks are
-    coupled by their ordered eigenvectors, C_ij = V_i V_j^dag.
+    each input are the diagonal point, diag(T_i.)/d in block i, and
+    cfg.restarts - 1 random block-diagonal points. The diagonal point is
+    feasible and holds the blocks of the row-grouping coherification C0,
+    with f = |mu_lower(T)|^2, so the result is never below C0's purity, the
+    known lower bound. The best point of each input then takes one more
+    ascent step, projected to the residual 1e-13 (the ascent's to
+    min(cfg.tolerance, 1e-9)), and its blocks are coupled by their ordered
+    eigenvectors, C_ij = V_i V_j^dag.
 
     The value returned is the purity of the returned channel, feasible to
     about 1e-13: some channel attains it, so it is a lower bound on the
@@ -618,8 +623,6 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
     Haar pure states are normalized complex Gaussian vectors. Returns the
     estimate and its standard error.
     """
-    from .diagnostics import maxmixed_output_purity
-
     d = ch.dim
     rng = _rng(seed)
     psi = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
@@ -701,8 +704,6 @@ def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
     witness costs up to 50 SVDs of polish for nothing. Restarts leaving
     together are verified in restart order.
     """
-    from .stochastic import _moduli_polish, _verify_witness
-
     d = t.shape[0]
     m = np.sqrt(t)
     jk = np.triu_indices(d, 1)
@@ -767,8 +768,6 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     for a given cfg. Returns None when nothing verifies; absence of a
     witness is an "unknown", not a "no".
     """
-    from .stochastic import _moduli_polish, _verify_witness, is_bistochastic
-
     cfg = cfg or OracleConfig()
     t = assert_transition_matrix(t)
     if not is_bistochastic(t):

@@ -177,6 +177,29 @@ def test_criterion_5_theorem1_property():
         assert violations == 0
 
 
+def _sinkhorn_draws(rng, chunk=4096):
+    """3x3 matrices with entries from [0.02, 1), balanced by 200 Sinkhorn
+    rounds and then column-normalized, one after another. Drawn and balanced
+    a stack at a time, which gives the same bits as one draw at a time."""
+    while True:
+        m = rng.uniform(0.02, 1.0, (chunk, 3, 3))
+        for _ in range(200):
+            m /= m.sum(axis=-2, keepdims=True)
+            m /= m.sum(axis=-1, keepdims=True)
+        yield from m / m.sum(axis=-2, keepdims=True)
+
+
+def test_sinkhorn_draws_equal_one_draw_at_a_time():
+    rng = np.random.default_rng(13)
+    draws = _sinkhorn_draws(np.random.default_rng(13), chunk=16)
+    for _ in range(40):
+        m = rng.uniform(0.02, 1.0, (3, 3))
+        for _ in range(200):
+            m /= m.sum(axis=0, keepdims=True)
+            m /= m.sum(axis=1, keepdims=True)
+        assert np.array_equal(next(draws), m / m.sum(axis=0, keepdims=True))
+
+
 def test_criterion_6_polygon_constraints():
     with Budget("criterion 6 (polygon constraints for bistochastic actions)", 600.0):
         poly = polygon_report(T_FLAT_OFFDIAG)
@@ -186,15 +209,11 @@ def test_criterion_6_polygon_constraints():
         _, pur = maximize_purity(T_FLAT_OFFDIAG, OracleConfig(seed=42, restarts=6))
         assert abs(pur - 0.5) <= 1e-3
 
-        rng = np.random.default_rng(13)
+        draws = _sinkhorn_draws(np.random.default_rng(13))
         checked = 0
         violations = 0
         while checked < 1000:
-            m = rng.uniform(0.02, 1.0, (3, 3))
-            for _ in range(200):
-                m /= m.sum(axis=0, keepdims=True)
-                m /= m.sum(axis=1, keepdims=True)
-            t = m / m.sum(axis=0, keepdims=True)
+            t = next(draws)
             cls = classify(t)
             if cls.unistochastic != "no":
                 continue

@@ -117,6 +117,36 @@ def test_c0_spectrum_is_sorted_row_average():
             assert np.abs(res.achieved_spectrum - mu_lower(t)).max() < 1e-9
 
 
+def _c0_kraus_reference(t):
+    """C0's Kraus list one operator and one row at a time: operator n keeps
+    the square root of each row's n-th largest entry, ties to the smaller
+    column, and all-zero operators are dropped."""
+    d = t.shape[0]
+    kraus = []
+    for n in range(d):
+        k = np.zeros((d, d), dtype=np.complex128)
+        for i in range(d):
+            c = sorted(range(d), key=lambda col: (-t[i, col], col))[n]
+            if t[i, c] > 0:
+                k[i, c] = np.sqrt(t[i, c])
+        if np.any(k != 0):
+            kraus.append(k)
+    return kraus
+
+
+def test_c0_kraus_equal_the_loop_reference():
+    # entries from a few values, so rows tie often, and zeros
+    rng = np.random.default_rng(41)
+    for i in range(140):
+        d = 2 + i % 7
+        t = rng.choice([0.0, 0.1, 0.25, 0.5], size=(d, d)) if i % 2 else rng.uniform(0, 1, (d, d))
+        t += np.diag(t.sum(axis=0) == 0)
+        t /= t.sum(axis=0, keepdims=True)
+        kraus, ref = coherify_c0(t).channel.kraus, _c0_kraus_reference(t)
+        assert len(kraus) == len(ref)
+        assert all(np.array_equal(k, r) for k, r in zip(kraus, ref))
+
+
 # ---------------------------------------------------------------------------
 # qubit optimum
 # ---------------------------------------------------------------------------

@@ -576,12 +576,26 @@ def test_project_properties(case):
     assert ok.all()
     assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
     assert (feas.residual(y, target) <= tol).all()
-    # variational inequality of the projection against the diagonal blocks
-    # of the feasible c0 point
-    z = feas.compress(coherify.coherify_c0(t).channel.jam)
+    # variational inequality of the projection against the feasible
+    # diagonal point, the blocks diag(T_i.)/d
+    z = feas._points(())
+    z[feas.blk, feas.row, feas.row] = target
     s = (x0 + np.swapaxes(x0, -1, -2).conj()) / 2
     inner = np.einsum("bkij,bkij->b", (s - y).conj(), z[None] - y).real
     assert (inner <= 1e-8).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions(), _actions(zeros=True))
+def test_c0_blocks_are_the_diagonal_start(case, sparse_case):
+    # the maximizer's first start is diag(T_i.)/d in block i: C0's coherence
+    # lies only in J's off-diagonal blocks
+    for t, _ in (case, sparse_case):
+        d = t.shape[0]
+        jam = coherify.coherify_c0(t).channel.jam.reshape(d, d, d, d)
+        blocks = np.einsum("iaib->iab", jam)
+        expected = np.stack([np.diag(row) for row in t]) / d
+        assert np.abs(blocks - expected).max() <= 1e-15
 
 
 def test_project_from_its_own_multipliers_takes_no_step():
@@ -641,15 +655,18 @@ def test_sampler_small_entries_of_t():
         assert np.linalg.eigvalsh(smp.jam).min() > -1e-8
 
 
+def test_sampler_with_no_samples():
+    assert sample_fixed_action(T_EXAMPLE, 0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_fixed_action(T_EXAMPLE, -1)
+
+
 def test_convergence_error_names_catch_both_failures(monkeypatch):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    for name in ("NoConvergence", "ConvergenceFailure"):
-        exc = getattr(coherify, name)
-        with pytest.raises(exc):
-            sample_fixed_action(T_EXAMPLE, 2, OracleConfig(max_iterations=1))
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", failing_eigh)
-            with pytest.raises(exc):
-                eig_hermitian(np.eye(2))
+    with pytest.raises(coherify.ConvergenceFailure):
+        sample_fixed_action(T_EXAMPLE, 2, OracleConfig(max_iterations=1))
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(coherify.ConvergenceFailure):
+        eig_hermitian(np.eye(2))
