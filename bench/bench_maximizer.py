@@ -19,8 +19,9 @@ alternating which tree runs first, and times:
   projection (each ``_maximize_group`` call's last: the polish or the
   final ascent step), which repeat exactly;
 - ``sample_fixed_action`` drawing 100 samples of a 3x3 action whose
-  smallest entry is 4e-4 (``OracleConfig(seed=0)``: tolerance 1e-7, 2000
-  iterations), after an untimed call on a well-conditioned action; the
+  smallest entry is 4e-4 (``OracleConfig(seed=0)``; the sampler projects
+  to 1e-7 within 2000 Newton steps), after an untimed call on a
+  well-conditioned action; the
   number of samples returned is reported (0 if it raised).
 
 The validate round is also split into phases by wrapping oracle functions:

@@ -67,11 +67,7 @@ from .errors import (
 from .matcore import (
     EigenDecomposition,
     eig_hermitian,
-    kron,
     partial_trace,
-    reshuffle,
-    unvectorize,
-    vectorize,
 )
 from .oracle import (
     OracleConfig,

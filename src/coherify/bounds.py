@@ -96,15 +96,11 @@ def _beta(t: np.ndarray, i: int, k: int, l: int, a: float) -> float:
     return float(np.sqrt((t[i, k] - t[i, l]) ** 2 + 4 * a * t[i, k] * t[i, l]))
 
 
-def polygon_report(t, mode: str = "min") -> PolygonReport:
+def polygon_report(t) -> PolygonReport:
     """Purity and majorization bounds from the polygon coefficients.
 
-    mode="min" (default) takes the single strongest triple for the purity
-    bound, which is always sound. mode="accumulate" additionally sums the
-    within-block deficits over triples with pairwise disjoint {(i,k),(i,l)}
-    position sets and adds the largest cross-block deficit; cross-block
-    deficits of different triples can constrain the same matrix element, so
-    only one of them may be counted.
+    The purity bound takes the single strongest triple: the largest sum of
+    its within-block and cross-block deficits.
     """
     t = assert_transition_matrix(t)
     if not is_bistochastic(t):
@@ -117,29 +113,13 @@ def polygon_report(t, mode: str = "min") -> PolygonReport:
         triv[0] = 1.0
         return PolygonReport(alphas=alphas, purity_upper=1.0, majorization_upper=triv)
 
-    deficits = {}
+    deficits = []
     for (i, k, l), a in qualifying.items():
         b = _beta(t, i, k, l, a)
         d1 = 2.0 * t[i, k] * t[i, l] * (1.0 - a) / d ** 2
         d2 = (d - t[i, k] - t[i, l]) * (t[i, k] + t[i, l] - b) / d ** 2
-        deficits[(i, k, l)] = (d1, d2)
-
-    if mode == "min":
-        purity = 1.0 - max(d1 + d2 for d1, d2 in deficits.values())
-    elif mode == "accumulate":
-        order = sorted(deficits, key=lambda trip: -(sum(deficits[trip])))
-        used: set = set()
-        total_d1 = 0.0
-        for trip in order:
-            i, k, l = trip
-            positions = {(i, k), (i, l)}
-            if positions & used:
-                continue
-            used |= positions
-            total_d1 += deficits[trip][0]
-        purity = 1.0 - total_d1 - max(d2 for _, d2 in deficits.values())
-    else:
-        raise ValueError(f"mode must be 'min' or 'accumulate', got {mode!r}")
+        deficits.append(d1 + d2)
+    purity = 1.0 - max(deficits)
 
     mu_sum = 0.0
     for i in range(d):

@@ -22,9 +22,11 @@ from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize
 from .states import assert_density_matrix, shannon_entropy, spectrum
 
 KRAUS_RANK_TOL = 1e-10
+# J is positive when its least eigenvalue is at least -max(PSD_FLOOR, atol).
+PSD_FLOOR = 1e-10
 
 
-def _checked_jams(jams: np.ndarray, atol: float, atol_psd: float) -> np.ndarray:
+def _checked_jams(jams: np.ndarray, atol: float) -> np.ndarray:
     """Hermitian parts of a (B, d^2, d^2) stack of Jamiolkowski states.
 
     The checks run in :class:`Channel`'s order, each once on the whole
@@ -41,7 +43,7 @@ def _checked_jams(jams: np.ndarray, atol: float, atol_psd: float) -> np.ndarray:
         raise NotHermitian(f"J is not Hermitian: deviation {herm[herm > atol][0]:.3e}")
     jams = hermitize(jams)
     wmin = np.linalg.eigvalsh(jams).min(axis=-1, initial=np.inf)
-    bad = wmin < -max(atol_psd, atol)
+    bad = wmin < -max(PSD_FLOOR, atol)
     if bad.any():
         raise ValueError(f"J is not positive semi-definite: min eigenvalue {wmin[bad][0]:.3e}")
     pt = np.einsum("bakal->bkl", jams.reshape(-1, d, d, d, d))
@@ -60,24 +62,24 @@ class Channel:
     of J on first use.
     """
 
-    def __init__(self, jam, *, atol: float = 1e-9, atol_psd: float = 1e-10):
-        jam = _checked_jams(as_complex_matrix(jam, "J")[None], atol, atol_psd)[0]
+    def __init__(self, jam, *, atol: float = 1e-9):
+        jam = _checked_jams(as_complex_matrix(jam, "J")[None], atol)[0]
         self._set_jam(jam, atol)
         self._kraus = None
 
     @classmethod
-    def from_stack(cls, jams, *, atol: float = 1e-9, atol_psd: float = 1e-10) -> list["Channel"]:
+    def from_stack(cls, jams, *, atol: float = 1e-9) -> list["Channel"]:
         """One channel per matrix of a (B, d^2, d^2) stack, each equal to
-        ``Channel(jams[i], atol=atol, atol_psd=atol_psd)``, with the checks
-        run once on the whole stack."""
+        ``Channel(jams[i], atol=atol)``, with the checks run once on the
+        whole stack."""
         try:
             jams = as_complex_matrix(jams, "J", stack=True)
         except ValueError:
             # members of different shapes: each is checked alone
-            return [cls(jam, atol=atol, atol_psd=atol_psd) for jam in jams]
+            return [cls(jam, atol=atol) for jam in jams]
         if jams.ndim != 3:
             raise DimensionMismatch(f"J must be a stack of d^2 x d^2 matrices, got {jams.shape}")
-        jams = _checked_jams(jams, atol, atol_psd)
+        jams = _checked_jams(jams, atol)
         channels = []
         for jam in jams:
             ch = cls.__new__(cls)
@@ -136,18 +138,18 @@ def channel_from_kraus(kraus, *, atol: float = 1e-9) -> Channel:
     return ch
 
 
-def kraus_from_channel(ch: Channel, rank_tol: float = KRAUS_RANK_TOL) -> list[np.ndarray]:
+def kraus_from_channel(ch: Channel) -> list[np.ndarray]:
     """Canonical Kraus operators, reshaped from eigenvectors of J.
 
     Mutually orthogonal, with Tr K_i K_i^dag = d * lambda_i(J); eigenvalues
-    below ``rank_tol`` are dropped. Each operator's phase is fixed by making
-    its largest-modulus entry real positive.
+    at most ``KRAUS_RANK_TOL`` are dropped. Each operator's phase is fixed
+    by making its largest-modulus entry real positive.
     """
     d = ch.dim
     dec = eig_hermitian(ch.jam)
     ops = []
     for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if lam <= rank_tol:
+        if lam <= KRAUS_RANK_TOL:
             break
         pivot = vec[np.argmax(np.abs(vec))]
         vec = vec * (abs(pivot) / pivot)

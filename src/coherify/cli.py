@@ -400,6 +400,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherify",
@@ -440,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="oracle cross-checks of all bounds for a transition matrix")
     p.add_argument("input")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     common(p)
     p.set_defaults(func=cmd_validate)

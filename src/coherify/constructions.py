@@ -58,16 +58,21 @@ def _sqrt(x: float) -> float:
 
 
 def coherify_unistochastic(t, witness=None) -> CoherificationResult:
-    """Complete coherification: a unitary channel realizing a unistochastic T."""
+    """Complete coherification: a unitary channel realizing a unistochastic T.
+
+    A given witness is verified; otherwise :func:`classify` supplies one, so
+    this succeeds exactly when classify says "yes".
+    """
     t = assert_transition_matrix(t)
-    try:
+    if witness is not None:
         u = unitary_from_unistochastic(t, witness=witness)
-    except NotUnistochastic:
-        if witness is not None:
-            raise
+    else:
         cls = classify(t)
         if cls.unistochastic != "yes":
-            raise
+            why = "not bistochastic" if not cls.is_bistochastic else (
+                f"polygon triple {cls.witness_triple}" if cls.witness_triple is not None
+                else "no witness found")
+            raise NotUnistochastic(f"classify says {cls.unistochastic!r} ({why})")
         u = cls.witness_unitary
     return _result(unitary_channel(u), "unistochastic", optimal=True)
 

@@ -95,54 +95,16 @@ def eigvals_hermitian(h: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     return _eigh(_hermitian_part(h, atol, stack=True))[0][..., ::-1]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def vectorize(m: np.ndarray) -> np.ndarray:
-    """Row-major (row-wise) vectorization of a square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m.reshape(-1)
-
-
-def unvectorize(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v).reshape(-1)
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatch(f"vector of length {v.size} is not d*d with d={d}")
-    return v.reshape(d, d)
-
-
-def _split_dim(x: np.ndarray, d: int | None) -> int:
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+def partial_trace(x: np.ndarray, d: int | None = None, subsystem: str = "first") -> np.ndarray:
+    """Partial trace of a d^2 x d^2 matrix over the named tensor factor."""
+    x = as_complex_matrix(x, "X")
+    n, m = x.shape
+    if n != m:
         raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
-    n = x.shape[0]
     if d is None:
         d = int(round(np.sqrt(n)))
     if d * d != n:
         raise DimensionMismatch(f"dimension {n} is not a perfect square matching d={d}")
-    return d
-
-
-def reshuffle(x: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Reshuffling X^R: output entry at ((i,k),(j,l)) is the input at ((i,j),(k,l)).
-
-    An involution on matrices of size d^2.
-    """
-    x = as_complex_matrix(x, "X")
-    d = _split_dim(x, d)
-    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def partial_trace(x: np.ndarray, d: int | None = None, subsystem: str = "first") -> np.ndarray:
-    """Partial trace of a d^2 x d^2 matrix over the named tensor factor."""
-    x = as_complex_matrix(x, "X")
-    d = _split_dim(x, d)
     x4 = x.reshape(d, d, d, d)
     if subsystem == "first":
         return np.einsum("akal->kl", x4)

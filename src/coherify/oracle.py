@@ -68,30 +68,31 @@ __all__ = [
 ]
 
 
+# the cap on the Newton steps of each projection onto the feasible set, on
+# the steps of each purity ascent and on the Levenberg-Marquardt steps,
+# accepted or rejected, of each restart of the witness search
+_MAX_STEPS = 2000
+# the feasibility residual of the sampler's projection and of each ascent
+# step's (the ascent's final step projects to 1e-13)
+_SAMPLE_TOL = 1e-7
+_ASCENT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs for the numerical validators.
+    """Settings of the numerical validators.
 
-    restarts is the number of starts per input of the purity maximizer and
-    of the witness search;
-    max_iterations caps the Newton steps of each projection onto the
-    feasible set, the steps of each purity ascent and the
-    Levenberg-Marquardt steps, accepted or rejected, of each restart of the
-    witness search; tolerance is the feasibility residual of the sampled
-    channels (the maximizer's ascent works at min(tolerance, 1e-9), and
-    its final step at 1e-13).
+    seed keys every random draw (see :func:`_streams`); restarts is the
+    number of starts per input of the purity maximizer and of the witness
+    search.
     """
 
     seed: int = 42
     restarts: int = 64
-    max_iterations: int = 2000
-    tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.restarts <= 0 or self.max_iterations <= 0:
-            raise ValueError("restarts and max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.restarts <= 0:
+            raise ValueError("restarts must be positive")
 
 
 def _streams(seed: int, streams):
@@ -472,11 +473,11 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
     starts = feas.random_starts(target, _streams(cfg.seed, range(n)))
-    blocks, ok, _ = _project(feas, starts, target, cfg.tolerance, cfg.max_iterations)
+    blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
     if not ok.all():
         raise ConvergenceFailure(
             f"{int((~ok).sum())} of {n} samples did not reach tolerance "
-            f"{cfg.tolerance} within {cfg.max_iterations} Newton steps"
+            f"{_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
         )
     g = np.zeros((n, d * d, d * d), dtype=np.complex128)    # zero past rank r
     u = np.empty(n)
@@ -520,7 +521,6 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     :func:`maximize_purity`)."""
     feas = _FeasibleSet.for_action(group[0])
     per = cfg.restarts
-    tol = min(cfg.tolerance, 1e-9)
     targets = np.repeat([feas.target(t) for t in group], per, axis=0)
     # the ceiling |mu_upper|^2: no feasible block point has a larger f
     ceilings = np.array([float(up @ up) for up in map(mu_upper, group)])
@@ -549,10 +549,10 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     f = np.full(len(x), -np.inf)
     duals = np.zeros((len(x), feas.m))        # each start's last multipliers
     live = np.arange(len(x))
-    for step in range(cfg.max_iterations):
+    for step in range(_MAX_STEPS):
         if not live.size:
             break
-        z, ok, y = _project(feas, x[live] + g[live], targets[live], tol, cfg.max_iterations,
+        z, ok, y = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL, _MAX_STEPS,
                             duals[live] if step else None)
         fz, gz = f_and_grad(z[ok])
         moved = live[ok]
@@ -568,11 +568,10 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # one more ascent step from each input's best start, projected to 1e-13,
     # so that the blocks coupled below are feasible to that residual
     best = np.arange(len(group)) * per + f.argmax(axis=1)
-    z, ok, _ = _project(feas, x[best] + g[best], targets[best], 1e-13, cfg.max_iterations,
-                        duals[best])
+    z, ok, _ = _project(feas, x[best] + g[best], targets[best], 1e-13, _MAX_STEPS, duals[best])
     if not ok.all():
         raise ConvergenceFailure(f"{int((~ok).sum())} of {len(group)} final projections did "
-                                 f"not reach 1e-13 within {cfg.max_iterations} Newton steps")
+                                 f"not reach 1e-13 within {_MAX_STEPS} Newton steps")
     # couple each input's blocks by their eigenvectors, C_ij = V_i V_j^dag,
     # eigenvalues in the same order in every block: J's purity is then f(z)
     w, v = np.linalg.eigh(z)
@@ -593,26 +592,26 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     one, start by start, from whichever of those and the step before's has
     the lower dual objective. f is convex, so from a feasible point every
     step gains at least its own squared length; a start stops once its gain
-    is at most 1e-12 f, when its projection fails, or after
-    cfg.max_iterations steps. All starts of an input stop once its best f
-    reaches |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible
-    spectrum, so no point is purer, and the input is optimal to within
-    1e-10 (each input of a batch stops on its own ceiling). The starts of
+    is at most 1e-12 f, when its projection fails, or after 2000 steps.
+    All starts of an input stop once its best f reaches
+    |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible spectrum, so
+    no point is purer, and the input is optimal to within 1e-10 (each
+    input of a batch stops on its own ceiling). The starts of
     each input are the diagonal point, diag(T_i.)/d in block i, and
     cfg.restarts - 1 random block-diagonal points. The diagonal point is
     feasible and holds the blocks of the row-grouping coherification C0,
     with f = |mu_lower(T)|^2, so the result is never below C0's purity, the
     known lower bound. The best point of each input then takes one more
-    ascent step, projected to the residual 1e-13 (the ascent's to
-    min(cfg.tolerance, 1e-9)), and its blocks are coupled by their ordered
-    eigenvectors, C_ij = V_i V_j^dag.
+    ascent step, projected to the residual 1e-13 (the ascent's to 1e-9),
+    and its blocks are coupled by their ordered eigenvectors,
+    C_ij = V_i V_j^dag.
 
     The value returned is the purity of the returned channel, feasible to
     about 1e-13: some channel attains it, so it is a lower bound on the
     optimum, above |mu_upper(T)|^2 by no more than rounding; short of the
     ceiling it is no optimality certificate. Raises ConvergenceFailure when
     no start of an input reaches a feasible point, or when an input's final
-    projection does not reach 1e-13 within cfg.max_iterations Newton steps.
+    projection does not reach 1e-13 within 2000 Newton steps.
     """
     return maximize_purity_many([t], cfg)[0]
 
@@ -683,7 +682,7 @@ def _phase_residual(m: np.ndarray, phi: np.ndarray, jk, dirs: np.ndarray):
     return r, jac, (r * r).sum(axis=-1)
 
 
-def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
+def _phase_lm(t: np.ndarray, waves) -> np.ndarray | None:
     """Lockstep Levenberg-Marquardt of batched restarts; the first verified
     witness or None.
 
@@ -698,7 +697,7 @@ def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
     by (J^T J + lambda) delta = -J^T R, one batched solve for all; an
     accepted step (the objective falls) divides lambda by 3, a rejected one
     multiplies it by 2. A restart leaves the batch when its objective drops
-    below 1e-24, after max_iterations steps, or once lambda passes 1e12 (it
+    below 1e-24, after _MAX_STEPS steps, or once lambda passes 1e12 (it
     has stalled); if its objective is below 1e-10 it is then polished and
     verified at once, and otherwise dropped: a restart stalled far from a
     witness costs up to 50 SVDs of polish for nothing. Restarts leaving
@@ -725,7 +724,7 @@ def _phase_lm(t: np.ndarray, waves, max_iterations: int) -> np.ndarray | None:
             phi = np.concatenate([phi, wave])
             r, jac, f = np.concatenate([r, rw]), np.concatenate([jac, jw]), np.concatenate([f, fw])
             lam = np.concatenate([lam, np.full(len(wave), _LM_DAMPING)])
-            left = np.concatenate([left, np.full(len(wave), max_iterations)])
+            left = np.concatenate([left, np.full(len(wave), _MAX_STEPS)])
         elif not len(phi):
             return None
         out = (f < _LM_SOLVED) | (left == 0) | (lam > _LM_STALL)
@@ -775,4 +774,4 @@ def search_unistochastic_witness(t, cfg: OracleConfig | None = None) -> np.ndarr
     u = _moduli_polish(np.sqrt(t).astype(np.complex128), t)
     if _verify_witness(u, t):
         return u
-    return _phase_lm(t, _phase_waves(t.shape[0], cfg), cfg.max_iterations)
+    return _phase_lm(t, _phase_waves(t.shape[0], cfg))

@@ -226,8 +226,6 @@ def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarr
     for cand in (m, m * fourier_matrix(d) * np.sqrt(d)):
         if _verify_witness(cand, t):
             return cand
-    if d == 1:
-        return np.ones((1, 1), dtype=np.complex128)
     if d == 2:
         a = t[0, 0]
         u = np.array([[np.sqrt(a), -np.sqrt(1 - a)], [np.sqrt(1 - a), np.sqrt(a)]], dtype=np.complex128)
@@ -262,8 +260,8 @@ def classify(t, search_cfg=None) -> StochasticClass:
     inequality (the inequalities are necessary, not sufficient, at d >= 4),
     and on unistochastic T where every restart stalls away from a witness:
     with the default config that was the case for none of 100 Haar |U|^2
-    inputs at d = 4 and 5, and for 1 of 20 at d = 6; a smaller restarts or
-    max_iterations misses more.
+    inputs at d = 4 and 5, and for 1 of 20 at d = 6; fewer restarts miss
+    more.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:

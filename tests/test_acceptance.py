@@ -169,7 +169,7 @@ def test_criterion_5_theorem1_property():
         for batch in range(100):
             t = rng.uniform(0, 1, (3, 3))
             t /= t.sum(axis=0, keepdims=True)
-            cfg = OracleConfig(seed=1000 + batch, max_iterations=30_000)
+            cfg = OracleConfig(seed=1000 + batch)
             for smp in sample_fixed_action(t, 100, cfg):
                 lam = spectrum(smp.jam)
                 if not majorizes(theorem1_bound(smp.jam), lam, slack=1e-9, sum_atol=1e-5):
@@ -218,7 +218,7 @@ def test_criterion_6_polygon_constraints():
             if cls.unistochastic != "no":
                 continue
             poly = polygon_report(t)
-            cfg = OracleConfig(seed=5000 + checked, max_iterations=30_000)
+            cfg = OracleConfig(seed=5000 + checked)
             for smp in sample_fixed_action(t, 2, cfg):
                 lam = path_distribution(smp)
                 if channel_purity(smp) > poly.purity_upper + 1e-6:

@@ -104,14 +104,6 @@ def test_polygon_requires_bistochastic():
         polygon_report(T_EXAMPLE)
 
 
-def test_polygon_accumulate_mode_sound():
-    rep_min = polygon_report(T_FLAT_OFFDIAG, mode="min")
-    rep_acc = polygon_report(T_FLAT_OFFDIAG, mode="accumulate")
-    assert rep_acc.purity_upper <= rep_min.purity_upper + 1e-12
-    # the accumulated bound must still dominate the achievable purity 1/2
-    assert rep_acc.purity_upper >= 0.5 - 1e-12
-
-
 def test_theorem1_block_diagonal():
     # with vanishing off-diagonal blocks the spectrum is the union of the
     # block spectra and the rankwise-summed bound still dominates it; the

@@ -12,9 +12,9 @@ from coherify.oracle import OracleConfig, haar_unitary
 from coherify.stochastic import alpha, classify
 
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
-# a short search keeps the "unknown" outcomes cheap; verdicts must be sound
-# whatever the search budget
-SEARCH = OracleConfig(seed=42, restarts=8, max_iterations=500)
+# eight restarts keep the "unknown" outcomes cheap; verdicts must be sound
+# whatever the number of restarts
+SEARCH = OracleConfig(seed=42, restarts=8)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 

@@ -216,6 +216,23 @@ def test_channel_validation():
         Channel(bad)
 
 
+def test_positivity_floor_below_a_small_atol():
+    # the identity channel's J plus eps (|11><11| - |01><01|): trace
+    # preserving, with least eigenvalue -eps on |01>. At atol = 1e-12 the
+    # positivity check still allows round-off down to -1e-10.
+    omega = np.array([1.0, 0.0, 0.0, 1.0])
+    for eps, accepted in ((5e-11, True), (2e-10, False)):
+        jam = np.outer(omega, omega) / 2 + eps * np.diag([0.0, -1.0, 0.0, 1.0])
+        assert np.linalg.eigvalsh(jam).min() == pytest.approx(-eps, rel=1e-6)
+        if accepted:
+            assert np.array_equal(Channel(jam, atol=1e-12).jam, jam)
+            assert np.array_equal(Channel.from_stack([jam], atol=1e-12)[0].jam, jam)
+        else:
+            for build in (Channel, lambda j, **kw: Channel.from_stack([j], **kw)):
+                with pytest.raises(ValueError, match="not positive semi-definite"):
+                    build(jam, atol=1e-12)
+
+
 def test_non_hermitian_raises_not_hermitian_and_value_error():
     jam = np.eye(4, dtype=complex) / 4
     jam[0, 1] = 0.1   # J[1, 0] stays 0

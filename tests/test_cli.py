@@ -160,6 +160,16 @@ def test_validate_ok_and_reproducible(t30, capsys):
     assert rep == rep2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_validate_samples_below_one_is_a_usage_error(t30, samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", t30, "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples: must be at least 1" in captured.err
+
+
 def test_dim_cap(tmp_path):
     path = write_json(tmp_path / "big.json", np.eye(9))
     assert main(["bounds", str(path)]) == 3

@@ -25,9 +25,9 @@ from coherify.constructions import (
     qutrit_family_spectrum,
 )
 from coherify.bounds import mu_lower, mu_upper
-from coherify.errors import FamilyMismatch
+from coherify.errors import FamilyMismatch, NotUnistochastic
 from coherify.states import coherify_state, purity, spectrum
-from coherify.stochastic import majorizes
+from coherify.stochastic import classify, majorizes
 
 T_EXAMPLE = np.array([[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]])
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -67,6 +67,23 @@ def test_unistochastic_flat():
         assert abs(channel_purity(res.channel) - 1.0) < 1e-9
         assert abs(channel_coherence_entropic(res.channel) - 2 * np.log2(d)) < 1e-9
         assert np.abs(res.achieved_spectrum[1:]).max() < 1e-9
+
+
+def test_unistochastic_succeeds_exactly_when_classify_says_yes():
+    kron = np.kron([[0.7, 0.3], [0.3, 0.7]], [[0.4, 0.6], [0.6, 0.4]])[[2, 0, 3, 1]]
+    inputs = [np.eye(1), qubit_t(0.3, 0.3), T_FLAT_OFFDIAG, T_EXAMPLE, kron]
+    verdicts = []
+    for t in inputs:
+        verdict = classify(t).unistochastic
+        verdicts.append(verdict)
+        if verdict == "yes":
+            res = coherify_unistochastic(t)
+            assert np.abs(classical_action(res.channel) - t).max() < 1e-9
+            assert abs(channel_purity(res.channel) - 1.0) < 1e-9
+        else:
+            with pytest.raises(NotUnistochastic, match=f"classify says '{verdict}'"):
+                coherify_unistochastic(t)
+    assert verdicts == ["yes", "yes", "no", "no", "yes"]
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,6 @@ def test_qubit_optimum_maximizes_unitarity():
         a, b = rng.uniform(0.1, 0.9, 2)
         t = np.array([[a, 1 - b], [1 - a, b]])
         u_opt = unitarity(coherify_qubit(t).channel)
-        cfg = OracleConfig(seed=300 + trial, max_iterations=30_000)
+        cfg = OracleConfig(seed=300 + trial)
         for smp in sample_fixed_action(t, 300, cfg):
             assert unitarity(smp) <= u_opt + 1e-6

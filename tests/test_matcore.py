@@ -6,11 +6,7 @@ from coherify.matcore import (
     dag,
     eig_hermitian,
     eigvals_hermitian,
-    kron,
     partial_trace,
-    reshuffle,
-    unvectorize,
-    vectorize,
 )
 
 
@@ -65,41 +61,6 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_vectorize_row_major():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(vectorize(m), [1, 2, 3, 4])
-    assert np.array_equal(vectorize(np.eye(3)), [1, 0, 0, 0, 1, 0, 0, 0, 1])
-    assert np.array_equal(unvectorize(np.array([1, 2, 3, 4]), 2), m)
-    with pytest.raises(DimensionMismatch):
-        unvectorize(np.arange(3))
-
-
-def test_reshuffle_involution_and_index_formula():
-    rng = np.random.default_rng(1)
-    for d in (2, 3):
-        x = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        assert np.abs(reshuffle(reshuffle(x)) - x).max() < 1e-15
-    # matrix unit at row (i=1,j=1), col (k=2,l=2) (1-based) moves to
-    # row (i=1,k=2), col (j=1,l=2)
-    e = np.zeros((4, 4))
-    e[0 * 2 + 0, 1 * 2 + 1] = 1.0
-    out = reshuffle(e)
-    expected = np.zeros((4, 4))
-    expected[0 * 2 + 1, 0 * 2 + 1] = 1.0
-    assert np.array_equal(out, expected)
-
-
-def test_reshuffle_unitary_kron_is_rank_one():
-    # rotation with all entries of modulus 1/sqrt(2)
-    u = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
-    r = reshuffle(kron(u, u.conj()))
-    w = np.linalg.eigvalsh((r + r.conj().T) / 2)
-    assert (np.abs(w) > 1e-12).sum() == 1
-    assert abs(np.trace(r) / 2 - 1.0) < 1e-12
-    v = vectorize(u)
-    assert np.abs(r - np.outer(v, v.conj())).max() < 1e-12
-
-
 def test_partial_trace_examples():
     # maximally entangled state: trace over the first factor gives 1/2 identity
     omega = np.zeros(4, dtype=complex)
@@ -111,9 +72,9 @@ def test_partial_trace_examples():
     a = rand_hermitian(2, rng)
     a = a / np.trace(a)
     b = rand_hermitian(2, rng)
-    assert np.abs(partial_trace(kron(a, b), 2, "first") - b).max() < 1e-12
+    assert np.abs(partial_trace(np.kron(a, b), 2, "first") - b).max() < 1e-12
     sigma = rand_hermitian(3, rng)
-    x = kron(sigma, np.eye(3) / 3)
+    x = np.kron(sigma, np.eye(3) / 3)
     assert np.abs(partial_trace(x, 3, "second") - sigma).max() < 1e-12
 
 
@@ -123,15 +84,6 @@ def test_partial_trace_preserves_trace():
         x = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         for sub in ("first", "second"):
             assert abs(np.trace(partial_trace(x, d, sub)) - np.trace(x)) < 1e-12
-
-
-def test_kron_basics():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron(np.diag([1.0, 0.0]), np.eye(2)), np.diag([1.0, 1.0, 0.0, 0.0]))
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert abs(np.linalg.norm(kron(a, b)) - np.linalg.norm(a) * np.linalg.norm(b)) < 1e-12
 
 
 def test_dag_of_stack():

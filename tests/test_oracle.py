@@ -32,8 +32,6 @@ T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=-1)
 
 
 def test_samples_satisfy_constraints():
@@ -143,7 +141,7 @@ def _sequential_search(t, cfg):
     """Reference: Levenberg-Marquardt one restart at a time, each to its exit,
     with the Jacobian built entry by entry; a restart is polished only if it
     exits with |R|^2 below 1e-10 (restart 0, the zero phases, always)."""
-    from coherify.oracle import _rng
+    from coherify.oracle import _MAX_STEPS, _rng
     from coherify.stochastic import _moduli_polish, _verify_witness
 
     d = t.shape[0]
@@ -173,7 +171,7 @@ def _sequential_search(t, cfg):
             phi = phi - phi[:, :1] - phi[:1, :] + phi[0, 0]
             res, jac, f = residual(phi)
             lam = 1e-3
-            for _ in range(cfg.max_iterations):
+            for _ in range(_MAX_STEPS):
                 if f < 1e-24 or lam > 1e12:
                     break
                 step = np.linalg.solve(jac.T @ jac + lam * np.eye((d - 1) ** 2), -jac.T @ res)
@@ -648,7 +646,7 @@ def test_sampler_small_entries_of_t():
     t = np.array([[0.4043, 0.4914, 0.2938],
                   [0.4544, 0.2575, 0.7058],
                   [0.1413, 0.2511, 0.0004]])
-    samples = sample_fixed_action(t, 100, OracleConfig(seed=0, max_iterations=30000))
+    samples = sample_fixed_action(t, 100, OracleConfig(seed=0))
     assert len(samples) == 100
     for smp in samples:
         assert np.abs(classical_action(smp) - t).max() < 1e-6
@@ -665,8 +663,9 @@ def test_convergence_error_names_catch_both_failures(monkeypatch):
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    monkeypatch.setattr(coherify.oracle, "_MAX_STEPS", 1)
     with pytest.raises(coherify.ConvergenceFailure):
-        sample_fixed_action(T_EXAMPLE, 2, OracleConfig(max_iterations=1))
+        sample_fixed_action(T_EXAMPLE, 2)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(coherify.ConvergenceFailure):
         eig_hermitian(np.eye(2))
