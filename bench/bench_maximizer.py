@@ -83,13 +83,10 @@ than 1e-9 below its reference, and no 4x4 or 5x5 input falls by more than
 Newton member-steps than the base revision's; no validate input's largest
 sample purity is lower than the base revision's; the 8x8 validate report
 is ok; criterion 3's largest gap is at most 1e-9, its largest excess at
-most 1e-8, its ascent takes no more Newton iterations than the base
-revision's, and its median call is no slower than the base revision's (a
-timing gate of two overlapping run sets, which can read run noise; the
-Newton iterations repeat exactly). The Newton iterations of criterion 3's
-final projection are reported beside the ascent's and gated by nothing: a
-final ascent step projected to 1e-13 is more work than a polish of a point
-feasible to 1e-9, and only the timing gate covers it. The number of
+most 1e-8, and neither its ascent nor its final projection takes more
+Newton iterations than the base revision's. These counts repeat exactly;
+criterion 3's call time is reported, not gated, since medians of two
+overlapping run sets read the host's drift as often as a change. The number of
 validate inputs whose smallest sample purity is above the base revision's
 is reported, not gated. The median 5x5 call takes under 2 s and no
 longer than the base revision's, the 6x6 call under 10 s and no longer than
@@ -658,10 +655,8 @@ def main(argv=None) -> int:
     calls = {gate: dense[gate]["median_call_s"] for gate in DENSE_GATES}
     ascent = {name: timings["validate_qutrit_round"][name]["phases_work"]["ascent"]
               ["newton_member_steps"] for name in trees}
-    c3_median = {name: timings["criterion3_maximize_purity_many"][name]["median_s"]
-                 for name in trees}
-    c3_ascent = {name: timings["criterion3_maximize_purity_many"][name]["newton"]["ascent"]
-                 ["newton_iterations"] for name in trees}
+    c3_newton = {name: {part: timings["criterion3_maximize_purity_many"][name]["newton"][part]
+                        ["newton_iterations"] for part in ("ascent", "final")} for name in trees}
     sample_max = {name: [s["max"] for s in collected[name]["sample_purities"]] for name in trees}
     report["purity"]["gates_hold"] = {
         "validate_worst_input": report["purity"]["validate_reports"]["worst_below_reference"]
@@ -669,8 +664,8 @@ def main(argv=None) -> int:
         "validate_ascent_member_steps_no_more": ascent["after"] <= ascent["before"],
         "criterion3_gap": c3["after"]["max_gap"] <= 1e-9,
         "criterion3_excess": c3["after"]["max_excess"] <= 1e-8,
-        "criterion3_median_call_no_slower": c3_median["after"] <= c3_median["before"],
-        "criterion3_ascent_newton_iterations_no_more": c3_ascent["after"] <= c3_ascent["before"],
+        **{f"criterion3_{part}_newton_iterations_no_more":
+           c3_newton["after"][part] <= c3_newton["before"][part] for part in ("ascent", "final")},
         "validate_sample_max_purity_no_lower": all(
             a >= b for a, b in zip(sample_max["after"], sample_max["before"])),
         "validate8_ok": validate8["after"]["ok"],
@@ -689,10 +684,8 @@ def main(argv=None) -> int:
               f" ({entry['speedup']:.2f}x)")
     print(f"validate_dense8: {validate8['before']['seconds']:.1f} s -> "
           f"{validate8['after']['seconds']:.1f} s")
-    newton = {name: timings["criterion3_maximize_purity_many"][name]["newton"] for name in trees}
-    print("criterion3 Newton iterations: ascent (gated) {} -> {}, final projection (not gated) "
-          "{} -> {}".format(*(newton[name][part]["newton_iterations"]
-                              for part in ("ascent", "final") for name in ("before", "after"))))
+    print("criterion3 Newton iterations: ascent {} -> {}, final projection {} -> {}".format(
+        *(c3_newton[name][part] for part in ("ascent", "final") for name in ("before", "after"))))
     print(json.dumps(report["purity"], indent=2))
     return 0
 

@@ -27,13 +27,7 @@ from . import diagnostics as diag_mod
 from . import oracle as oracle_mod
 from . import states as states_mod
 from . import stochastic as st_mod
-from .errors import (
-    CoherifyError,
-    DimensionMismatch,
-    FamilyMismatch,
-    NotTracePreserving,
-    NotUnistochastic,
-)
+from .errors import CoherifyError, DimensionMismatch, NotTracePreserving
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -244,7 +238,8 @@ def cmd_coherify(args) -> int:
     t = _load_transition(args.input, args.format, args.row_stochastic)
     try:
         result = _METHODS[args.method](t)
-    except (FamilyMismatch, NotUnistochastic, DimensionMismatch) as exc:
+    except DimensionMismatch as exc:
+        # a method's size requirement is a precondition, not an invalid matrix (main's exit 3)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     ch = result.channel
@@ -318,11 +313,7 @@ def cmd_diagnose(args) -> int:
         raise _InvalidMatrix("Kraus operators must all be square with equal dims")
     if kraus[0].shape[0] > MAX_CLI_DIM:
         raise _InvalidMatrix(f"dimension exceeds CLI limit {MAX_CLI_DIM}")
-    try:
-        ch = ch_mod.channel_from_kraus(kraus, atol=1e-7)
-    except NotTracePreserving as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_TP
+    ch = ch_mod.channel_from_kraus(kraus, atol=1e-7)
     rep = diag_mod.diagnostics_report(ch)
     u_upper, out_lower, maxmixed_lower = diag_mod.purity_relations(ch)
     split = ch_mod.c2_split(ch)
@@ -465,10 +456,7 @@ def main(argv=None) -> int:
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _InvalidMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (DimensionMismatch, ValueError) as exc:
+    except (_InvalidMatrix, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NotTracePreserving as exc:

@@ -17,14 +17,9 @@ import numpy as np
 
 from .bounds import mu_lower, mu_upper
 from .channels import Channel, channel_from_kraus, classical_action, unitary_channel
-from .errors import DimensionMismatch, FamilyMismatch, NotUnistochastic
+from .errors import DimensionMismatch, FamilyMismatch
 from .states import assert_density_matrix, spectrum
-from .stochastic import (
-    assert_transition_matrix,
-    classify,
-    is_bistochastic,
-    unitary_from_unistochastic,
-)
+from .stochastic import assert_transition_matrix, classify, unitary_from_unistochastic
 
 QUTRIT_FAMILIES = ("cyclic", "single_row", "double_row")
 
@@ -63,18 +58,8 @@ def coherify_unistochastic(t, witness=None) -> CoherificationResult:
     A given witness is verified; otherwise :func:`classify` supplies one, so
     this succeeds exactly when classify says "yes".
     """
-    t = assert_transition_matrix(t)
-    if witness is not None:
-        u = unitary_from_unistochastic(t, witness=witness)
-    else:
-        cls = classify(t)
-        if cls.unistochastic != "yes":
-            why = "not bistochastic" if not cls.is_bistochastic else (
-                f"polygon triple {cls.witness_triple}" if cls.witness_triple is not None
-                else "no witness found")
-            raise NotUnistochastic(f"classify says {cls.unistochastic!r} ({why})")
-        u = cls.witness_unitary
-    return _result(unitary_channel(u), "unistochastic", optimal=True)
+    return _result(unitary_channel(unitary_from_unistochastic(t, witness)), "unistochastic",
+                   optimal=True)
 
 
 def coherify_c0(t) -> CoherificationResult:
@@ -407,10 +392,9 @@ def coherify_auto(t) -> CoherificationResult:
     """
     t = assert_transition_matrix(t)
     d = t.shape[0]
-    if is_bistochastic(t):
-        cls = classify(t)
-        if cls.unistochastic == "yes":
-            return coherify_unistochastic(t, witness=cls.witness_unitary)
+    cls = classify(t)
+    if cls.unistochastic == "yes":
+        return coherify_unistochastic(t, witness=cls.witness_unitary)
     if d == 2:
         return coherify_qubit(t)
     if d == 3:

@@ -53,6 +53,14 @@ def test_classify_non_square_exits_3(tmp_path, capsys):
     assert main(["classify", str(path)]) == 3
 
 
+def test_empty_matrix_exits_3(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 0, "kind": "real", "entries": []}))
+    for command in ("classify", "bounds"):
+        assert main([command, str(path)]) == 3
+        assert "transition matrix is empty" in capsys.readouterr().err
+
+
 def test_parse_error_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -94,6 +102,7 @@ def test_coherify_auto_identity(tmp_path, capsys):
 def test_coherify_method_precondition_exits_4(t30):
     assert main(["coherify", t30, "--method", "qutrit-cyclic"]) == 4
     assert main(["coherify", t30, "--method", "unistochastic"]) == 4
+    assert main(["coherify", t30, "--method", "qubit"]) == 4
 
 
 def test_row_stochastic_flag(tmp_path, capsys):

@@ -26,8 +26,9 @@ from coherify.constructions import (
 )
 from coherify.bounds import mu_lower, mu_upper
 from coherify.errors import FamilyMismatch, NotUnistochastic
+from coherify.oracle import haar_unitary
 from coherify.states import coherify_state, purity, spectrum
-from coherify.stochastic import classify, majorizes
+from coherify.stochastic import classify, majorizes, unitary_from_unistochastic
 
 T_EXAMPLE = np.array([[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]])
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -71,19 +72,24 @@ def test_unistochastic_flat():
 
 def test_unistochastic_succeeds_exactly_when_classify_says_yes():
     kron = np.kron([[0.7, 0.3], [0.3, 0.7]], [[0.4, 0.6], [0.6, 0.4]])[[2, 0, 3, 1]]
-    inputs = [np.eye(1), qubit_t(0.3, 0.3), T_FLAT_OFFDIAG, T_EXAMPLE, kron]
+    haar4 = np.abs(haar_unitary(4, np.random.default_rng(4000))) ** 2
+    inputs = [np.eye(1), qubit_t(0.3, 0.3), T_FLAT_OFFDIAG, T_EXAMPLE, kron, haar4]
     verdicts = []
     for t in inputs:
-        verdict = classify(t).unistochastic
+        cls = classify(t)
+        verdict = cls.unistochastic
         verdicts.append(verdict)
         if verdict == "yes":
+            u = unitary_from_unistochastic(t)
+            assert u.tobytes() == cls.witness_unitary.tobytes()
             res = coherify_unistochastic(t)
             assert np.abs(classical_action(res.channel) - t).max() < 1e-9
             assert abs(channel_purity(res.channel) - 1.0) < 1e-9
         else:
-            with pytest.raises(NotUnistochastic, match=f"classify says '{verdict}'"):
-                coherify_unistochastic(t)
-    assert verdicts == ["yes", "yes", "no", "no", "yes"]
+            for build in (unitary_from_unistochastic, coherify_unistochastic):
+                with pytest.raises(NotUnistochastic, match=f"classify says '{verdict}'"):
+                    build(t)
+    assert verdicts == ["yes", "yes", "no", "no", "yes", "yes"]
 
 
 # ---------------------------------------------------------------------------

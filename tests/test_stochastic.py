@@ -112,6 +112,17 @@ def test_witness_rejects_non_unistochastic():
         unitary_from_unistochastic(np.array([[0.9, 0.9], [0.1, 0.1]]))
 
 
+def test_witness_polygon_no_runs_no_search(monkeypatch):
+    import coherify.oracle
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the witness search ran on a polygon 'no'")
+
+    monkeypatch.setattr(coherify.oracle, "search_unistochastic_witness", fail)
+    with pytest.raises(NotUnistochastic, match=r"classify says 'no' \(polygon triple \(0, 1, 2\)\)"):
+        unitary_from_unistochastic(T_FLAT_OFFDIAG)
+
+
 def test_classification_soundness_random_d3():
     rng = np.random.default_rng(30)
     n_yes = n_no = 0
