@@ -51,7 +51,9 @@ Once per tree, outside the timed runs, one interpreter runs the gates:
 one dense 8x8 action (``default_rng(408)``), each with entries from
 [0.02, 1) and columns normalized. Each 4x4 and 5x5 call is timed once; the
 6x6 and the 8x8 action are each called once untimed, to warm up at that
-size, then timed as the median of 3 calls. One ``coherify validate`` run
+size, then timed as the median of 3 calls. Every input is then called once
+more, untimed, to count the Newton iterations and member-steps of its
+projections, which repeat exactly. One ``coherify validate`` run
 on the 8x8 action, with the CLI's default ``OracleConfig`` and 100
 samples, is timed once per tree. The 48 reports of
 round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
@@ -88,9 +90,10 @@ Newton iterations than the base revision's. These counts repeat exactly;
 criterion 3's call time is reported, not gated, since medians of two
 overlapping run sets read the host's drift as often as a change. The number of
 validate inputs whose smallest sample purity is above the base revision's
-is reported, not gated. The median 5x5 call takes under 2 s and no
-longer than the base revision's, the 6x6 call under 10 s and no longer than
-the base revision's, and the 8x8 call no longer than the base revision's.
+is reported, not gated. The median 5x5 call takes under 2 s and the 6x6
+call under 10 s; the 5x5, 6x6 and 8x8 inputs take no more Newton iterations
+and no more member-steps than the base revision's. Their call times are
+reported, not gated, for the same reason as criterion 3's.
 """
 
 from __future__ import annotations
@@ -422,9 +425,11 @@ def worker(tree: Path, task: str) -> dict:
 
         cfg = oracle.OracleConfig(seed=42, restarts=4)
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
+        uncounted = oracle._maximize_group, oracle._project, oracle._newton_step
         gates = {}
         for name, (d, seeds, calls) in DENSE_GATES.items():
-            gate = gates[name] = {"purities": [], "seconds": [], "mu_upper_sq": []}
+            gate = gates[name] = {"purities": [], "seconds": [], "mu_upper_sq": [],
+                                  "newton": {"newton_iterations": 0, "newton_member_steps": 0}}
             for seed in seeds:
                 m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
                 t = m / m.sum(axis=0, keepdims=True)
@@ -440,6 +445,13 @@ def worker(tree: Path, task: str) -> dict:
                 gate["seconds"].append(statistics.median(seconds))
                 gate["purities"].append(purities.pop())
                 gate["mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)))
+                # the Newton work of the same call, counted outside the timed ones
+                newton = _count_newton(oracle)
+                oracle.maximize_purity(t, cfg)
+                oracle._maximize_group, oracle._project, oracle._newton_step = uncounted
+                for part in newton.values():
+                    for key, n in part.items():
+                        gate["newton"][key] += n
         return gates
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
@@ -646,6 +658,7 @@ def main(argv=None) -> int:
                     "median_call_s": {
                         name: statistics.median(gates[name][gate]["seconds"]) for name in trees},
                     "calls_s": {name: gates[name][gate]["seconds"] for name in trees},
+                    "newton": {name: gates[name][gate]["newton"] for name in trees},
                 }
                 for gate in DENSE_GATES
             },
@@ -653,6 +666,7 @@ def main(argv=None) -> int:
     }
     dense = {gate: report["purity"][gate] for gate in DENSE_GATES}
     calls = {gate: dense[gate]["median_call_s"] for gate in DENSE_GATES}
+    newton = {gate: dense[gate]["newton"] for gate in DENSE_GATES}
     ascent = {name: timings["validate_qutrit_round"][name]["phases_work"]["ascent"]
               ["newton_member_steps"] for name in trees}
     c3_newton = {name: {part: timings["criterion3_maximize_purity_many"][name]["newton"][part]
@@ -672,11 +686,11 @@ def main(argv=None) -> int:
         **{f"{gate}_{check}": ok for gate in ("dense4", "dense5") for check, ok in (
             ("worst_below_reference", dense[gate]["worst_below_reference"] >= -1e-9),
             ("worst_input", dense[gate]["purity_delta"]["min"] >= -1e-4))},
-        "dense5_median_call_under_2s": dense["dense5"]["median_call_s"]["after"] < 2.0,
-        "dense5_median_call_no_slower": calls["dense5"]["after"] <= calls["dense5"]["before"],
+        "dense5_median_call_under_2s": calls["dense5"]["after"] < 2.0,
         "dense6_call_under_10s": calls["dense6"]["after"] < 10.0,
-        "dense6_call_no_slower": calls["dense6"]["after"] <= calls["dense6"]["before"],
-        "dense8_call_no_slower": calls["dense8"]["after"] <= calls["dense8"]["before"],
+        **{f"{gate}_{key}_no_more": newton[gate]["after"][key] <= newton[gate]["before"][key]
+           for gate in ("dense5", "dense6", "dense8")
+           for key in ("newton_iterations", "newton_member_steps")},
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

@@ -3,10 +3,11 @@
 Subcommands: classify, coherify, bounds, diagnose, validate. Matrices are
 read from JSON ({"dim": d, "kind": "real"|"complex", "entries": row-major,
 complex entries as [re, im] pairs}) or CSV (rows of comma-separated reals).
-Transition matrices are column stochastic on input; pass --row-stochastic to
-transpose on ingest. Reports are JSON on stdout with numeric fields printed
-to 12 significant digits; identical inputs and seeds give byte-identical
-output.
+Every matrix file, each Kraus file of diagnose included, is capped at
+dimension 8. Transition matrices are column stochastic on input; pass
+--row-stochastic to transpose on ingest. Reports are JSON on stdout with
+numeric fields printed to 12 significant digits; identical inputs and seeds
+give byte-identical output.
 
 Exit codes: 0 ok, 2 parse error, 3 invalid matrix, 4 method precondition
 failed, 5 not trace preserving, 6 bound violation.
@@ -15,6 +16,7 @@ failed, 5 not trace preserving, 6 bound violation.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -53,7 +55,8 @@ class _InvalidMatrix(Exception):
 
 
 def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix file; returns a complex or float ndarray."""
+    """Read a square matrix file of dimension at most MAX_CLI_DIM; returns a
+    complex or float ndarray."""
     if fmt is None:
         fmt = "csv" if path.lower().endswith(".csv") else "json"
     try:
@@ -61,9 +64,10 @@ def read_matrix(path: str, fmt: str | None = None) -> np.ndarray:
             text = fh.read()
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
-    if fmt == "csv":
-        return _parse_csv(text, path)
-    return _parse_json(text, path)
+    m = _parse_csv(text, path) if fmt == "csv" else _parse_json(text, path)
+    if m.shape[0] > MAX_CLI_DIM:
+        raise _InvalidMatrix(f"dimension {m.shape[0]} exceeds CLI limit {MAX_CLI_DIM}")
+    return m
 
 
 def _parse_csv(text: str, path: str) -> np.ndarray:
@@ -86,8 +90,6 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
 
 
 def _parse_json(text: str, path: str) -> np.ndarray:
-    import json
-
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,20 +119,17 @@ def _parse_json(text: str, path: str) -> np.ndarray:
     return m
 
 
-def _load_transition(path: str, fmt: str | None, row_stochastic: bool) -> np.ndarray:
+def _read_real(path: str, fmt: str | None, row_stochastic: bool) -> np.ndarray:
     m = read_matrix(path, fmt)
     if np.iscomplexobj(m):
         if np.abs(m.imag).max() > 0:
             raise _InvalidMatrix(f"{path}: transition matrix must be real")
         m = m.real
-    if row_stochastic:
-        m = m.T
-    if m.shape[0] > MAX_CLI_DIM:
-        raise _InvalidMatrix(f"dimension {m.shape[0]} exceeds CLI limit {MAX_CLI_DIM}")
-    try:
-        return st_mod.assert_transition_matrix(m)
-    except (ValueError, DimensionMismatch) as exc:
-        raise _InvalidMatrix(str(exc)) from exc
+    return m.T if row_stochastic else m
+
+
+def _load_transition(path: str, fmt: str | None, row_stochastic: bool) -> np.ndarray:
+    return st_mod.assert_transition_matrix(_read_real(path, fmt, row_stochastic))
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,12 @@ def dumps_report(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _real_matrix(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=np.float64)]
+    return [_vector(row) for row in np.asarray(m, dtype=np.float64)]
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -199,13 +196,7 @@ def _emit(report: dict) -> None:
 
 
 def cmd_classify(args) -> int:
-    m = read_matrix(args.input, args.format)
-    if np.iscomplexobj(m):
-        if np.abs(m.imag).max() > 0:
-            raise _InvalidMatrix("classify expects a real matrix")
-        m = m.real
-    if args.row_stochastic:
-        m = m.T
+    m = _read_real(args.input, args.format, args.row_stochastic)
     cls = st_mod.classify(m)
     report = {
         "dim": int(m.shape[0]),
@@ -262,9 +253,7 @@ def cmd_coherify(args) -> int:
             payload = {
                 "dim": int(t.shape[0]),
                 "kind": "complex",
-                "entries": [
-                    [float(x.real), float(x.imag)] for x in np.asarray(k).reshape(-1)
-                ],
+                "entries": [pair for row in _complex_matrix(k) for pair in row],
             }
             with open(kpath, "w", encoding="utf-8") as fh:
                 fh.write(dumps_report(payload) + "\n")
@@ -304,18 +293,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    kraus = []
-    for path in args.kraus:
-        m = read_matrix(path, args.format)
-        kraus.append(np.asarray(m, dtype=np.complex128))
-    dims = {k.shape for k in kraus}
-    if len(dims) != 1 or kraus[0].shape[0] != kraus[0].shape[1]:
-        raise _InvalidMatrix("Kraus operators must all be square with equal dims")
-    if kraus[0].shape[0] > MAX_CLI_DIM:
-        raise _InvalidMatrix(f"dimension exceeds CLI limit {MAX_CLI_DIM}")
-    ch = ch_mod.channel_from_kraus(kraus, atol=1e-7)
+    ch = ch_mod.channel_from_kraus([read_matrix(path, args.format) for path in args.kraus],
+                                   atol=1e-7)
     rep = diag_mod.diagnostics_report(ch)
-    u_upper, out_lower, maxmixed_lower = diag_mod.purity_relations(ch)
     split = ch_mod.c2_split(ch)
     report = {
         "dim": ch.dim,
@@ -328,13 +308,13 @@ def cmd_diagnose(args) -> int:
         "unitarity": rep.unitarity,
         "avg_output_purity": rep.avg_output_purity,
         "maxmixed_output_purity": rep.maxmixed_output_purity,
-        "unitarity_upper_from_purity": u_upper,
-        "output_purity_lower_from_purity": out_lower,
-        "maxmixed_purity_lower": maxmixed_lower,
+        "unitarity_upper_from_purity": rep.unitarity_upper_from_purity,
+        "output_purity_lower_from_purity": rep.output_purity_lower_from_purity,
+        "maxmixed_purity_lower": rep.maxmixed_purity_lower,
         "bounds_satisfied": bool(
-            rep.unitarity <= u_upper + 1e-9
-            and rep.avg_output_purity >= out_lower - 1e-9
-            and rep.maxmixed_output_purity >= maxmixed_lower - 1e-9
+            rep.unitarity <= rep.unitarity_upper_from_purity + 1e-9
+            and rep.avg_output_purity >= rep.output_purity_lower_from_purity - 1e-9
+            and rep.maxmixed_output_purity >= rep.maxmixed_purity_lower - 1e-9
         ),
         "classical_action": _real_matrix(ch_mod.classical_action(ch)),
     }
@@ -345,11 +325,8 @@ def cmd_diagnose(args) -> int:
 def cmd_validate(args) -> int:
     t = _load_transition(args.input, args.format, args.row_stochastic)
     cfg = oracle_mod.OracleConfig(seed=args.seed)
-    up = bounds_mod.mu_upper(t)
-    lo = bounds_mod.mu_lower(t)
-    poly = (
-        bounds_mod.polygon_report(t) if st_mod.is_bistochastic(t) else None
-    )
+    rep = bounds_mod.compute_bounds(t)
+    up, lo, poly = rep.mu_upper, rep.mu_lower, rep.polygon
     samples = oracle_mod.sample_fixed_action(t, args.samples, cfg)
     # every sample is checked at once: one stack of Jamiolkowski matrices,
     # their spectra lambda(J) and one verdict per sample
@@ -436,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="channel measures and diagnostics from Kraus files")
     p.add_argument("kraus", nargs="+")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    common(p, transition=False)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("validate", help="oracle cross-checks of all bounds for a transition matrix")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import mu_lower, mu_upper
-from .channels import Channel, channel_from_kraus, classical_action, unitary_channel
+from .channels import Channel, channel_from_kraus, unitary_channel
 from .errors import DimensionMismatch, FamilyMismatch
 from .states import assert_density_matrix, spectrum
 from .stochastic import assert_transition_matrix, classify, unitary_from_unistochastic
@@ -354,16 +354,14 @@ def coherify_contracting(sigma) -> CoherificationResult:
     set only when the achieved spectrum meets the majorization upper bound.
     """
     sigma = assert_density_matrix(sigma)
-    d = sigma.shape[0]
     p = np.clip(np.diag(sigma).real, 0.0, None)
     p = p / p.sum()
-    psi = np.sqrt(p).astype(np.complex128)
-    kraus = [np.outer(psi, np.eye(d)[j]) for j in range(d)]
-    ch = channel_from_kraus(kraus)
-    res = _result(ch, "contracting", optimal=False)
-    up = mu_upper(classical_action(ch))
-    if np.abs(res.achieved_spectrum - up).max() <= 1e-9:
-        return _result(ch, "contracting", optimal=True)
+    # the classical action T = p 1^T has every column p, so the cohering-power
+    # maximizer of T sends every |j> to sum_i sqrt(p_i)|i>
+    t = np.outer(p, np.ones(sigma.shape[0]))
+    res = _result(cohering_power_maximizer(t), "contracting", optimal=False)
+    if np.abs(res.achieved_spectrum - mu_upper(t)).max() <= 1e-9:
+        return replace(res, optimal=True)
     return res
 
 

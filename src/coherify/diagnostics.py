@@ -67,10 +67,11 @@ class DiagnosticsReport:
     maxmixed_output_purity: float
     unitarity_upper_from_purity: float
     output_purity_lower_from_purity: float
+    maxmixed_purity_lower: float
 
 
 def diagnostics_report(ch: Channel) -> DiagnosticsReport:
-    u_upper, out_lower, _ = purity_relations(ch)
+    u_upper, out_lower, maxmixed_lower = purity_relations(ch)
     return DiagnosticsReport(
         path_distribution=path_distribution(ch),
         unitarity=unitarity(ch),
@@ -78,4 +79,5 @@ def diagnostics_report(ch: Channel) -> DiagnosticsReport:
         maxmixed_output_purity=maxmixed_output_purity(ch),
         unitarity_upper_from_purity=u_upper,
         output_purity_lower_from_purity=out_lower,
+        maxmixed_purity_lower=maxmixed_lower,
     )

@@ -179,6 +179,17 @@ def test_validate_samples_below_one_is_a_usage_error(t30, samples, capsys):
     assert "--samples: must be at least 1" in captured.err
 
 
-def test_dim_cap(tmp_path):
+def test_dim_cap(tmp_path, capsys):
     path = write_json(tmp_path / "big.json", np.eye(9))
-    assert main(["bounds", str(path)]) == 3
+    kraus = write_json(tmp_path / "k9.json", np.eye(9), kind="complex")
+    for args in (["classify", path], ["coherify", path], ["bounds", path],
+                 ["validate", path], ["diagnose", kraus]):
+        assert main(args) == 3
+        assert "exceeds CLI limit 8" in capsys.readouterr().err
+
+
+def test_diagnose_unequal_kraus_sizes_exits_3(tmp_path, capsys):
+    k2 = write_json(tmp_path / "k2.json", np.eye(2) / np.sqrt(2), kind="complex")
+    k3 = write_json(tmp_path / "k3.json", np.eye(3) / np.sqrt(2), kind="complex")
+    assert main(["diagnose", k2, k3]) == 3
+    assert "square with equal dims" in capsys.readouterr().err

@@ -115,6 +115,7 @@ def test_report_invariants():
     assert abs(rep.path_distribution.sum() - 1.0) < 1e-9
     assert rep.unitarity <= rep.unitarity_upper_from_purity + 1e-9
     assert rep.avg_output_purity >= rep.output_purity_lower_from_purity - 1e-9
+    assert rep.maxmixed_purity_lower == purity_relations(ch)[2]
     assert np.abs(rep.path_distribution - spectrum(ch.jam)).max() < 1e-10
     assert abs(channel_purity(ch) - (np.abs(ch.jam) ** 2).sum()) < 1e-12
 
