@@ -17,13 +17,7 @@ import numpy as np
 from .errors import NotBistochastic
 from .matcore import eigvals_hermitian
 from .states import shannon_entropy
-from .stochastic import (
-    alpha,
-    assert_transition_matrix,
-    defined_triples,
-    is_bistochastic,
-    majorizes,
-)
+from .stochastic import _alpha_table, assert_transition_matrix, is_bistochastic, majorizes
 
 
 def mu_upper(t) -> np.ndarray:
@@ -64,16 +58,10 @@ def coherence_bounds(t) -> tuple[tuple[float, float], tuple[float, float]]:
 
     Returns ((ce_lo, ce_hi), (c2_lo, c2_hi)) in bits / dimensionless. Both
     brackets follow from the majorization pair: entropy is Schur concave and
-    purity Schur convex.
+    purity Schur convex. These are compute_bounds' c_e_range and c_2_range.
     """
-    t = assert_transition_matrix(t)
-    d = t.shape[0]
-    up, lo = mu_upper(t), mu_lower(t)
-    s_t = shannon_entropy(t.reshape(-1) / d)
-    tt = float((t ** 2).sum()) / d ** 2
-    ce = (s_t - shannon_entropy(lo), s_t - shannon_entropy(up))
-    c2 = (float(lo @ lo) - tt, float(up @ up) - tt)
-    return ce, c2
+    rep = compute_bounds(t)
+    return rep.c_e_range, rep.c_2_range
 
 
 @dataclass(frozen=True)
@@ -92,46 +80,35 @@ class PolygonReport:
     majorization_upper: np.ndarray | None = None
 
 
-def _beta(t: np.ndarray, i: int, k: int, l: int, a: float) -> float:
-    return float(np.sqrt((t[i, k] - t[i, l]) ** 2 + 4 * a * t[i, k] * t[i, l]))
-
-
 def polygon_report(t) -> PolygonReport:
     """Purity and majorization bounds from the polygon coefficients.
 
-    The purity bound takes the single strongest triple: the largest sum of
-    its within-block and cross-block deficits.
+    The coefficients are the table classify reads (stochastic._alpha_table).
+    The purity bound takes the single strongest triple with alpha < 1: the
+    largest sum of its within-block and cross-block deficits. The
+    majorization bound takes each row's least-alpha triple, ties to the first.
     """
     t = assert_transition_matrix(t)
     if not is_bistochastic(t):
         raise NotBistochastic("polygon constraints require a bistochastic matrix")
     d = t.shape[0]
-    alphas = {trip: alpha(t, *trip) for trip in defined_triples(t)}
-    qualifying = {trip: a for trip, a in alphas.items() if a < 1.0}
-    if not qualifying:
-        triv = np.zeros(d * d)
-        triv[0] = 1.0
-        return PolygonReport(alphas=alphas, purity_upper=1.0, majorization_upper=triv)
+    table = _alpha_table(t)
+    defined = ~np.isnan(table)
+    alphas = dict(zip(map(tuple, np.argwhere(defined).tolist()), table[defined].tolist()))
+    qualifying = defined & (table < 1.0)
+    if not qualifying.any():
+        return PolygonReport(alphas=alphas, purity_upper=1.0, majorization_upper=np.eye(1, d * d)[0])
 
-    deficits = []
-    for (i, k, l), a in qualifying.items():
-        b = _beta(t, i, k, l, a)
-        d1 = 2.0 * t[i, k] * t[i, l] * (1.0 - a) / d ** 2
-        d2 = (d - t[i, k] - t[i, l]) * (t[i, k] + t[i, l] - b) / d ** 2
-        deficits.append(d1 + d2)
-    purity = 1.0 - max(deficits)
-
-    mu_sum = 0.0
-    for i in range(d):
-        row_alphas = [(a, trip) for trip, a in alphas.items() if trip[0] == i]
-        if not row_alphas:
-            continue
-        a, (i, k, l) = min(row_alphas)
-        mu_sum += max(0.5 * (t[i, k] + t[i, l] - _beta(t, i, k, l, a)), 0.0)
-    mu_i = mu_sum / d
+    tk, tl = t[:, :, None], t[:, None, :]  # T_ik and T_il at [i, k, l]
+    b = np.sqrt((tk - tl) ** 2 + 4 * table * tk * tl)
+    deficit = 2.0 * tk * tl * (1.0 - table) / d ** 2 + (d - tk - tl) * (tk + tl - b) / d ** 2
+    purity = 1.0 - deficit[qualifying].max()
+    rows = np.nonzero(defined.any(axis=(1, 2)))[0]
+    least = np.nanargmin(table[rows].reshape(len(rows), -1), axis=1)
+    gain = np.maximum(0.5 * (tk + tl - b), 0.0).reshape(d, -1)[rows, least]
+    mu_i = sum(gain.tolist()) / d  # in row order: np.sum pairs the terms once there are 8
     major = np.zeros(d * d)
-    major[0] = 1.0 - mu_i
-    major[1] = mu_i
+    major[:2] = 1.0 - mu_i, mu_i
     return PolygonReport(alphas=alphas, purity_upper=float(purity), majorization_upper=major)
 
 
@@ -159,9 +136,14 @@ class BoundReport:
 
 
 def compute_bounds(t) -> BoundReport:
+    """The majorization pair, its coherence brackets and, for bistochastic T, the polygon report."""
     t = assert_transition_matrix(t)
-    ce, c2 = coherence_bounds(t)
+    d = t.shape[0]
     up, lo = mu_upper(t), mu_lower(t)
     assert majorizes(up, lo)
+    s_t = shannon_entropy(t.reshape(-1) / d)
+    tt = float((t ** 2).sum()) / d ** 2
+    ce = (s_t - shannon_entropy(lo), s_t - shannon_entropy(up))
+    c2 = (float(lo @ lo) - tt, float(up @ up) - tt)
     poly = polygon_report(t) if is_bistochastic(t) else None
     return BoundReport(mu_upper=up, mu_lower=lo, c_e_range=ce, c_2_range=c2, polygon=poly)

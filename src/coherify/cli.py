@@ -122,7 +122,7 @@ def _parse_json(text: str, path: str) -> np.ndarray:
 def _read_real(path: str, fmt: str | None, row_stochastic: bool) -> np.ndarray:
     m = read_matrix(path, fmt)
     if np.iscomplexobj(m):
-        if np.abs(m.imag).max() > 0:
+        if np.any(m.imag != 0):
             raise _InvalidMatrix(f"{path}: transition matrix must be real")
         m = m.real
     return m.T if row_stochastic else m

@@ -5,7 +5,7 @@ a path lottery whose average probabilities are the eigenvalues of the
 Jamiolkowski state. Unitarity measures how far the channel sits from unitary
 dynamics; it and the average output purity are both affine in the channel
 purity gamma(J), corrected by the purity of the transformed maximally mixed
-state.
+state. Both need d >= 2; at d = 1 they raise DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, channel_purity, classical_action
+from .errors import DimensionMismatch
 from .matcore import partial_trace
 from .states import spectrum
 
@@ -30,9 +31,15 @@ def maxmixed_output_purity(ch: Channel) -> float:
     return float((np.abs(out) ** 2).sum())
 
 
+def _check_unitarity_dim(d: int) -> None:
+    if d < 2:
+        raise DimensionMismatch(f"unitarity is defined only for d >= 2, got d = {d}")
+
+
 def unitarity(ch: Channel) -> float:
     """Closed-form unitarity d/(d^2-1) [d gamma(Phi) - gamma(Phi(1/d))]."""
     d = ch.dim
+    _check_unitarity_dim(d)
     return d / (d ** 2 - 1) * (d * channel_purity(ch) - maxmixed_output_purity(ch))
 
 
@@ -51,6 +58,7 @@ def purity_relations(ch: Channel) -> tuple[float, float, float]:
     gamma(Phi(1/d)) >= sum_i ((1/d) sum_j T_ij)^2.
     """
     d = ch.dim
+    _check_unitarity_dim(d)
     g = channel_purity(ch)
     u_upper = d ** 2 / (d ** 2 - 1) * (g - 1.0 / d ** 2)
     out_lower = d / (d + 1) * (g + 1.0 / d)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .bounds import mu_upper
 from .channels import Channel, channel_purity
-from .diagnostics import maxmixed_output_purity
+from .diagnostics import _check_unitarity_dim, maxmixed_output_purity
 from .errors import ConvergenceFailure
 from .matcore import dag
 from .stochastic import _moduli_polish, _verify_witness, assert_transition_matrix, is_bistochastic
@@ -623,6 +623,7 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
     estimate and its standard error.
     """
     d = ch.dim
+    _check_unitarity_dim(d)
     rng = _rng(seed)
     psi = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

@@ -8,7 +8,8 @@ d <= 3, where T is unistochastic exactly when every polygon coefficient
 alpha^i_kl equals one. At every d an alpha below one certifies that T is
 not unistochastic, since columns k and l of a unitary must be orthogonal;
 for d >= 4 with every alpha equal to one only a best-effort numerical
-search for a witness is available (see the oracle module).
+search for a witness is available (see the oracle module). The alphas are
+computed in one array pass, _alpha_table, for every reader.
 """
 
 from __future__ import annotations
@@ -47,33 +48,35 @@ def is_bistochastic(t: np.ndarray, atol: float = CLASSIFY_ATOL) -> bool:
     return bool(np.abs(np.asarray(t).sum(axis=1) - 1.0).max() <= atol)
 
 
+def _alpha_table(t: np.ndarray) -> np.ndarray:
+    """alpha^i_kl at [i, k, l] for k < l with T_ik T_il > 0; NaN elsewhere.
+
+    The sum over j != i zeroes the j = i term and adds in the order j = 0, 1, ...
+    """
+    d = t.shape[0]
+    prod = t[:, :, None] * t[:, None, :]  # prod[j, k, l] = T_jk T_jl
+    root = np.sqrt(prod)
+    others = np.broadcast_to(root, (d, d, d, d)).copy()  # [i, j, k, l]
+    others[np.arange(d), np.arange(d)] = 0.0
+    defined = np.triu(np.ones((d, d), dtype=bool), 1) & (prod > 0.0)
+    ratio = np.divide(others.sum(axis=1), root, out=np.full(prod.shape, np.nan), where=defined)
+    return np.minimum(ratio, 1.0) ** 2
+
+
 def alpha(t: np.ndarray, i: int, k: int, l: int) -> float:
     """Polygon coefficient alpha^i_kl in [0, 1] (indices 0-based).
 
     sqrt(alpha) = min( sum_{j != i} sqrt(T_jk T_jl) / sqrt(T_ik T_il), 1 );
     it caps the fraction of the maximal coherence between columns k and l of
-    the diagonal block D^i that trace preservation still allows.
+    the diagonal block D^i that trace preservation still allows. Read from
+    _alpha_table; UndefinedAlpha when k == l or T_ik T_il = 0.
     """
     t = np.asarray(t, dtype=np.float64)
     if k == l:
         raise UndefinedAlpha("alpha requires two distinct column indices")
-    own = t[i, k] * t[i, l]
-    if own <= 0.0:
+    if t[i, k] * t[i, l] <= 0.0:
         raise UndefinedAlpha(f"T[{i},{k}] * T[{i},{l}] = 0")
-    others = sum(np.sqrt(t[j, k] * t[j, l]) for j in range(t.shape[0]) if j != i)
-    return float(min(others / np.sqrt(own), 1.0)) ** 2
-
-
-def defined_triples(t: np.ndarray):
-    """All (i, k, l) with k < l and T_ik T_il > 0, in lexicographic order."""
-    d = t.shape[0]
-    return [
-        (i, k, l)
-        for i in range(d)
-        for k in range(d)
-        for l in range(k + 1, d)
-        if t[i, k] * t[i, l] > 0.0
-    ]
+    return float(_alpha_table(t)[i, min(k, l), max(k, l)])
 
 
 def _sorted_padded(x: np.ndarray, n: int) -> np.ndarray:
@@ -265,9 +268,11 @@ def classify(t, search_cfg=None) -> StochasticClass:
     if not is_bistochastic(t):
         return StochasticClass(True, False, "no")
     if t.shape[0] >= 3:
-        worst = min(((alpha(t, *trip), trip) for trip in defined_triples(t)), default=None)
-        if worst is not None and worst[0] < 1.0 - 1e-9:
-            return StochasticClass(True, True, "no", witness_triple=worst[1])
+        table = _alpha_table(t)
+        if (table < 1.0 - 1e-9).any():
+            # the least alpha, ties to the first triple in (i, k, l) order
+            worst = np.unravel_index(np.nanargmin(table), table.shape)
+            return StochasticClass(True, True, "no", witness_triple=tuple(map(int, worst)))
     u = _find_witness(t, search_cfg)
     if u is None:
         return StochasticClass(True, True, "unknown")

@@ -99,6 +99,70 @@ def test_polygon_trivial_for_unistochastic():
     assert all(a == 1.0 for a in rep.alphas.values())
 
 
+def sinkhorn(m):
+    """Bistochastic by alternate scaling; zeros stay zero."""
+    for _ in range(20000):
+        m = m / m.sum(axis=0, keepdims=True)
+        m = m / m.sum(axis=1, keepdims=True)
+        if np.abs(m.sum(axis=0) - 1.0).max() < 1e-13:
+            break
+    return m / m.sum(axis=0, keepdims=True)
+
+
+def polygon_loop(t, alphas):
+    """purity_upper and majorization_upper by the defining loops over the
+    triples, from the given coefficients {(i, k, l): alpha}."""
+    d = t.shape[0]
+
+    def beta(i, k, l, a):
+        return float(np.sqrt((t[i, k] - t[i, l]) ** 2 + 4 * a * t[i, k] * t[i, l]))
+
+    deficits = []
+    for (i, k, l), a in alphas.items():
+        if a < 1.0:
+            b = beta(i, k, l, a)
+            d1 = 2.0 * t[i, k] * t[i, l] * (1.0 - a) / d ** 2
+            d2 = (d - t[i, k] - t[i, l]) * (t[i, k] + t[i, l] - b) / d ** 2
+            deficits.append(d1 + d2)
+    if not deficits:
+        return 1.0, np.eye(d * d)[0]
+    mu_sum = 0.0
+    for i in range(d):
+        row = [(a, trip) for trip, a in alphas.items() if trip[0] == i]
+        if row:
+            a, (i, k, l) = min(row)
+            mu_sum += max(0.5 * (t[i, k] + t[i, l] - beta(i, k, l, a)), 0.0)
+    major = np.zeros(d * d)
+    major[:2] = 1.0 - mu_sum / d, mu_sum / d
+    return 1.0 - max(deficits), major
+
+
+def alpha_loop(t, i, k, l):
+    """The polygon coefficient by its defining loop over j != i."""
+    others = sum(np.sqrt(t[j, k] * t[j, l]) for j in range(t.shape[0]) if j != i)
+    return float(min(others / np.sqrt(t[i, k] * t[i, l]), 1.0)) ** 2
+
+
+def test_polygon_report_matches_the_loops():
+    rng = np.random.default_rng(55)
+    for d in range(3, 9):
+        for _ in range(12):
+            # a support made of a few permutations has total support, so
+            # the scaling converges with its zeros kept
+            support = sum(np.eye(d)[rng.permutation(d)] for _ in range(rng.integers(2, d + 1)))
+            t = sinkhorn((support > 0) * rng.uniform(0.02, 1.0, (d, d)) ** rng.uniform(1.0, 3.0))
+            rep = polygon_report(t)
+            triples = [(i, k, l) for i in range(d) for k in range(d) for l in range(k + 1, d)
+                       if t[i, k] * t[i, l] > 0.0]
+            assert list(rep.alphas) == triples
+            for trip, a in rep.alphas.items():
+                ref = alpha_loop(t, *trip)
+                assert abs(a - ref) <= np.spacing(ref)
+            purity, major = polygon_loop(t, rep.alphas)
+            assert rep.purity_upper == purity
+            assert np.array_equal(rep.majorization_upper, major)
+
+
 def test_polygon_requires_bistochastic():
     with pytest.raises(NotBistochastic):
         polygon_report(T_EXAMPLE)
@@ -145,12 +209,32 @@ def test_theorem1_random_channels():
         assert majorizes(theorem1_bound(ch.jam), spectrum(ch.jam), slack=1e-9)
 
 
+def rand_bistochastic(d, rng):
+    return sinkhorn(rng.uniform(0.02, 1.0, (d, d)))
+
+
 def test_compute_bounds_bundle():
     rep = compute_bounds(T_FLAT_OFFDIAG)
     assert rep.polygon is not None
     rep = compute_bounds(T_EXAMPLE)
     assert rep.polygon is None
     assert majorizes(rep.mu_upper, rep.mu_lower)
+    # each field is bitwise the standalone function's
+    rng = np.random.default_rng(54)
+    for d in range(2, 7):
+        for t in [rand_stochastic(d, rng) for _ in range(5)] + [
+                rand_bistochastic(d, rng) for _ in range(5)]:
+            rep = compute_bounds(t)
+            assert np.array_equal(rep.mu_upper, mu_upper(t))
+            assert np.array_equal(rep.mu_lower, mu_lower(t))
+            assert (rep.c_e_range, rep.c_2_range) == coherence_bounds(t)
+            if np.abs(t.sum(axis=1) - 1.0).max() > 1e-9:
+                assert rep.polygon is None
+                continue
+            poly = polygon_report(t)
+            assert rep.polygon.alphas == poly.alphas
+            assert rep.polygon.purity_upper == poly.purity_upper
+            assert np.array_equal(rep.polygon.majorization_upper, poly.majorization_upper)
 
 
 def test_theorem1_bound_of_a_stack_equals_each_matrix():

@@ -55,10 +55,11 @@ def test_classify_non_square_exits_3(tmp_path, capsys):
 
 def test_empty_matrix_exits_3(tmp_path, capsys):
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"dim": 0, "kind": "real", "entries": []}))
-    for command in ("classify", "bounds"):
-        assert main([command, str(path)]) == 3
-        assert "transition matrix is empty" in capsys.readouterr().err
+    for kind in ("real", "complex"):
+        path.write_text(json.dumps({"dim": 0, "kind": kind, "entries": []}))
+        for command in ("classify", "bounds"):
+            assert main([command, str(path)]) == 3
+            assert "transition matrix is empty" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path):
@@ -152,6 +153,13 @@ def test_diagnose_identity(tmp_path, capsys):
     assert code == 0
     assert rep["unitarity"] == pytest.approx(1.0, abs=1e-9)
     assert rep["coherence_entropic_bits"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_diagnose_1x1_exits_3(tmp_path, capsys):
+    # unitarity needs d >= 2; a 1x1 channel is a typed error, not a traceback
+    path = write_json(tmp_path / "k.json", [[1.0]])
+    assert main(["diagnose", path]) == 3
+    assert "unitarity is defined only for d >= 2, got d = 1" in capsys.readouterr().err
 
 
 def test_diagnose_not_tp_exits_5(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from coherify.channels import (
     channel_from_kraus,
@@ -15,6 +16,7 @@ from coherify.diagnostics import (
     purity_relations,
     unitarity,
 )
+from coherify.errors import DimensionMismatch
 from coherify.oracle import haar_unitarity_mc, haar_unitary, rand_channel
 from coherify.states import fourier_matrix, spectrum
 
@@ -131,3 +133,11 @@ def test_qubit_optimum_maximizes_unitarity():
         cfg = OracleConfig(seed=300 + trial)
         for smp in sample_fixed_action(t, 300, cfg):
             assert unitarity(smp) <= u_opt + 1e-6
+
+
+def test_unitarity_needs_d_at_least_2():
+    ch = unitary_channel(np.eye(1))
+    for f in (unitarity, purity_relations, diagnostics_report,
+              lambda c: haar_unitarity_mc(c, 10)):
+        with pytest.raises(DimensionMismatch, match="d = 1"):
+            f(ch)

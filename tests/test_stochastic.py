@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherify.errors import NotUnistochastic, UndefinedAlpha
 from coherify.states import fourier_matrix
@@ -86,6 +88,55 @@ def test_alpha_values():
             for l in range(k + 1, 3):
                 with pytest.raises(UndefinedAlpha):
                     alpha(p, i, k, l)
+
+
+def alpha_loop(t, i, k, l):
+    """The polygon coefficient by its defining loop over j != i."""
+    others = sum(np.sqrt(t[j, k] * t[j, l]) for j in range(t.shape[0]) if j != i)
+    return float(min(others / np.sqrt(t[i, k] * t[i, l]), 1.0)) ** 2
+
+
+@st.composite
+def transition_with_zeros(draw):
+    """A d x d transition matrix, d = 2..8, some entries 0 (a column with
+    none left gets a 1 on the diagonal)."""
+    d = draw(st.integers(2, 8))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1e-2), st.floats(1e-2, 1.0))
+    t = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    t += np.diag(t.sum(axis=0) == 0)
+    return t / t.sum(axis=0, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(transition_with_zeros())
+def test_alpha_matches_loop_within_one_ulp(t):
+    d = t.shape[0]
+    for i in range(d):
+        for k in range(d):
+            for l in range(d):
+                if k == l or t[i, k] * t[i, l] == 0.0:
+                    with pytest.raises(UndefinedAlpha):
+                        alpha(t, i, k, l)
+                    continue
+                ref, a = alpha_loop(t, i, k, l), alpha(t, i, k, l)
+                assert abs(a - ref) <= np.spacing(ref)
+
+
+def test_classify_returns_the_first_tied_triple():
+    # 1 (+) flat off-diagonal 3x3: row 0 has no defined triple, and
+    # (1, 2, 3), (2, 1, 3), (3, 1, 2) all have alpha 0
+    t = np.eye(4)
+    t[1:, 1:] = T_FLAT_OFFDIAG
+    triples = [(i, k, l) for i in range(4) for k in range(4) for l in range(k + 1, 4)
+               if t[i, k] * t[i, l] > 0.0]
+    ref = min((alpha_loop(t, *trip), trip) for trip in triples)
+    assert ref == (0.0, (1, 2, 3))
+    assert [trip for trip in triples if alpha_loop(t, *trip) == 0.0] == [
+        (1, 2, 3), (2, 1, 3), (3, 1, 2)]
+    cls = classify(t)
+    assert cls.unistochastic == "no"
+    assert cls.witness_triple == (1, 2, 3)
+    assert all(type(x) is int for x in cls.witness_triple)
 
 
 def test_witness_permutation_and_fourier():
