@@ -65,7 +65,6 @@ from .errors import (
     UndefinedAlpha,
 )
 from .matcore import (
-    EigenDecomposition,
     eig_hermitian,
     partial_trace,
 )

@@ -17,20 +17,18 @@ import threading
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotTracePreserving
-from .matcore import as_complex_matrix, dag, eig_hermitian, hermitize
+from .errors import DimensionMismatch, NotTracePreserving
+from .matcore import _positive_part, as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
 from .states import assert_density_matrix, shannon_entropy, spectrum
 
 KRAUS_RANK_TOL = 1e-10
-# J is positive when its least eigenvalue is at least -max(PSD_FLOOR, atol).
-PSD_FLOOR = 1e-10
 
 
 def _checked_jams(jams: np.ndarray, atol: float) -> np.ndarray:
     """Hermitian parts of a (B, d^2, d^2) stack of Jamiolkowski states.
 
     The checks run in :class:`Channel`'s order, each once on the whole
-    stack: shape, Hermiticity, positivity (one batched eigvalsh) and trace
+    stack: shape, matcore's Hermiticity and positivity check, and trace
     preservation. A stack with one bad member raises what Channel raises on
     that member alone; the message names the first failing member's value.
     """
@@ -38,16 +36,8 @@ def _checked_jams(jams: np.ndarray, atol: float) -> np.ndarray:
     d = int(round(np.sqrt(n)))
     if jams.shape[1] != n or d * d != n or not n:
         raise DimensionMismatch(f"J must be d^2 x d^2, got {jams.shape[1:]}")
-    herm = np.abs(jams - dag(jams)).max(axis=(-2, -1), initial=0.0)
-    if (herm > atol).any():
-        raise NotHermitian(f"J is not Hermitian: deviation {herm[herm > atol][0]:.3e}")
-    jams = hermitize(jams)
-    wmin = np.linalg.eigvalsh(jams).min(axis=-1, initial=np.inf)
-    bad = wmin < -max(PSD_FLOOR, atol)
-    if bad.any():
-        raise ValueError(f"J is not positive semi-definite: min eigenvalue {wmin[bad][0]:.3e}")
-    pt = np.einsum("bakal->bkl", jams.reshape(-1, d, d, d, d))
-    pt_err = np.abs(pt - np.eye(d) / d).max(axis=(-2, -1), initial=0.0)
+    jams = _positive_part(jams, atol, stack=True, name="J")
+    pt_err = np.abs(partial_trace(jams) - np.eye(d) / d).max(axis=(-2, -1), initial=0.0)
     if (pt_err > atol).any():
         raise ValueError(
             f"J violates trace preservation: |Tr_1 J - 1/d| = {pt_err[pt_err > atol][0]:.3e}")
@@ -126,6 +116,8 @@ def jam_from_kraus(kraus) -> np.ndarray:
 def channel_from_kraus(kraus, *, atol: float = 1e-9) -> Channel:
     """Build a channel from a Kraus list, checking trace preservation."""
     kraus = [as_complex_matrix(k, "K") for k in kraus]
+    if not kraus:
+        raise DimensionMismatch("a channel needs at least one Kraus operator")
     d = kraus[0].shape[0]
     for k in kraus:
         if k.shape != (d, d):
@@ -146,9 +138,9 @@ def kraus_from_channel(ch: Channel) -> list[np.ndarray]:
     by making its largest-modulus entry real positive.
     """
     d = ch.dim
-    dec = eig_hermitian(ch.jam)
+    w, v = eig_hermitian(ch.jam)
     ops = []
-    for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
+    for lam, vec in zip(w, v.T):
         if lam <= KRAUS_RANK_TOL:
             break
         pivot = vec[np.argmax(np.abs(vec))]
@@ -163,6 +155,8 @@ def identity_channel(d: int) -> Channel:
 
 def unitary_channel(u) -> Channel:
     u = as_complex_matrix(u, "U")
+    if u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"U must be square, got shape {u.shape}")
     err = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
     if err > 1e-8:
         raise ValueError(f"matrix is not unitary: |U^dag U - 1| = {err:.3e}")

@@ -98,7 +98,9 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         d = int(obj["dim"])
         kind = obj.get("kind", "real")
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if d != obj["dim"] or d < 0 or not isinstance(entries, list):
+            raise ValueError("dim must be a whole number >= 0 and entries a list")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _ParseError(f"{path}: expected object with dim/kind/entries") from exc
     if kind not in ("real", "complex"):
         raise _ParseError(f"{path}: kind must be 'real' or 'complex'")

@@ -19,7 +19,7 @@ from .bounds import mu_lower, mu_upper
 from .channels import Channel, channel_from_kraus, unitary_channel
 from .errors import DimensionMismatch, FamilyMismatch
 from .states import assert_density_matrix, spectrum
-from .stochastic import assert_transition_matrix, classify, unitary_from_unistochastic
+from .stochastic import CLASSIFY_ATOL, assert_transition_matrix, classify, unitary_from_unistochastic
 
 QUTRIT_FAMILIES = ("cyclic", "single_row", "double_row")
 
@@ -137,15 +137,15 @@ def qubit_extremality_witness(result) -> bool:
     return rank == len(prods)
 
 
-def _matches_family(t: np.ndarray, family: str, atol: float = 1e-9) -> bool:
+def _matches_family(t: np.ndarray, family: str) -> bool:
     if t.shape[0] != 3:
         return False
-    return all(abs(t[i, j]) <= atol for (i, j) in _FAMILY_ZEROS[family])
+    return all(abs(t[i, j]) <= CLASSIFY_ATOL for (i, j) in _FAMILY_ZEROS[family])
 
 
-def _check_pattern(t: np.ndarray, family: str, atol: float = 1e-9) -> None:
+def _check_pattern(t: np.ndarray, family: str) -> None:
     for (i, j) in _FAMILY_ZEROS[family]:
-        if abs(t[i, j]) > atol:
+        if abs(t[i, j]) > CLASSIFY_ATOL:
             raise FamilyMismatch(f"{family} family requires T[{i},{j}] = 0, got {t[i, j]:.3e}")
 
 

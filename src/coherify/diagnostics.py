@@ -27,7 +27,7 @@ def path_distribution(ch: Channel) -> np.ndarray:
 
 def maxmixed_output_purity(ch: Channel) -> float:
     """gamma(Phi(1/d)); Phi(1/d) is the partial trace of J over the input slot."""
-    out = partial_trace(ch.jam, ch.dim, "second")
+    out = partial_trace(ch.jam, "second")
     return float((np.abs(out) ** 2).sum())
 
 

@@ -53,7 +53,7 @@ from .bounds import mu_upper
 from .channels import Channel, channel_purity
 from .diagnostics import _check_unitarity_dim, maxmixed_output_purity
 from .errors import ConvergenceFailure
-from .matcore import dag
+from .matcore import dag, partial_trace
 from .stochastic import _moduli_polish, _verify_witness, assert_transition_matrix, is_bistochastic
 
 __all__ = [
@@ -135,13 +135,12 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def rand_channel(d: int, rng: np.random.Generator, rank: int | None = None) -> Channel:
     """Random CPTP map: a Wishart Choi matrix normalized to the right partial trace."""
-    rank = rank or d * d
+    rank = d * d if rank is None else rank
+    if not 1 <= rank <= d * d:
+        raise ValueError(f"rank must lie in 1..{d * d}, got {rank}")
     g = (rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))) / np.sqrt(2)
     w = g @ dag(g)
-    s = np.zeros((d, d), dtype=np.complex128)
-    for i in range(d):
-        s += w[i * d:(i + 1) * d, i * d:(i + 1) * d]
-    ev, vec = np.linalg.eigh(s)
+    ev, vec = np.linalg.eigh(partial_trace(w))
     s_isqrt = (vec * (1.0 / np.sqrt(np.maximum(ev, 1e-300)))) @ dag(vec)
     a = np.kron(np.eye(d), s_isqrt)
     jam = a @ w @ dag(a) / d
@@ -624,6 +623,8 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
     """
     d = ch.dim
     _check_unitarity_dim(d)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = _rng(seed)
     psi = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)

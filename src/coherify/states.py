@@ -8,37 +8,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
-from .matcore import as_complex_matrix, dag, eig_hermitian, eigvals_hermitian, hermitize
+from .errors import DimensionMismatch
+from .matcore import HERMITIAN_ATOL, _positive_part, as_complex_matrix, dag, eigvals_hermitian
 
 _EIG_CLAMP = 1e-10
 
 
-def assert_density_matrix(rho, atol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace; return a complex copy."""
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"density matrix must be square, got {rho.shape}")
-    herm_err = np.abs(rho - dag(rho)).max()
-    if herm_err > atol:
-        raise NotHermitian(f"not Hermitian: max|rho - rho^dag| = {herm_err:.3e}")
+def assert_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, positivity and unit trace; return the Hermitian
+    part (rho + rho^dag) / 2, rho itself when rho is exactly Hermitian."""
+    rho = _positive_part(rho, HERMITIAN_ATOL, stack=False, name="rho")
     tr_err = abs(rho.trace() - 1.0)
-    if tr_err > atol:
+    if tr_err > HERMITIAN_ATOL:
         raise ValueError(f"trace differs from 1 by {tr_err:.3e}")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if w.min() < -atol:
-        raise ValueError(f"not positive semi-definite: min eigenvalue {w.min():.3e}")
     return rho
 
 
-def assert_prob_vector(p, atol: float = 1e-10) -> np.ndarray:
+def assert_prob_vector(p) -> np.ndarray:
     """Validate a probability vector; tiny negatives are clamped to zero."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     if p.min() < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e}")
     p = np.maximum(p, 0.0)
     s = p.sum()
-    if abs(s - 1.0) > atol:
+    if abs(s - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {s}, not 1")
     return p
 
@@ -118,7 +111,6 @@ def contradiagonal_state(rho: np.ndarray) -> np.ndarray:
     matrix, so the populations flatten to 1/d while the spectrum is untouched.
     """
     rho = as_complex_matrix(rho, "rho")
-    dec = eig_hermitian(rho)
     h = fourier_matrix(rho.shape[0])
-    lam = np.diag(dec.eigenvalues.astype(np.complex128))
+    lam = np.diag(eigvals_hermitian(rho).astype(np.complex128))
     return h @ lam @ dag(h)

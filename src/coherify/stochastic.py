@@ -26,7 +26,7 @@ CLASSIFY_ATOL = 1e-9
 WITNESS_ATOL = 1e-8
 
 
-def assert_transition_matrix(t, atol: float = CLASSIFY_ATOL) -> np.ndarray:
+def assert_transition_matrix(t) -> np.ndarray:
     """Validate a column-stochastic matrix; tiny negatives are clamped."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -39,13 +39,13 @@ def assert_transition_matrix(t, atol: float = CLASSIFY_ATOL) -> np.ndarray:
         raise ValueError(f"negative entry {t.min():.3e}")
     t = np.maximum(t, 0.0)
     col_err = np.abs(t.sum(axis=0) - 1.0).max()
-    if col_err > atol:
+    if col_err > CLASSIFY_ATOL:
         raise ValueError(f"columns must sum to 1, worst deviation {col_err:.3e}")
     return t
 
 
-def is_bistochastic(t: np.ndarray, atol: float = CLASSIFY_ATOL) -> bool:
-    return bool(np.abs(np.asarray(t).sum(axis=1) - 1.0).max() <= atol)
+def is_bistochastic(t: np.ndarray) -> bool:
+    return bool(np.abs(np.asarray(t).sum(axis=1) - 1.0).max() <= CLASSIFY_ATOL)
 
 
 def _alpha_table(t: np.ndarray) -> np.ndarray:
@@ -125,11 +125,11 @@ class StochasticClass:
     witness_triple: tuple[int, int, int] | None = None
 
 
-def _verify_witness(u: np.ndarray, t: np.ndarray, atol: float = WITNESS_ATOL) -> bool:
+def _verify_witness(u: np.ndarray, t: np.ndarray) -> bool:
     d = t.shape[0]
     return (
-        np.abs(dag(u) @ u - np.eye(d)).max() <= atol
-        and np.abs(np.abs(u) ** 2 - t).max() <= atol
+        np.abs(dag(u) @ u - np.eye(d)).max() <= WITNESS_ATOL
+        and np.abs(np.abs(u) ** 2 - t).max() <= WITNESS_ATOL
     )
 
 
@@ -138,10 +138,10 @@ def _polar_unitary(a: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _moduli_polish(u: np.ndarray, t: np.ndarray, rounds: int = 50) -> np.ndarray:
-    """Alternate between fixing moduli to sqrt(T) and polar-projecting to U(d)."""
+def _moduli_polish(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Up to 50 rounds of fixing the moduli to sqrt(T), then polar-projecting to U(d)."""
     m = np.sqrt(t)
-    for _ in range(rounds):
+    for _ in range(50):
         absu = np.abs(u)
         phases = np.where(absu > 1e-14, u / np.maximum(absu, 1e-300), 1.0)
         u_new = _polar_unitary(m * phases)

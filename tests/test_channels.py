@@ -18,7 +18,8 @@ from coherify.channels import (
     kraus_from_channel,
     unitary_channel,
 )
-from coherify.errors import NotHermitian, NotTracePreserving
+from coherify.errors import DimensionMismatch, NotHermitian, NotTracePreserving
+from coherify.matcore import eig_hermitian, eigvals_hermitian
 from coherify.states import assert_density_matrix, fourier_matrix, spectrum
 
 
@@ -214,6 +215,19 @@ def test_channel_validation():
     bad = np.diag([1.0, 0.0, 0.0, 0.0])  # wrong partial trace
     with pytest.raises(ValueError):
         Channel(bad)
+    # a valid d = 9 channel, above the 64 x 64 that the eigen helpers accept
+    with pytest.raises(DimensionMismatch, match="exceeds supported maximum 64"):
+        Channel(np.eye(81) / 81)
+
+
+def test_channel_from_no_kraus_operators():
+    with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
+        channel_from_kraus([])
+
+
+def test_unitary_channel_of_a_non_square_matrix():
+    with pytest.raises(DimensionMismatch, match="U must be square"):
+        unitary_channel(np.ones((2, 3)))
 
 
 def test_positivity_floor_below_a_small_atol():
@@ -233,15 +247,42 @@ def test_positivity_floor_below_a_small_atol():
                     build(jam, atol=1e-12)
 
 
-def test_non_hermitian_raises_not_hermitian_and_value_error():
+def _check_cases():
+    """(builder, error type, message) of the shared matrix check."""
     jam = np.eye(4, dtype=complex) / 4
     jam[0, 1] = 0.1   # J[1, 0] stays 0
     rho = np.diag([0.5, 0.5]).astype(complex)
     rho[0, 1] = 0.1
-    for build in (lambda: Channel(jam), lambda: assert_density_matrix(rho)):
-        for exc in (NotHermitian, ValueError):
-            with pytest.raises(exc, match="not Hermitian"):
-                build()
+    # Hermitian matrices, then deviations 0.1 and 0.3: the first is reported
+    stack = np.stack([np.eye(2), rho, rho * 3]).astype(complex)
+    # trace preserving, eigenvalue -1/4 on (|00> - |11>) / sqrt(2)
+    negative = np.eye(4, dtype=complex) / 4
+    negative[0, 3] = negative[3, 0] = 0.5
+    herm_j = "J is not Hermitian: max|J - J^dag| = 1.000e-01"
+    herm_rho = "rho is not Hermitian: max|rho - rho^dag| = 1.000e-01"
+    herm_h = "H is not Hermitian: max|H - H^dag| = 1.000e-01"
+    return [
+        pytest.param(lambda: Channel(jam), NotHermitian, herm_j, id="Channel"),
+        pytest.param(lambda: Channel.from_stack([np.eye(4) / 4, jam]), NotHermitian, herm_j,
+                     id="from_stack"),
+        pytest.param(lambda: assert_density_matrix(rho), NotHermitian, herm_rho, id="rho"),
+        pytest.param(lambda: eig_hermitian(rho), NotHermitian, herm_h, id="eig_hermitian"),
+        pytest.param(lambda: eigvals_hermitian(stack), NotHermitian, herm_h,
+                     id="eigvals_hermitian"),
+        pytest.param(lambda: Channel(negative), ValueError,
+                     "J is not positive semi-definite: min eigenvalue -2.500e-01", id="Channel_psd"),
+        pytest.param(lambda: assert_density_matrix(np.diag([1.5, -0.5])), ValueError,
+                     "rho is not positive semi-definite: min eigenvalue -5.000e-01", id="rho_psd"),
+    ]
+
+
+@pytest.mark.parametrize("build, exc, message", _check_cases())
+def test_shared_check_names_the_matrix(build, exc, message):
+    # NotHermitian is also a ValueError
+    for expected in (exc, ValueError):
+        with pytest.raises(expected) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_from_stack_equals_channel_per_member():
@@ -296,7 +337,5 @@ def test_from_stack_raises_what_channel_raises_on_the_bad_member(name, bad):
 
 
 def test_from_stack_rejects_a_single_matrix():
-    from coherify.errors import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         Channel.from_stack(np.eye(4) / 4)

@@ -62,11 +62,21 @@ def test_empty_matrix_exits_3(tmp_path, capsys):
             assert "transition matrix is empty" in capsys.readouterr().err
 
 
-def test_parse_error_exits_2(tmp_path):
+def test_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["classify", str(path)]) == 2
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
+    # entries that are not a list, and a dim that is not a whole number >= 0
+    for text in ('{"dim": 2, "entries": null}', '{"dim": 2, "entries": 5}',
+                 '{"dim": -1, "entries": [0.5]}', '{"dim": 1.7, "entries": [1.0]}'):
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["bounds", str(path)]) == 2, text
+        assert "dim/kind/entries" in capsys.readouterr().err
+    # a whole-number float dim still reads
+    path.write_text('{"dim": 2.0, "entries": [0.5, 0.5, 0.5, 0.5]}')
+    assert main(["bounds", str(path)]) == 0
 
 
 def test_coherify_c0(t30, tmp_path, capsys):

@@ -108,6 +108,8 @@ def test_mc_trivial_cases():
     const = coherify_contracting(np.eye(2) / 2).channel
     est, se = haar_unitarity_mc(const, 2000, seed=2)
     assert abs(est) < 1e-10 and se < 1e-10
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        haar_unitarity_mc(uni, 0)
 
 
 def test_report_invariants():

@@ -249,6 +249,30 @@ def test_rand_channel_valid():
         assert np.abs(classical_action(ch).sum(axis=0) - 1).max() < 1e-9
 
 
+def test_rand_channel_matches_the_block_sum_reference():
+    def reference(d, rng, rank):
+        # Tr_1 W as a sum of W's diagonal blocks
+        g = (rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))) / np.sqrt(2)
+        w = g @ g.conj().T
+        s = np.zeros((d, d), dtype=np.complex128)
+        for i in range(d):
+            s += w[i * d:(i + 1) * d, i * d:(i + 1) * d]
+        ev, vec = np.linalg.eigh(s)
+        s_isqrt = (vec * (1.0 / np.sqrt(np.maximum(ev, 1e-300)))) @ vec.conj().T
+        a = np.kron(np.eye(d), s_isqrt)
+        jam = a @ w @ a.conj().T / d
+        return (jam + jam.conj().T) / 2
+
+    for d in range(2, 9):
+        for rank in (None, 1, d + 1):
+            ch = rand_channel(d, np.random.default_rng(d), rank)
+            expected = reference(d, np.random.default_rng(d), rank or d * d)
+            assert np.array_equal(ch.jam, expected)
+    for rank in (0, 5):
+        with pytest.raises(ValueError, match="rank must lie in 1..4"):
+            rand_channel(2, np.random.default_rng(0), rank)
+
+
 def test_maximize_purity_stops_at_the_ceiling(monkeypatch):
     # every start of a permutation reaches |mu_upper|^2 = 1 in its first
     # ascent step, which certifies the input: one ascent projection, then
