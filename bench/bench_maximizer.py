@@ -3,97 +3,67 @@
 Run from the root of a source checkout:
 
     python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
-        --out BENCH_blocklayout.json
+        --out BENCH_<topic>.json
 
 The base revision's tree is extracted with ``git archive`` into a temporary
-directory. Each repeat starts one fresh interpreter per tree and task,
-alternating which tree runs first, and times:
+directory; it must have ``coherify.oracle.recording``, from which every
+count below is read. Each repeat starts one fresh interpreter per tree and
+task, alternating which tree runs first, and times:
 
 - one round of the perfbench ``validate-qutrit`` workload (seed 1, round 0:
   12 ``coherify validate`` calls, each report checked for exit code 0 and
-  ``"ok": true``), after one untimed warm-up call on a 2x2 input;
+  ``"ok": true``), after one untimed warm-up call on a 2x2 input, split by
+  the record into the oracle's phases (the sampler's projection, its
+  channel checks and the rest of it, the ascent, the final step and
+  coupling) and ``other``, the rest of the round (the CLI's checks of the
+  samples against the bounds), with the Newton iterations, member-steps
+  and step halvings of each phase's projections;
 - criterion 3's ``maximize_purity_many`` call (1000 qubit inputs drawn from
   ``default_rng(2026)``, ``OracleConfig(seed=42, restarts=3)``), after an
-  untimed call on its first 5 inputs; one more, untimed call counts the
-  Newton iterations and member-steps of its ascent and of its final
-  projection (each ``_maximize_group`` call's last: the polish or the
-  final ascent step), which repeat exactly;
+  untimed call on its first 5 inputs, with the Newton iterations and
+  member-steps of its ascent and of its final step and each input's gap
+  |mu_upper|^2 - purity;
 - ``sample_fixed_action`` drawing 100 samples of a 3x3 action whose
-  smallest entry is 4e-4 (``OracleConfig(seed=0)``; the sampler projects
-  to 1e-7 within 2000 Newton steps), after an untimed call on a
-  well-conditioned action; the
-  number of samples returned is reported (0 if it raised).
+  smallest entry is 4e-4 (``OracleConfig(seed=0)``), after an untimed call
+  on a well-conditioned action; the number of samples returned is reported
+  (0 if it raised).
 
-The validate round is also split into phases by wrapping oracle functions:
-``sample_fixed_action`` splits into ``sampler_projection``, its ``_project``
-call, ``sampler_checks``, its construction of the ``Channel`` objects with
-their checks (``Channel`` or ``Channel.from_stack``), and ``sampler_other``,
-the rest: drawing the starts and building J from the projected points (an
-embedding, or a coupling of the blocks); inside ``_maximize_group`` the
-ascent, up to the end of its second-to-last ``_project`` call, and
-``couple_polish``, the rest of the call: the final projection (a polish of
-the coupled point, or one more ascent step) and the coupling (in trees
-that stack a face and a coupling stage, ``ascent`` holds them too).
-``other`` is the rest of the round: the CLI's checks of the samples
-against the bounds. Each phase
-also counts the matrices ``np.linalg.eigh`` decomposed, the sum of their
-sizes cubed, the Newton iterations of the projection (its batched
-``np.linalg.solve`` calls), its Newton member-steps (the linear systems
-those calls solved, one per member and iteration) and the step halvings of
-its line search (each member's evaluations of the dual beyond those at the
-start of each projection, one or, where it chooses between two starts,
-two, and the one after each Newton step).
+Once per tree, outside the timed runs, one interpreter each:
 
-Once per tree, outside the timed runs, one interpreter runs the gates:
-``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on 16 dense
-4x4 actions (``default_rng(500..515)``), 8 dense 5x5 actions
-(``default_rng(505..512)``), one dense 6x6 action (``default_rng(406)``) and
-one dense 8x8 action (``default_rng(408)``), each with entries from
-[0.02, 1) and columns normalized. Each 4x4 and 5x5 call is timed once; the
-6x6 and the 8x8 action are each called once untimed, to warm up at that
-size, then timed as the median of 3 calls. Every input is then called once
-more, untimed, to count the Newton iterations and member-steps of its
-projections, which repeat exactly. One ``coherify validate`` run
-on the 8x8 action, with the CLI's default ``OracleConfig`` and 100
-samples, is timed once per tree. The 48 reports of
-round 0 of validate-qutrit seeds 1-4 are collected, with each input's proven
-optimum: the purity of ``coherify_auto``'s channel where that construction
-is flagged optimal (the three qutrit families, the flat input among them),
-none elsewhere. While they run, each ``maximize_purity`` call's ascent is
-followed from outside: after each block-layout projection the bench
-evaluates f on the converged members and records the first ascent step at
-which the input's best f reached its ceiling mu_upper . mu_upper to 1e-10
-(the input is certified there), and the call's number of ascent steps
-(every block-layout projection, so in a tree whose final step is one it
-counts too); and each ``sample_fixed_action`` call's min, median and max
-sample purity.
-The report counts the byte-identical reports and the violation counts that
-differ, and gives the per-input change of ``best_purity`` (sum, min, max),
-the same for the 4x4 and 5x5 purities, for criterion 3 the bitwise equal
-purities and each tree's largest gap below mu_upper . mu_upper and largest
-excess above it, and per tree the certified validate inputs with the step
-at which each certified. The report gives, per tree, the median and
-quartiles over the repeats and the machine it ran on, and checks the gates.
-Each purity is compared per input against a reference, the smaller of the
-base revision's value and the input's proven optimum (for the dense
-actions mu_upper . mu_upper, which bounds every feasible point): a base
-value above it is a point feasible only to the tolerance, not a level to
-keep, and a sum of values each feasible only to 1e-9 says nothing that the
-per-input rule does not. The gates: no validate, 4x4 or 5x5 input ends more
-than 1e-9 below its reference, and no 4x4 or 5x5 input falls by more than
-1e-4 against the base revision; the validate round's ascent takes no more
-Newton member-steps than the base revision's; no validate input's largest
-sample purity is lower than the base revision's; the 8x8 validate report
-is ok; criterion 3's largest gap is at most 1e-9, its largest excess at
-most 1e-8, and neither its ascent nor its final projection takes more
-Newton iterations than the base revision's. These counts repeat exactly;
-criterion 3's call time is reported, not gated, since medians of two
-overlapping run sets read the host's drift as often as a change. The number of
-validate inputs whose smallest sample purity is above the base revision's
-is reported, not gated. The median 5x5 call takes under 2 s and the 6x6
-call under 10 s; the 5x5, 6x6 and 8x8 inputs take no more Newton iterations
-and no more member-steps than the base revision's. Their call times are
-reported, not gated, for the same reason as criterion 3's.
+- runs ``maximize_purity`` with ``OracleConfig(seed=42, restarts=4)`` on
+  the dense gate actions, entries from [0.02, 1) with columns normalized:
+  16 4x4 (``default_rng(500..515)``), 8 5x5 (``default_rng(505..512)``),
+  one 6x6 (``default_rng(406)``) and one 8x8 (``default_rng(408)``). Each
+  4x4 and 5x5 call is timed once; the 6x6 and 8x8 are warmed up, then
+  timed as the median of 3 calls. Each call records its Newton work and
+  gap;
+- runs ``coherify validate`` on the 8x8 action with the CLI's default
+  ``OracleConfig`` and 100 samples, timed once;
+- collects the 48 reports of round 0 of validate-qutrit seeds 1-4, each
+  input's proven optimum (the purity of ``coherify_auto``'s channel where it
+  is flagged optimal, none elsewhere), each maximized input's ascent steps
+  and certified step from the record, and the min, median and max purity
+  of the samples of a direct ``sample_fixed_action`` call with the
+  validate call's sample count and seed.
+
+The report gives, per tree, the median and quartiles over the repeats and
+the machine it ran on, and checks the gates. Each purity is compared per
+input against a reference, the smaller of the base revision's value and
+the input's proven optimum (for the dense actions |mu_upper|^2, which
+bounds every feasible point): a base value above it is feasible only to the
+tolerance, not a level to keep. The gates: no validate, 4x4 or 5x5 input
+ends more than 1e-9 below its reference, and no 4x4 or 5x5 input falls by
+more than 1e-4 against the base revision; the validate round's ascent
+takes no more Newton member-steps than the base revision's; no validate
+input's largest sample purity is lower than the base revision's; the 8x8
+validate report is ok; criterion 3's largest gap is at most 1e-9, its
+largest excess at most 1e-8, and neither its ascent nor its final step
+takes more Newton iterations than the base revision's; the median 5x5 call
+takes under 2 s and the 6x6 call under 10 s; the 5x5, 6x6 and 8x8 inputs
+take no more Newton iterations and member-steps than the base revision's.
+The counts repeat exactly; call times are reported, not gated, since
+medians of two overlapping run sets read the host's drift as often as a
+change.
 """
 
 from __future__ import annotations
@@ -115,9 +85,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
-PHASES = ("sampler_projection", "sampler_checks", "sampler_other", "ascent", "couple_polish")
-COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
-          "step_halvings")
+COUNTS = ("newton_iterations", "member_steps", "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
 # the d = 8 validate run: the CLI's default OracleConfig, 100 samples
 VALIDATE8_SAMPLES = 100
@@ -149,220 +117,20 @@ def _criterion3_inputs():
     return ts
 
 
-# what the wrappers count; step halvings are derived from the last three
-RAW_COUNTS = ("eigh_matrices", "eigh_work_n3", "newton_iterations", "newton_member_steps",
-              "dual_points", "start_points")
+def _phase_work(stats) -> dict:
+    """Per phase of an ``OracleStats`` record, the Newton iterations,
+    member-steps and step halvings of its projections."""
+    work = {phase: dict.fromkeys(COUNTS, 0) for phase in stats.seconds}
+    for proj in stats.projections:
+        for key in COUNTS:
+            work[proj["phase"]][key] += proj[key]
+    return work
 
 
-def _time_phases(oracle) -> tuple[dict, dict]:
-    """Wrap oracle functions so that time and linear-algebra work are added
-    to the phase running; work outside every phase goes to ``other``. The
-    work is counted in ``RAW_COUNTS``; :func:`_step_halvings` turns it into
-    ``COUNTS``."""
-    import numpy as np
-
-    phases = dict.fromkeys(PHASES, 0.0)
-    work = {phase: dict.fromkeys(RAW_COUNTS, 0) for phase in PHASES + ("other",)}
-    state = {"phase": "other"}
-    # work of the running _maximize_group, and (time, work so far) at the
-    # end of each of its projections: the split is known only once it ends
-    group_work = dict.fromkeys(RAW_COUNTS, 0)
-    marks = []
-
-    def bucket():
-        return group_work if state["phase"] == "group" else work[state["phase"]]
-
-    def counted(fn, key, arg, calls_key=None):
-        """Count the members (the length) of positional argument arg, and
-        the calls under calls_key."""
-        def wrapped(*args, **kwargs):
-            bucket()[key] += len(args[arg])
-            if calls_key:
-                bucket()[calls_key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    eigh = np.linalg.eigh
-    sampler, group, projection = oracle.sample_fixed_action, oracle._maximize_group, oracle._project
-    dual_point = oracle._dual_point
-
-    def eigh_counted(a, *args, **kwargs):
-        shape = np.shape(a)
-        bucket()["eigh_matrices"] += int(np.prod(shape[:-2]))
-        bucket()["eigh_work_n3"] += int(np.prod(shape[:-2])) * shape[-1] ** 3
-        return eigh(a, *args, **kwargs)
-
-    def sample_fixed_action(*args, **kwargs):
-        state["phase"] = "sampler_other"
-        t0 = time.perf_counter()
-        try:
-            return sampler(*args, **kwargs)
-        finally:
-            phases["sampler_other"] += time.perf_counter() - t0
-            state["phase"] = "other"
-
-    def sampler_part(phase, fn):
-        """Inside the sampler, move fn's time and work from sampler_other
-        to phase."""
-        def wrapped(*args, **kwargs):
-            if state["phase"] != "sampler_other":
-                return fn(*args, **kwargs)
-            state["phase"] = phase
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - t0
-                phases[phase] += elapsed
-                phases["sampler_other"] -= elapsed
-                state["phase"] = "sampler_other"
-        return wrapped
-
-    def maximize_group(*args, **kwargs):
-        group_work.update(dict.fromkeys(RAW_COUNTS, 0))
-        marks.clear()
-        state["phase"] = "group"
-        t0 = time.perf_counter()
-        try:
-            return group(*args, **kwargs)
-        finally:
-            end = time.perf_counter()
-            state["phase"] = "other"
-            split, split_work = marks[-2]
-            phases["ascent"] += split - t0
-            phases["couple_polish"] += end - split
-            for key in RAW_COUNTS:
-                work["ascent"][key] += split_work[key]
-                work["couple_polish"][key] += group_work[key] - split_work[key]
-
-    def project(*args, **kwargs):
-        state["start"] = True
-        try:
-            return projection(*args, **kwargs)
-        finally:
-            if state["phase"] == "group":
-                marks.append((time.perf_counter(), dict(group_work)))
-
-    channel = sampler_part("sampler_checks", oracle.Channel)
-    if hasattr(oracle.Channel, "from_stack"):
-        channel.from_stack = sampler_part("sampler_checks", oracle.Channel.from_stack)
-    oracle.sample_fixed_action = sample_fixed_action
-    oracle._maximize_group = maximize_group
-    oracle._project = sampler_part("sampler_projection", project)
-    oracle.Channel = channel
-    def dual_point_counted(*args, **kwargs):
-        members = len(args[1])
-        bucket()["dual_points"] += members
-        # the first evaluation of each projection is at its start(s)
-        if state.pop("start", False):
-            bucket()["start_points"] += members
-        return dual_point(*args, **kwargs)
-
-    oracle._dual_point = dual_point_counted
-    np.linalg.eigh = eigh_counted
-    np.linalg.solve = counted(np.linalg.solve, "newton_member_steps", 0, "newton_iterations")
-    return phases, work
-
-
-def _step_halvings(work: dict) -> dict:
-    """Per phase, ``COUNTS`` from ``RAW_COUNTS``: each projection evaluates
-    the dual at its start(s) and once per member after each Newton step, so
-    the other evaluations are step halvings."""
-    return {
-        phase: {**{key: raw[key] for key in COUNTS[:-1]},
-                "step_halvings": raw["dual_points"] - raw["newton_member_steps"]
-                - raw["start_points"]}
-        for phase, raw in work.items()
-    }
-
-
-def _follow_certificates(oracle, calls: list) -> None:
-    """Wrap oracle functions so that each ``_maximize_group`` call, of one
-    input, appends to calls its number of ascent steps (its block-layout
-    projections) and the first of them after which the best f of the
-    input's converged members reached mu_upper . mu_upper to 1e-10, or
-    None."""
-    import numpy as np
-    from coherify.bounds import mu_upper
-
-    group_fn, projection = oracle._maximize_group, oracle._project
-    state = {}
-
-    def maximize_group(group, *args, **kwargs):
-        if len(group) != 1:
-            raise SystemExit("the certificate trace follows one input per call")
-        up = mu_upper(group[0])
-        state.update(ceiling=float(up @ up), best=-np.inf, steps=0, certified=None)
-        try:
-            return group_fn(group, *args, **kwargs)
-        finally:
-            calls.append({"ascent_steps": state["steps"], "certified_step": state["certified"]})
-            state.clear()
-
-    def project(feas, *args, **kwargs):
-        z, ok, y = projection(feas, *args, **kwargs)
-        # a block-layout point has d > 1 blocks, a full-layout one a single one
-        if state and z.shape[-3] > 1:
-            state["steps"] += 1
-            # f of each converged member: its blocks' eigenvalues, coupled by rank
-            w = np.linalg.eigvalsh(z[ok])[..., ::-1]
-            f = (w.sum(axis=-2) ** 2).sum(axis=-1)
-            state["best"] = max(state["best"], float(f.max(initial=-np.inf)))
-            if state["certified"] is None and state["best"] >= state["ceiling"] - 1e-10:
-                state["certified"] = state["steps"]
-        return z, ok, y
-
-    oracle._maximize_group = maximize_group
-    oracle._project = project
-
-
-def _count_newton(oracle) -> dict:
-    """Wrap oracle functions so that each later ``_maximize_group`` call adds
-    to the returned counts the Newton iterations and member-steps of its
-    projections: its last projection (the final polish or step) under
-    ``final``, the others under ``ascent``."""
-    counts = {part: {"newton_iterations": 0, "newton_member_steps": 0}
-              for part in ("ascent", "final")}
-    group_fn, projection, newton_step = oracle._maximize_group, oracle._project, oracle._newton_step
-    calls = []
-
-    def maximize_group(*args, **kwargs):
-        calls.clear()
-        try:
-            return group_fn(*args, **kwargs)
-        finally:
-            for i, (iterations, steps) in enumerate(calls):
-                part = counts["final" if i == len(calls) - 1 else "ascent"]
-                part["newton_iterations"] += iterations
-                part["newton_member_steps"] += steps
-
-    def project(*args, **kwargs):
-        calls.append([0, 0])
-        return projection(*args, **kwargs)
-
-    def step(feas, w, *args, **kwargs):
-        calls[-1][0] += 1
-        calls[-1][1] += len(w)
-        return newton_step(feas, w, *args, **kwargs)
-
-    oracle._maximize_group, oracle._project, oracle._newton_step = maximize_group, project, step
-    return counts
-
-
-def _follow_samples(oracle, purities: list) -> None:
-    """Wrap ``sample_fixed_action`` so that each call appends to purities
-    the min, median and max purity of its samples."""
-    import numpy as np
-
-    sampler = oracle.sample_fixed_action
-
-    def sample_fixed_action(*args, **kwargs):
-        samples = sampler(*args, **kwargs)
-        p = [float((np.abs(smp.jam) ** 2).sum()) for smp in samples]
-        purities.append({"min": min(p), "median": statistics.median(p), "max": max(p)})
-        return samples
-
-    oracle.sample_fixed_action = sample_fixed_action
+def _newton(stats) -> dict:
+    """The Newton iterations and member-steps of the ascent and of the final step."""
+    work = _phase_work(stats)
+    return {phase: {key: work[phase][key] for key in COUNTS[:2]} for phase in ("ascent", "final")}
 
 
 def _validate(wl, item) -> tuple[str, bool]:
@@ -372,6 +140,7 @@ def _validate(wl, item) -> tuple[str, bool]:
 
 def worker(tree: Path, task: str) -> dict:
     _import_tree(tree)
+    import numpy as np
     import coherify.oracle as oracle
     import workloads
 
@@ -379,20 +148,14 @@ def worker(tree: Path, task: str) -> dict:
         ts = _criterion3_inputs()
         cfg = oracle.OracleConfig(seed=42, restarts=3)
         oracle.maximize_purity_many(ts[:5], cfg)
-        t0 = time.perf_counter()
-        results = oracle.maximize_purity_many(ts, cfg)
-        seconds = time.perf_counter() - t0
-        from coherify.bounds import mu_upper
-
-        gaps = [float(mu_upper(t) @ mu_upper(t)) - p for t, (_, p) in zip(ts, results)]
-        # the Newton work of the same call, counted outside the timed one
-        newton = _count_newton(oracle)
-        oracle.maximize_purity_many(ts, cfg)
+        with oracle.recording() as stats:
+            t0 = time.perf_counter()
+            results = oracle.maximize_purity_many(ts, cfg)
+            seconds = time.perf_counter() - t0
+        gaps = [i["gap"] for i in stats.inputs]
         return {"seconds": seconds, "purities": [float(p).hex() for _, p in results],
-                "max_gap": max(gaps), "max_excess": max(0.0, -min(gaps)), "newton": newton}
+                "max_gap": max(gaps), "max_excess": max(0.0, -min(gaps)), "newton": _newton(stats)}
     if task == "sampler":
-        import numpy as np
-
         cfg = oracle.OracleConfig(seed=0)
         oracle.sample_fixed_action(workloads.T_EXAMPLE, 100, cfg)
         t0 = time.perf_counter()
@@ -402,7 +165,6 @@ def worker(tree: Path, task: str) -> dict:
             converged = 0
         return {"seconds": time.perf_counter() - t0, "converged": converged}
     if task == "validate8":
-        import numpy as np
         from coherify import cli
 
         m = np.random.default_rng(408).uniform(0.02, 1.0, (8, 8))
@@ -420,16 +182,12 @@ def worker(tree: Path, task: str) -> dict:
         return {"seconds": seconds, "ok": code == 0 and report["ok"] is True,
                 "violations": report["violations"], "best_purity": report["best_purity"]}
     if task == "gates":
-        import numpy as np
-        from coherify.bounds import mu_upper
-
         cfg = oracle.OracleConfig(seed=42, restarts=4)
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
-        uncounted = oracle._maximize_group, oracle._project, oracle._newton_step
         gates = {}
         for name, (d, seeds, calls) in DENSE_GATES.items():
-            gate = gates[name] = {"purities": [], "seconds": [], "mu_upper_sq": [],
-                                  "newton": {"newton_iterations": 0, "newton_member_steps": 0}}
+            gate = gates[name] = {"purities": [], "seconds": [], "gaps": [],
+                                  "newton": dict.fromkeys(COUNTS[:2], 0)}
             for seed in seeds:
                 m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
                 t = m / m.sum(axis=0, keepdims=True)
@@ -437,53 +195,54 @@ def worker(tree: Path, task: str) -> dict:
                     oracle.maximize_purity(t, cfg)
                 seconds, purities = [], set()
                 for _ in range(calls):
-                    t0 = time.perf_counter()
-                    purities.add(oracle.maximize_purity(t, cfg)[1])
-                    seconds.append(time.perf_counter() - t0)
+                    with oracle.recording() as stats:
+                        t0 = time.perf_counter()
+                        purities.add(oracle.maximize_purity(t, cfg)[1])
+                        seconds.append(time.perf_counter() - t0)
                 if len(purities) != 1:
                     raise SystemExit(f"{name} input {seed}: purity differs between calls")
                 gate["seconds"].append(statistics.median(seconds))
                 gate["purities"].append(purities.pop())
-                gate["mu_upper_sq"].append(float(mu_upper(t) @ mu_upper(t)))
-                # the Newton work of the same call, counted outside the timed ones
-                newton = _count_newton(oracle)
-                oracle.maximize_purity(t, cfg)
-                oracle._maximize_group, oracle._project, oracle._newton_step = uncounted
-                for part in newton.values():
+                gate["gaps"].append(stats.inputs[0]["gap"])
+                for part in _newton(stats).values():
                     for key, n in part.items():
                         gate["newton"][key] += n
         return gates
     with tempfile.TemporaryDirectory() as workdir:
         if task == "reports":
-            import numpy as np
             from coherify.channels import channel_purity
             from coherify.constructions import coherify_auto
 
-            reports, optima, inputs, certificates, samples = [], [], [], [], []
-            _follow_certificates(oracle, certificates)
-            _follow_samples(oracle, samples)
-            for seed in IDENTITY_SEEDS:
-                wl = workloads.ValidateQutrit(seed, False, workdir)
-                for item in wl.round(0):
-                    reports.append(_validate(wl, item)[0])
-                    inputs.append(f"seed {seed} {item[0]} --seed {item[2]}")
-                    with open(item[1], encoding="utf-8") as fh:
-                        t = np.array(json.load(fh)["entries"]).reshape(3, 3)
-                    res = coherify_auto(t)
-                    optima.append(channel_purity(res.channel) if res.optimal else None)
+            reports, optima, inputs, samples = [], [], [], []
+            with oracle.recording() as stats:
+                for seed in IDENTITY_SEEDS:
+                    wl = workloads.ValidateQutrit(seed, False, workdir)
+                    for item in wl.round(0):
+                        reports.append(_validate(wl, item)[0])
+                        inputs.append(f"seed {seed} {item[0]} --seed {item[2]}")
+                        with open(item[1], encoding="utf-8") as fh:
+                            t = np.array(json.load(fh)["entries"]).reshape(3, 3)
+                        res = coherify_auto(t)
+                        optima.append(channel_purity(res.channel) if res.optimal else None)
+                        p = [channel_purity(ch) for ch in oracle.sample_fixed_action(
+                            t, wl.samples, oracle.OracleConfig(seed=item[2]))]
+                        samples.append({"min": min(p), "median": statistics.median(p),
+                                        "max": max(p)})
+            certificates = [{key: i[key] for key in ("ascent_steps", "certified_step")}
+                            for i in stats.inputs]
             return {"reports": reports, "proven_optima": optima, "inputs": inputs,
                     "certificates": certificates, "sample_purities": samples}
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
         _validate(wl, wl.warmup_item())
         items = wl.round(0)
-        phases, work = _time_phases(oracle)
-        t0 = time.perf_counter()
-        outcomes = [_validate(wl, item) for item in items]
-        seconds = time.perf_counter() - t0
-    phases["other"] = seconds - sum(phases.values())
+        with oracle.recording() as stats:
+            t0 = time.perf_counter()
+            outcomes = [_validate(wl, item) for item in items]
+            seconds = time.perf_counter() - t0
+    phases = dict(stats.seconds, other=seconds - sum(stats.seconds.values()))
     return {"seconds": seconds, "calls": len(items),
             "failed": sum(not ok for _, ok in outcomes), "phases_s": phases,
-            "phases_work": _step_halvings(work)}
+            "phases_work": _phase_work(stats)}
 
 
 def _run_worker(tree: Path, task: str) -> dict:
@@ -527,7 +286,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_blocklayout.json")
+    p.add_argument("--out", help="file to write the report to")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=TASKS + ("gates", "reports", "validate8"),
                    help=argparse.SUPPRESS)
@@ -537,8 +296,8 @@ def main(argv=None) -> int:
             result = worker(args.worker, args.task)
         print(json.dumps(result))
         return 0
-    if not args.before or args.repeats < 5:
-        p.error("--before is required and --repeats must be at least 5")
+    if not args.before or not args.out or args.repeats < 5:
+        p.error("--before and --out are required and --repeats must be at least 5")
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -646,15 +405,14 @@ def main(argv=None) -> int:
                     "purity_sum": {name: sum(gates[name][gate]["purities"]) for name in trees},
                     "purity_delta": _deltas(gates["before"][gate]["purities"],
                                             gates["after"][gate]["purities"]),
-                    # each input's reference: the base revision's value, capped at mu_upper^2
+                    # each input's reference: the base revision's value, capped at
+                    # mu_upper^2, the purity plus its recorded gap
                     "worst_below_reference": min(
-                        after - min(before, ceiling) for before, after, ceiling in zip(
+                        after - min(before, after + gap) for before, after, gap in zip(
                             gates["before"][gate]["purities"], gates["after"][gate]["purities"],
-                            gates["after"][gate]["mu_upper_sq"])),
-                    "max_gap_below_mu_upper_sq": {
-                        name: max(c - p for c, p in zip(gates[name][gate]["mu_upper_sq"],
-                                                        gates[name][gate]["purities"]))
-                        for name in trees},
+                            gates["after"][gate]["gaps"])),
+                    "max_gap_below_mu_upper_sq": {name: max(gates[name][gate]["gaps"])
+                                                  for name in trees},
                     "median_call_s": {
                         name: statistics.median(gates[name][gate]["seconds"]) for name in trees},
                     "calls_s": {name: gates[name][gate]["seconds"] for name in trees},
@@ -668,7 +426,7 @@ def main(argv=None) -> int:
     calls = {gate: dense[gate]["median_call_s"] for gate in DENSE_GATES}
     newton = {gate: dense[gate]["newton"] for gate in DENSE_GATES}
     ascent = {name: timings["validate_qutrit_round"][name]["phases_work"]["ascent"]
-              ["newton_member_steps"] for name in trees}
+              ["member_steps"] for name in trees}
     c3_newton = {name: {part: timings["criterion3_maximize_purity_many"][name]["newton"][part]
                         ["newton_iterations"] for part in ("ascent", "final")} for name in trees}
     sample_max = {name: [s["max"] for s in collected[name]["sample_purities"]] for name in trees}
@@ -690,7 +448,7 @@ def main(argv=None) -> int:
         "dense6_call_under_10s": calls["dense6"]["after"] < 10.0,
         **{f"{gate}_{key}_no_more": newton[gate]["after"][key] <= newton[gate]["before"][key]
            for gate in ("dense5", "dense6", "dense8")
-           for key in ("newton_iterations", "newton_member_steps")},
+           for key in ("newton_iterations", "member_steps")},
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for title, entry in timings.items():

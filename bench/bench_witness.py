@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--before", help="git revision to compare against")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", default="BENCH_lmwitness.json")
+    p.add_argument("--out", help="file to write the report to")
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--task", choices=("search", "round", "corpus"), help=argparse.SUPPRESS)
     p.add_argument("--swap-search-from", type=Path, help=argparse.SUPPRESS)
@@ -199,8 +199,8 @@ def main(argv=None) -> int:
     if args.worker is not None:
         print(json.dumps(worker(args.worker, args.task, args.swap_search_from)))
         return 0
-    if not args.before or args.repeats < 5:
-        p.error("--before is required and --repeats must be at least 5")
+    if not args.before or not args.out or args.repeats < 5:
+        p.error("--before and --out are required and --repeats must be at least 5")
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotTracePreserving
 from .matcore import _positive_part, as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
 from .states import assert_density_matrix, shannon_entropy, spectrum
+from .stochastic import assert_transition_matrix
 
 KRAUS_RANK_TOL = 1e-10
 
@@ -155,8 +156,8 @@ def identity_channel(d: int) -> Channel:
 
 def unitary_channel(u) -> Channel:
     u = as_complex_matrix(u, "U")
-    if u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"U must be square, got shape {u.shape}")
+    if u.shape[0] != u.shape[1] or not u.size:
+        raise DimensionMismatch(f"U must be square and non-empty, got shape {u.shape}")
     err = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
     if err > 1e-8:
         raise ValueError(f"matrix is not unitary: |U^dag U - 1| = {err:.3e}")
@@ -165,7 +166,7 @@ def unitary_channel(u) -> Channel:
 
 def classical_channel(t) -> Channel:
     """Channel with diagonal J: decohere, then act with T on populations."""
-    t = np.asarray(t, dtype=np.float64)
+    t = assert_transition_matrix(t)
     d = t.shape[0]
     kraus = []
     for i in range(d):
@@ -201,11 +202,10 @@ def classical_action(ch: Channel) -> np.ndarray:
 
 def classical_action_kraus(kraus) -> np.ndarray:
     """Second extraction route: T = sum_i K_i o conj(K_i) (Hadamard products)."""
-    d = kraus[0].shape[0]
-    t = np.zeros((d, d), dtype=np.float64)
-    for k in kraus:
-        t += (np.abs(np.asarray(k)) ** 2)
-    return t
+    kraus = [as_complex_matrix(k, "K") for k in kraus]
+    if not kraus:
+        raise DimensionMismatch("the classical action needs at least one Kraus operator")
+    return sum(np.abs(k) ** 2 for k in kraus)
 
 
 def decohere_channel(ch: Channel) -> Channel:

@@ -370,14 +370,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_BOUND_VIOLATION
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_in(low: int, high: float = float("inf")):
+    """An argparse type: a whole number in low..high."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        if n > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
+        return n
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -420,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="oracle cross-checks of all bounds for a transition matrix")
     p.add_argument("input")
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=_int_in(1), default=1000)
+    # the range of OracleConfig.seed
+    p.add_argument("--seed", type=_int_in(0, 2 ** 64 - 1), default=42)
     common(p)
     p.set_defaults(func=cmd_validate)
 

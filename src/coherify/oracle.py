@@ -41,11 +41,19 @@ Randomness comes from the counter-based Philox generator, keyed by
 :func:`_streams`; see there which streams each search draws), so runs are
 bit-reproducible, and a member's projection does not depend on the batch
 it is projected in.
+
+Inside ``with recording() as stats:`` the sampler and the maximizer count
+their work (:class:`OracleStats`): time per phase, the Newton work of each
+projection, and each maximized input's ascent steps, certified step and
+final gap to |mu_upper|^2. Results do not depend on whether they record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +66,8 @@ from .stochastic import _moduli_polish, _verify_witness, assert_transition_matri
 
 __all__ = [
     "OracleConfig",
+    "OracleStats",
+    "recording",
     "sample_fixed_action",
     "maximize_purity",
     "maximize_purity_many",
@@ -93,6 +103,54 @@ class OracleConfig:
     def __post_init__(self):
         if self.restarts <= 0:
             raise ValueError("restarts must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in 0..2**64 - 1, got {self.seed}")
+
+
+@dataclass
+class OracleStats:
+    """What the oracle did inside :func:`recording`: the seconds of each
+    phase ("final": the maximizer's final step and coupling); per
+    :func:`_project` call its phase (None outside the sampler and the
+    maximizer), members, newton_iterations (batched steps), member_steps
+    (one per member and iteration), step_halvings (a member's dual
+    evaluations after a halved step) and capped members (stopped by the step
+    cap short of the tolerance); per maximized input, in the order a
+    :func:`maximize_purity_many` call ascends them (by zero pattern, in
+    order of first appearance), its ascent_steps (the final step not
+    counted), certified_step (after which its best f reached |mu_upper|^2 -
+    1e-10, or None) and gap (|mu_upper|^2 minus the purity returned)."""
+
+    seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(
+        ("sampler_projection", "sampler_checks", "sampler_other", "ascent", "final"), 0.0))
+    projections: list[dict] = field(default_factory=list)
+    inputs: list[dict] = field(default_factory=list)
+    _phase: str | None = field(default=None, repr=False, compare=False)
+    _since: float = field(default=0.0, repr=False, compare=False)
+
+
+_RECORD: ContextVar[OracleStats | None] = ContextVar("coherify_oracle_record", default=None)
+
+
+@contextmanager
+def recording():
+    """Yield a fresh :class:`OracleStats` that this thread's (or task's)
+    oracle calls fill until the block ends."""
+    token = _RECORD.set(OracleStats())
+    try:
+        yield _RECORD.get()
+    finally:
+        _RECORD.reset(token)
+
+
+def _enter(rec: OracleStats | None, phase: str | None, start: bool = False) -> None:
+    """Charge the time since the last call to the phase running (unless a
+    recorded call starts here), then run phase (None: none)."""
+    if rec is not None:
+        now = time.perf_counter()
+        if not start:
+            rec.seconds[rec._phase] += now - rec._since
+        rec._phase, rec._since = phase, now
 
 
 def _streams(seed: int, streams):
@@ -378,6 +436,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     arithmetic does not depend on the rest of the batch, so projecting a
     batch equals projecting its members one by one.
     """
+    rec = _RECORD.get()
     # C order whatever x0's memory layout: callers reduce over Y's last axes,
     # and the rounding of those sums follows the memory order
     x0 = np.ascontiguousarray(x0, dtype=np.complex128)
@@ -401,6 +460,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     y_out = np.empty_like(y)
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)
+    member_steps = halvings = 0
     for step in range(max_iter + 1):
         point = _psd_part(w, v)
         done = feas.residual(point, target) <= tol
@@ -417,6 +477,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
             w, v, theta, slack, point = w[keep], v[keep], theta[keep], slack[keep], point[keep]
         grad = feas.constraints(point) - b
         dy = _newton_step(feas, w, v, grad)
+        member_steps += len(live)
         slope = _ARMIJO * (grad * dy).sum(axis=-1)
         t = np.ones(len(live))
         y_new = y + dy
@@ -425,12 +486,17 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
         for _ in range(_MAX_HALVINGS):
             if not back.size:
                 break
+            halvings += back.size
             t[back] *= 0.5
             y_new[back] = y[back] + t[back, None] * dy[back]
             w_new[back], v_new[back], th_new[back], sl_new[back] = _dual_point(
                 feas, s[back], y_new[back], b[back])
             back = back[th_new[back] > theta[back] + t[back] * slope[back] + slack[back]]
         y, w, v, theta, slack = y_new, w_new, v_new, th_new, sl_new
+    if rec is not None:
+        rec.projections.append({"phase": rec._phase, "members": size, "newton_iterations": step,
+                                "member_steps": member_steps, "step_halvings": halvings,
+                                "capped": int(size - converged.sum())})
     return out, converged, y_out
 
 
@@ -462,6 +528,8 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     from stream 30_000 + i. n = 0 gives no samples; a negative n raises
     ValueError.
     """
+    rec = _RECORD.get()
+    _enter(rec, "sampler_other", start=True)
     cfg = cfg or OracleConfig()
     t = assert_transition_matrix(t)
     if n < 0:
@@ -472,7 +540,9 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
     starts = feas.random_starts(target, _streams(cfg.seed, range(n)))
+    _enter(rec, "sampler_projection")
     blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
+    _enter(rec, "sampler_other")
     if not ok.all():
         raise ConvergenceFailure(
             f"{int((~ok).sum())} of {n} samples did not reach tolerance "
@@ -492,7 +562,11 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     w, v = np.linalg.eigh(blocks)
     q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
                         np.sqrt(1 - a * a - c * c) * (left @ right), c * v], axis=-1)
-    return Channel.from_stack(_couple(feas, w, v, q), atol=1e-6)
+    jams = _couple(feas, w, v, q)
+    _enter(rec, "sampler_checks")
+    samples = Channel.from_stack(jams, atol=1e-6)
+    _enter(rec, None)
+    return samples
 
 
 def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Channel, float]]:
@@ -506,8 +580,7 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
     results: list[tuple[Channel, float] | None] = [None] * len(ts)
     by_pattern: dict[tuple, list[int]] = {}
     for i, t in enumerate(ts):
-        key = tuple((t.reshape(-1) > 0).tolist())
-        by_pattern.setdefault(key, []).append(i)
+        by_pattern.setdefault(tuple((t.reshape(-1) > 0).tolist()), []).append(i)
     for idxs in by_pattern.values():
         group = [ts[i] for i in idxs]
         for i, res in zip(idxs, _maximize_group(group, idxs, cfg)):
@@ -518,6 +591,8 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
 def _maximize_group(group, global_idx, cfg: OracleConfig):
     """Block-space ascent for inputs sharing one zero pattern (see
     :func:`maximize_purity`)."""
+    rec = _RECORD.get()
+    _enter(rec, "ascent", start=True)
     feas = _FeasibleSet.for_action(group[0])
     per = cfg.restarts
     targets = np.repeat([feas.target(t) for t in group], per, axis=0)
@@ -538,19 +613,18 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         g = np.einsum("bikn,bn,biln->bikl", v, 2.0 * s_n, v.conj())
         return (s_n ** 2).sum(axis=-1), g
 
-    # f is convex, so from a feasible point each projected unit step gains at
-    # least its squared length: the ascent is monotone without a step rule.
-    # The starts are not projected (nor counted as feasible): each takes its
-    # first step from where it is; the projection drops the gradient's
-    # padding entries. Once an input's best f reaches its ceiling to 1e-10
-    # it is optimal to that margin, and all its starts stop
+    # the ascent (see maximize_purity) needs no step rule. The starts are not
+    # projected (nor counted as feasible): each takes its first step from
+    # where it is; the projection drops the gradient's padding entries
     _, g = f_and_grad(x)
     f = np.full(len(x), -np.inf)
     duals = np.zeros((len(x), feas.m))        # each start's last multipliers
     live = np.arange(len(x))
+    last = np.zeros(len(group), dtype=np.intp)   # each input's last ascent step
     for step in range(_MAX_STEPS):
         if not live.size:
             break
+        last[live // per] = step + 1
         z, ok, y = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL, _MAX_STEPS,
                             duals[live] if step else None)
         fz, gz = f_and_grad(z[ok])
@@ -561,6 +635,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         keep = (gain > 1e-12 * fz) & ~certified[moved // per]
         live = moved[keep]
 
+    _enter(rec, "final")
     f = f.reshape(len(group), per)
     if np.isneginf(f.max(axis=1)).any():
         raise ConvergenceFailure("no restart reached a feasible point")
@@ -575,7 +650,15 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # eigenvalues in the same order in every block: J's purity is then f(z)
     w, v = np.linalg.eigh(z)
     channels = Channel.from_stack(_couple(feas, w, v, v), atol=1e-6)
-    return [(ch, channel_purity(ch)) for ch in channels]
+    results = [(ch, channel_purity(ch)) for ch in channels]
+    if rec is not None:
+        # a certified input's starts stop at once, so it certified at its last step
+        certified = f.max(axis=1) >= ceilings - 1e-10
+        rec.inputs += [{"ascent_steps": int(n), "certified_step": int(n) if c else None,
+                        "gap": float(top - p)}
+                       for n, c, top, (_, p) in zip(last, certified, ceilings, results)]
+    _enter(rec, None)
+    return results
 
 
 def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]:
@@ -585,25 +668,21 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     diagonal blocks B^i, and by the block-majorization theorem the largest
     purity of a J with given blocks is f(B) = sum_n (sum_i lambda_n(B^i))^2,
     eigenvalues in decreasing order, reached by coupling the blocks' ordered
-    eigenvectors. So each start ascends f over feasible block points by x
-    <- Pi(x + grad f(x)), beginning at the start itself. The first step's
-    projection starts from the affine projection's multipliers, each later
-    one, start by start, from whichever of those and the step before's has
-    the lower dual objective. f is convex, so from a feasible point every
-    step gains at least its own squared length; a start stops once its gain
-    is at most 1e-12 f, when its projection fails, or after 2000 steps.
-    All starts of an input stop once its best f reaches
+    eigenvectors. So each start ascends f over feasible block points by
+    x <- Pi(x + grad f(x)), beginning at the start itself. f is convex, so from a
+    feasible point every step gains at least its own squared length; a start
+    stops once its gain is at most 1e-12 f, when its projection fails, or
+    after 2000 steps. All starts of an input stop once its best f reaches
     |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible spectrum, so
-    no point is purer, and the input is optimal to within 1e-10 (each
-    input of a batch stops on its own ceiling). The starts of
-    each input are the diagonal point, diag(T_i.)/d in block i, and
-    cfg.restarts - 1 random block-diagonal points. The diagonal point is
-    feasible and holds the blocks of the row-grouping coherification C0,
-    with f = |mu_lower(T)|^2, so the result is never below C0's purity, the
-    known lower bound. The best point of each input then takes one more
-    ascent step, projected to the residual 1e-13 (the ascent's to 1e-9),
-    and its blocks are coupled by their ordered eigenvectors,
-    C_ij = V_i V_j^dag.
+    no point is purer, and the input is optimal to within 1e-10 (each input
+    of a batch stops on its own ceiling). The starts of each input are the
+    diagonal point, diag(T_i.)/d in block i, and cfg.restarts - 1 random
+    block-diagonal points. The diagonal point is feasible and holds the
+    blocks of the row-grouping coherification C0, with f = |mu_lower(T)|^2,
+    so the result is never below C0's purity, the known lower bound. The
+    best point of each input then takes one more ascent step, projected to
+    the residual 1e-13 (the ascent's to 1e-9), and its blocks are coupled by
+    their ordered eigenvectors, C_ij = V_i V_j^dag.
 
     The value returned is the purity of the returned channel, feasible to
     about 1e-13: some channel attains it, so it is a lower bound on the

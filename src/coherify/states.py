@@ -27,6 +27,8 @@ def assert_density_matrix(rho) -> np.ndarray:
 def assert_prob_vector(p) -> np.ndarray:
     """Validate a probability vector; tiny negatives are clamped to zero."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
+    if not p.size:
+        raise DimensionMismatch("probability vector is empty")
     if p.min() < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e}")
     p = np.maximum(p, 0.0)

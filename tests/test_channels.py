@@ -223,11 +223,23 @@ def test_channel_validation():
 def test_channel_from_no_kraus_operators():
     with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
         channel_from_kraus([])
+    with pytest.raises(DimensionMismatch, match="classical action needs at least one Kraus"):
+        classical_action_kraus([])
 
 
 def test_unitary_channel_of_a_non_square_matrix():
-    with pytest.raises(DimensionMismatch, match="U must be square"):
-        unitary_channel(np.ones((2, 3)))
+    for u in (np.ones((2, 3)), np.zeros((0, 0))):
+        with pytest.raises(DimensionMismatch, match="U must be square and non-empty"):
+            unitary_channel(u)
+
+
+def test_classical_channel_checks_t():
+    # a non-square T is no longer cut to its first d columns, and a NaN T is
+    # named as such, not as a channel without Kraus operators
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        classical_channel(np.ones((2, 3)) / 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        classical_channel(np.full((2, 2), np.nan))
 
 
 def test_positivity_floor_below_a_small_atol():

@@ -77,6 +77,13 @@ def test_parse_error_exits_2(tmp_path, capsys):
     # a whole-number float dim still reads
     path.write_text('{"dim": 2.0, "entries": [0.5, 0.5, 0.5, 0.5]}')
     assert main(["bounds", str(path)]) == 0
+    # a seed outside 0..2**64 - 1 is a usage error, not a traceback
+    for seed, message in (("-1", "at least 0"), (str(2 ** 64), "at most")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(path), "--samples", "2", "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed: must be {message}" in capsys.readouterr().err
 
 
 def test_coherify_c0(t30, tmp_path, capsys):

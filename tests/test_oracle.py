@@ -17,7 +17,9 @@ from coherify.oracle import (
     haar_unitarity_mc,
     haar_unitary,
     maximize_purity,
+    maximize_purity_many,
     rand_channel,
+    recording,
     sample_fixed_action,
     search_unistochastic_witness,
 )
@@ -32,6 +34,10 @@ T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must lie in 0..2"):
+            OracleConfig(seed=seed)
+    assert OracleConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_samples_satisfy_constraints():
@@ -273,50 +279,29 @@ def test_rand_channel_matches_the_block_sum_reference():
             rand_channel(2, np.random.default_rng(0), rank)
 
 
-def test_maximize_purity_stops_at_the_ceiling(monkeypatch):
+def test_maximize_purity_stops_at_the_ceiling():
     # every start of a permutation reaches |mu_upper|^2 = 1 in its first
     # ascent step, which certifies the input: one ascent projection, then
-    # the polish
-    import coherify.oracle as oracle
-
-    calls = []
-    project = oracle._project
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return project(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_project", counted)
-    _, pur = maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
-    assert calls == [64, 1]
+    # the final one
+    with recording() as stats:
+        _, pur = maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
+    assert [(p["phase"], p["members"]) for p in stats.projections] == [("ascent", 64), ("final", 1)]
+    assert stats.inputs[0]["ascent_steps"] == stats.inputs[0]["certified_step"] == 1
     assert abs(pur - 1.0) <= 1e-9
 
 
-def test_ascent_projections_after_the_first_take_no_newton_step(monkeypatch):
+def test_ascent_projections_after_the_first_take_no_newton_step():
     # validate's cyclic and polygon inputs at --seed 1: the second ascent
     # projection starts from the affine multipliers, which beat the previous
     # step's (from those it took 8-9 Newton iterations on every start), and
     # then the input reaches its ceiling
-    import coherify.oracle as oracle
     from coherify.constructions import coherify_auto
 
-    steps = []
-    project, newton_step = oracle._project, oracle._newton_step
-
-    def counted_project(*args, **kwargs):
-        steps.append(0)
-        return project(*args, **kwargs)
-
-    def counted_step(*args, **kwargs):
-        steps[-1] += 1
-        return newton_step(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_project", counted_project)
-    monkeypatch.setattr(oracle, "_newton_step", counted_step)
     cyclic = np.array([[0.0, 0.3, 0.6], [0.5, 0.0, 0.4], [0.5, 0.7, 0.0]])
     for t in (cyclic, T_FLAT_OFFDIAG):
-        steps.clear()
-        _, pur = maximize_purity(t, OracleConfig(seed=1))
+        with recording() as stats:
+            _, pur = maximize_purity(t, OracleConfig(seed=1))
+        steps = [p["newton_iterations"] for p in stats.projections]
         assert len(steps) >= 3 and steps[1:] == [0] * (len(steps) - 1)
         # the proven optimum (both are solved families)
         res = coherify_auto(t)
@@ -364,6 +349,40 @@ def test_maximize_purity_raises_when_the_final_projection_fails(monkeypatch):
     with pytest.raises(coherify.ConvergenceFailure):
         maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
     assert calls == [64, 1]
+
+
+def test_recording_changes_no_result_and_repeats():
+    # two zero patterns, so two groups; the record is kept per call, and a
+    # second recorded run counts the same work
+    ts = [T_EXAMPLE, np.array([[0.51, 0.12, 0.33], [0.27, 0.64, 0.21], [0.22, 0.24, 0.46]])]
+    ts[1] /= ts[1].sum(axis=0, keepdims=True)
+    cfg = OracleConfig(seed=3, restarts=4)
+    plain = maximize_purity_many(ts, cfg)
+    samples = sample_fixed_action(T_EXAMPLE, 20, cfg)
+    records = []
+    for _ in range(2):
+        with recording() as stats:
+            kept = maximize_purity_many(ts, cfg)
+            kept_samples = sample_fixed_action(T_EXAMPLE, 20, cfg)
+        records.append(stats)
+        assert [p for _, p in kept] == [p for _, p in plain]
+        assert all(np.array_equal(a.jam, b.jam) for (a, _), (b, _) in zip(kept, plain))
+        assert all(np.array_equal(a.jam, b.jam) for a, b in zip(kept_samples, samples))
+    first, second = records
+    assert (first.projections, first.inputs) == (second.projections, second.inputs)
+    assert {p["phase"] for p in first.projections} == {"ascent", "final", "sampler_projection"}
+    assert all(s > 0 for s in first.seconds.values())
+    assert [i["gap"] for i in first.inputs] == [
+        float(mu_upper(t) @ mu_upper(t)) - p for t, (_, p) in zip(ts, plain)]
+    # a record is this thread's: another thread's calls do not reach it
+    import threading
+
+    with recording() as stats:
+        worker = threading.Thread(target=sample_fixed_action, args=(T_EXAMPLE, 5, cfg))
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert stats.projections == stats.inputs == []
 
 
 def test_maximize_purity_deterministic():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from coherify.errors import DimensionMismatch
 from coherify.matcore import dag
 from coherify.states import (
     coherence_2norm,
@@ -89,6 +91,8 @@ def test_coherify_state():
     rho = coherify_state(p, phases=rng.uniform(0, 2 * np.pi, 4))
     assert abs(purity(rho) - 1.0) < 1e-10
     assert np.abs(np.diag(decohere_state(rho)).real - p).max() < 1e-12
+    with pytest.raises(DimensionMismatch, match="probability vector is empty"):
+        coherify_state([])
 
 
 def test_contradiagonal():
