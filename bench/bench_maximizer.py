@@ -35,14 +35,16 @@ Once per tree, outside the timed runs, one interpreter each:
   16 4x4 (``default_rng(500..515)``), 8 5x5 (``default_rng(505..512)``),
   one 6x6 (``default_rng(406)``) and one 8x8 (``default_rng(408)``). Each
   4x4 and 5x5 call is timed once; the 6x6 and 8x8 are warmed up, then
-  timed as the median of 3 calls. Each call records its Newton work and
-  gap;
+  timed as the median of 3 calls. Each call records its Newton work, gap
+  and starts launched;
 - runs ``coherify validate`` on the 8x8 action with the CLI's default
   ``OracleConfig`` and 100 samples, timed once;
 - collects the 48 reports of round 0 of validate-qutrit seeds 1-4, each
   input's proven optimum (the purity of ``coherify_auto``'s channel where it
-  is flagged optimal, none elsewhere), each maximized input's ascent steps
-  and certified step from the record, and the min, median and max purity
+  is flagged optimal, none elsewhere), each maximized input's ascent steps,
+  certified step and starts launched from the record (a record without
+  ``starts``, from a revision that ran every start, counts them all), and
+  the min, median and max purity
   of the samples of a direct ``sample_fixed_action`` call with the
   validate call's sample count and seed.
 
@@ -186,7 +188,7 @@ def worker(tree: Path, task: str) -> dict:
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
         gates = {}
         for name, (d, seeds, calls) in DENSE_GATES.items():
-            gate = gates[name] = {"purities": [], "seconds": [], "gaps": [],
+            gate = gates[name] = {"purities": [], "seconds": [], "gaps": [], "starts": [],
                                   "newton": dict.fromkeys(COUNTS[:2], 0)}
             for seed in seeds:
                 m = np.random.default_rng(seed).uniform(0.02, 1.0, (d, d))
@@ -204,6 +206,7 @@ def worker(tree: Path, task: str) -> dict:
                 gate["seconds"].append(statistics.median(seconds))
                 gate["purities"].append(purities.pop())
                 gate["gaps"].append(stats.inputs[0]["gap"])
+                gate["starts"].append(stats.inputs[0].get("starts", cfg.restarts))
                 for part in _newton(stats).values():
                     for key, n in part.items():
                         gate["newton"][key] += n
@@ -214,6 +217,7 @@ def worker(tree: Path, task: str) -> dict:
             from coherify.constructions import coherify_auto
 
             reports, optima, inputs, samples = [], [], [], []
+            budget = oracle.OracleConfig().restarts
             with oracle.recording() as stats:
                 for seed in IDENTITY_SEEDS:
                     wl = workloads.ValidateQutrit(seed, False, workdir)
@@ -228,8 +232,8 @@ def worker(tree: Path, task: str) -> dict:
                             t, wl.samples, oracle.OracleConfig(seed=item[2]))]
                         samples.append({"min": min(p), "median": statistics.median(p),
                                         "max": max(p)})
-            certificates = [{key: i[key] for key in ("ascent_steps", "certified_step")}
-                            for i in stats.inputs]
+            certificates = [{"ascent_steps": i["ascent_steps"], "certified_step": i["certified_step"],
+                             "starts": i.get("starts", budget)} for i in stats.inputs]
             return {"reports": reports, "proven_optima": optima, "inputs": inputs,
                     "certificates": certificates, "sample_purities": samples}
         wl = workloads.ValidateQutrit(VALIDATE_SEED, False, workdir)
@@ -265,12 +269,14 @@ def _extract(rev: str, dest: Path) -> None:
 
 def _certificates(collected: dict) -> dict:
     """The validate inputs whose ascent reached mu_upper . mu_upper, each
-    with the ascent step at which it did and the ascent's length."""
+    with the ascent step at which it did and the ascent's length, and the
+    starts each input launched."""
     calls = collected["certificates"]
     return {
         "inputs": len(calls),
         "certified": sum(c["certified_step"] is not None for c in calls),
         "ascent_steps": sum(c["ascent_steps"] for c in calls),
+        "starts": [c["starts"] for c in calls],
         "certified_inputs": [{"input": name, **c} for name, c in zip(collected["inputs"], calls)
                              if c["certified_step"] is not None],
     }
@@ -417,6 +423,7 @@ def main(argv=None) -> int:
                         name: statistics.median(gates[name][gate]["seconds"]) for name in trees},
                     "calls_s": {name: gates[name][gate]["seconds"] for name in trees},
                     "newton": {name: gates[name][gate]["newton"] for name in trees},
+                    "starts": {name: gates[name][gate]["starts"] for name in trees},
                 }
                 for gate in DENSE_GATES
             },

@@ -27,8 +27,12 @@ and from the diagonal point diag(T_i.)/d, the blocks of the row-grouping
 coherification C0, where f = |mu_lower|^2. mu_upper(T)
 majorizes every feasible spectrum, so no point has purity above
 |mu_upper|^2; once an input's best point reaches that ceiling (to 1e-10)
-it is optimal, and all of its starts stop. The purity returned is that of
-a coupled channel feasible to about 1e-13, so some channel attains it.
+it is optimal, and all of its starts stop. Short of the ceiling, the starts
+run in waves of 8, and an input launches another wave only while a
+Bayesian stopping rule (Boender & Rinnooy Kan, Math. Programming 37, 1987)
+expects maxima its stopped starts have not found. The purity returned is
+that of a coupled channel feasible to about 1e-13, so some channel attains
+it.
 
 The witness search is Levenberg-Marquardt on the (d - 1)^2 free phases of
 the dephased U = sqrt(T) o e^{i phi}, with the strict upper triangle of
@@ -37,15 +41,16 @@ it converges quadratically near a regular solution. Its restarts run
 batched in lockstep, and it stops at the first witness that verifies.
 
 Randomness comes from the counter-based Philox generator, keyed by
-``seed + stream index`` (one Philox, re-keyed per stream by
+``seed + stream index``, modulo 2^64 (one Philox, re-keyed per stream by
 :func:`_streams`; see there which streams each search draws), so runs are
 bit-reproducible, and a member's projection does not depend on the batch
 it is projected in.
 
 Inside ``with recording() as stats:`` the sampler and the maximizer count
 their work (:class:`OracleStats`): time per phase, the Newton work of each
-projection, and each maximized input's ascent steps, certified step and
-final gap to |mu_upper|^2. Results do not depend on whether they record.
+projection, and each maximized input's ascent steps, certified step,
+final gap to |mu_upper|^2, starts launched and distinct maxima found.
+Results do not depend on whether they record.
 """
 
 from __future__ import annotations
@@ -86,6 +91,9 @@ _MAX_STEPS = 2000
 # step's (the ascent's final step projects to 1e-13)
 _SAMPLE_TOL = 1e-7
 _ASCENT_TOL = 1e-9
+# the purity maximizer launches an input's starts in waves of this many
+# (see _next_wave)
+_WAVE = 8
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,9 @@ class OracleConfig:
     """Settings of the numerical validators.
 
     seed keys every random draw (see :func:`_streams`); restarts is the
-    number of starts per input of the purity maximizer and of the witness
-    search.
+    number of restarts of the witness search, and the most starts per input
+    of the purity maximizer, which launches them in waves of 8 and stops
+    early once its starts agree (see :func:`maximize_purity`).
     """
 
     seed: int = 42
@@ -117,9 +126,11 @@ class OracleStats:
     evaluations after a halved step) and capped members (stopped by the step
     cap short of the tolerance); per maximized input, in the order a
     :func:`maximize_purity_many` call ascends them (by zero pattern, in
-    order of first appearance), its ascent_steps (the final step not
-    counted), certified_step (after which its best f reached |mu_upper|^2 -
-    1e-10, or None) and gap (|mu_upper|^2 minus the purity returned)."""
+    order of first appearance), its ascent_steps (summed over its waves, the
+    final step not counted), certified_step (after which its best f reached
+    |mu_upper|^2 - 1e-10, or None), gap (|mu_upper|^2 minus the purity
+    returned), starts (launched) and maxima (the distinct maxima among its
+    random starts stopped by the gain rule, at the last wave's end)."""
 
     seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(
         ("sampler_projection", "sampler_checks", "sampler_other", "ascent", "final"), 0.0))
@@ -155,7 +166,7 @@ def _enter(rec: OracleStats | None, phase: str | None, start: bool = False) -> N
 
 def _streams(seed: int, streams):
     """One generator per stream index, each drawing what
-    ``Generator(Philox(key=seed + stream))`` draws.
+    ``Generator(Philox(key=(seed + stream) % 2**64))`` draws.
 
     Stream i draws sample i's start and 30_000 + i its coupling's Wishart
     rank and factor and its place u on the coupling's path
@@ -176,7 +187,8 @@ def _streams(seed: int, streams):
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
     for stream in streams:
-        key[0] = np.uint64(seed) + np.uint64(stream)
+        # wrapped in Python ints: numpy's uint64 sum wraps alike, but warns
+        key[0] = (seed + int(stream)) % 2 ** 64
         bitgen.state = state
         yield rng
 
@@ -573,7 +585,8 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
     """Batched :func:`maximize_purity`; one (channel, purity) pair per input.
 
     Inputs are grouped by the zero pattern of vec(T) so each group shares one
-    feasible-set structure and the whole group ascends in a single batch.
+    feasible-set structure, and each wave of the group's inputs ascends in a
+    single batch.
     """
     cfg = cfg or OracleConfig()
     ts = [assert_transition_matrix(t) for t in ts]
@@ -586,6 +599,29 @@ def maximize_purity_many(ts, cfg: OracleConfig | None = None) -> list[tuple[Chan
         for i, res in zip(idxs, _maximize_group(group, idxs, cfg)):
             results[i] = res
     return results  # type: ignore[return-value]
+
+
+def _distinct_maxima(values) -> int:
+    """The number of distinct maxima among the f values of stopped starts:
+    in decreasing order, a value more than 1e-7 f below the current
+    maximum's f starts the next one."""
+    w, top = 0, None
+    for v in sorted(values, reverse=True):
+        if top is None or top - v > 1e-7 * top:
+            w, top = w + 1, v
+    return w
+
+
+def _next_wave(values, launched: int, budget: int) -> int:
+    """The number of starts of an input's next wave, 0 to stop: the
+    Bayesian stopping rule of :func:`maximize_purity` on values, the f of
+    the input's random starts stopped by the gain rule (w (n - 1) / (n - w -
+    2) is the posterior expected number of maxima after n starts found w),
+    and never past budget starts."""
+    n, w = len(values), _distinct_maxima(values)
+    if n >= w + 3 and w * (n - 1) / (n - w - 2) <= w + 0.5:
+        return 0
+    return min(_WAVE, budget - launched)
 
 
 def _maximize_group(group, global_idx, cfg: OracleConfig):
@@ -602,9 +638,6 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # start 0: the blocks diag(T_i.)/d, those of the row-grouping
     # coherification C0 (whose coherence lies off J's diagonal blocks)
     x[::per, feas.blk, feas.row, feas.row] = targets[::per]
-    random = np.flatnonzero(np.arange(len(x)) % per)
-    x[random] = feas.random_starts(targets[random], _streams(
-        cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
 
     def f_and_grad(x):
         w, v = np.linalg.eigh(x)
@@ -613,27 +646,47 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         g = np.einsum("bikn,bn,biln->bikl", v, 2.0 * s_n, v.conj())
         return (s_n ** 2).sum(axis=-1), g
 
-    # the ascent (see maximize_purity) needs no step rule. The starts are not
-    # projected (nor counted as feasible): each takes its first step from
-    # where it is; the projection drops the gradient's padding entries
-    _, g = f_and_grad(x)
+    g = np.zeros_like(x)
     f = np.full(len(x), -np.inf)
     duals = np.zeros((len(x), feas.m))        # each start's last multipliers
-    live = np.arange(len(x))
-    last = np.zeros(len(group), dtype=np.intp)   # each input's last ascent step
-    for step in range(_MAX_STEPS):
-        if not live.size:
-            break
-        last[live // per] = step + 1
-        z, ok, y = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL, _MAX_STEPS,
-                            duals[live] if step else None)
-        fz, gz = f_and_grad(z[ok])
-        moved = live[ok]
-        gain = fz - f[moved]
-        x[moved], f[moved], g[moved], duals[moved] = z[ok], fz, gz, y[ok]
-        certified = f.reshape(len(group), per).max(axis=1) >= ceilings - 1e-10
-        keep = (gain > 1e-12 * fz) & ~certified[moved // per]
-        live = moved[keep]
+    settled = np.zeros(len(x), dtype=bool)    # stopped by the gain rule
+    steps = np.zeros(len(group), dtype=np.intp)      # each input's ascent steps
+    launched = np.zeros(len(group), dtype=np.intp)
+    sizes = np.full(len(group), min(_WAVE, per))
+    while sizes.any():
+        wave = np.concatenate([k * per + np.arange(launched[k], launched[k] + n)
+                               for k, n in enumerate(sizes)])
+        launched += sizes
+        random = wave[wave % per > 0]
+        x[random] = feas.random_starts(targets[random], _streams(
+            cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
+        # the ascent (see maximize_purity) needs no step rule. The starts are
+        # not projected (nor counted as feasible): each takes its first step
+        # from where it is; the projection drops the gradient's padding entries
+        g[wave] = f_and_grad(x[wave])[1]
+        live = wave
+        last = np.zeros(len(group), dtype=np.intp)   # each input's last step of this wave
+        for step in range(_MAX_STEPS):
+            if not live.size:
+                break
+            last[live // per] = step + 1
+            z, ok, y = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL, _MAX_STEPS,
+                                duals[live] if step else None)
+            fz, gz = f_and_grad(z[ok])
+            moved = live[ok]
+            gain = fz - f[moved]
+            x[moved], f[moved], g[moved], duals[moved] = z[ok], fz, gz, y[ok]
+            certified = f.reshape(len(group), per).max(axis=1) >= ceilings - 1e-10
+            climbing = gain > 1e-12 * fz
+            settled[moved[~climbing]] = True
+            live = moved[climbing & ~certified[moved // per]]
+        steps += last
+        # only random starts stopped by the gain rule vote: the diagonal start
+        # is a fixed point, and a start frozen by a certificate holds a snapshot
+        found = [fk[1:][sk[1:]] for fk, sk in zip(f.reshape(len(group), per),
+                                                  settled.reshape(len(group), per))]
+        sizes = np.array([0 if c else _next_wave(v, n, per)
+                          for c, v, n in zip(certified, found, launched)])
 
     _enter(rec, "final")
     f = f.reshape(len(group), per)
@@ -653,10 +706,10 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     results = [(ch, channel_purity(ch)) for ch in channels]
     if rec is not None:
         # a certified input's starts stop at once, so it certified at its last step
-        certified = f.max(axis=1) >= ceilings - 1e-10
         rec.inputs += [{"ascent_steps": int(n), "certified_step": int(n) if c else None,
-                        "gap": float(top - p)}
-                       for n, c, top, (_, p) in zip(last, certified, ceilings, results)]
+                        "gap": float(top - p), "starts": int(s), "maxima": _distinct_maxima(v)}
+                       for n, c, top, (_, p), s, v in zip(steps, certified, ceilings, results,
+                                                          launched, found)]
     _enter(rec, None)
     return results
 
@@ -676,13 +729,33 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     |mu_upper(T)|^2 - 1e-10: mu_upper majorizes every feasible spectrum, so
     no point is purer, and the input is optimal to within 1e-10 (each input
     of a batch stops on its own ceiling). The starts of each input are the
-    diagonal point, diag(T_i.)/d in block i, and cfg.restarts - 1 random
-    block-diagonal points. The diagonal point is feasible and holds the
-    blocks of the row-grouping coherification C0, with f = |mu_lower(T)|^2,
-    so the result is never below C0's purity, the known lower bound. The
-    best point of each input then takes one more ascent step, projected to
-    the residual 1e-13 (the ascent's to 1e-9), and its blocks are coupled by
-    their ordered eigenvectors, C_ij = V_i V_j^dag.
+    diagonal point, diag(T_i.)/d in block i, and up to cfg.restarts - 1
+    random block-diagonal points. The diagonal point is feasible and holds
+    the blocks of the row-grouping coherification C0, with f =
+    |mu_lower(T)|^2, so the result is never below C0's purity, the known
+    lower bound.
+
+    The starts run in waves of 8: the first holds start 0, the diagonal
+    point, and random starts 1-7; wave j holds starts 8j .. 8j + 7. Each
+    wave ascends until all of its starts stop, and its certificate counts
+    the input's best f over all waves. An input launches another wave only
+    if it has not certified, fewer than cfg.restarts starts have launched,
+    and the Bayesian stopping rule of Boender & Rinnooy Kan (Math.
+    Programming 37, 1987) expects unseen maxima: of its n random starts
+    stopped by the gain rule, whose f hold w distinct values (one maximum
+    where they differ by at most 1e-7 f), it stops once n >= w + 3 and w (n
+    - 1) / (n - w - 2) <= w + 1/2, so after the first wave when its 7 random
+    starts agree. The diagonal start, a fixed point, and starts frozen by a
+    certificate or never feasible do not vote. Maxima are told apart by
+    value: conjugating every block by one diagonal unitary keeps every
+    constraint and f, so a maximum is a continuum of points. cfg.restarts
+    <= 8 runs one wave. Start r of input k draws from stream 10_000 + k *
+    cfg.restarts + r whatever its wave, so a single input's starts are
+    nested across budgets.
+
+    The best point of each input then takes one more ascent step, projected
+    to the residual 1e-13 (the ascent's to 1e-9), and its blocks are coupled
+    by their ordered eigenvectors, C_ij = V_i V_j^dag.
 
     The value returned is the purity of the returned channel, feasible to
     about 1e-13: some channel attains it, so it is a lower bound on the

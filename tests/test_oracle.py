@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,11 @@ from coherify.channels import channel_purity, classical_action
 from coherify.diagnostics import path_distribution
 from coherify.matcore import eig_hermitian
 from coherify.oracle import (
+    _WAVE,
     OracleConfig,
     _FeasibleSet,
+    _distinct_maxima,
+    _next_wave,
     _project,
     _rng,
     _streams,
@@ -29,6 +34,9 @@ from test_acceptance import Budget
 
 T_EXAMPLE = np.array([[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]])
 T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
+# a dense 4x4 action whose first wave of 8 starts ends at two maxima
+_M4 = np.random.default_rng(1).uniform(0.02, 1.0, (4, 4)) ** 2
+T_TWO_MAXIMA = _M4 / _M4.sum(axis=0, keepdims=True)
 
 
 def test_config_validation():
@@ -281,11 +289,11 @@ def test_rand_channel_matches_the_block_sum_reference():
 
 def test_maximize_purity_stops_at_the_ceiling():
     # every start of a permutation reaches |mu_upper|^2 = 1 in its first
-    # ascent step, which certifies the input: one ascent projection, then
-    # the final one
+    # ascent step, which certifies the input: one ascent projection of the
+    # first wave, then the final one
     with recording() as stats:
         _, pur = maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
-    assert [(p["phase"], p["members"]) for p in stats.projections] == [("ascent", 64), ("final", 1)]
+    assert [(p["phase"], p["members"]) for p in stats.projections] == [("ascent", 8), ("final", 1)]
     assert stats.inputs[0]["ascent_steps"] == stats.inputs[0]["certified_step"] == 1
     assert abs(pur - 1.0) <= 1e-9
 
@@ -348,15 +356,69 @@ def test_maximize_purity_raises_when_the_final_projection_fails(monkeypatch):
     monkeypatch.setattr(oracle, "_project", failing_final)
     with pytest.raises(coherify.ConvergenceFailure):
         maximize_purity(np.eye(3)[[2, 0, 1]], OracleConfig(seed=42))
-    assert calls == [64, 1]
+    assert calls == [8, 1]
+
+
+def test_waves_stop_once_the_starts_agree():
+    # the worked example's 7 random starts of the first wave all end at one
+    # maximum, so the default budget launches no more: the result is bitwise
+    # that of restarts=8, the first wave alone (the starts are nested)
+    with recording() as stats:
+        ch, pur = maximize_purity(T_EXAMPLE, OracleConfig(seed=42))
+    assert (stats.inputs[0]["starts"], stats.inputs[0]["maxima"]) == (8, 1)
+    ch8, pur8 = maximize_purity(T_EXAMPLE, OracleConfig(seed=42, restarts=8))
+    assert pur == pur8 and np.array_equal(ch.jam, ch8.jam)
+
+
+def test_a_second_maximum_launches_another_wave():
+    with recording() as stats:
+        _, pur8 = maximize_purity(T_TWO_MAXIMA, OracleConfig(seed=42, restarts=8))
+        _, pur = maximize_purity(T_TWO_MAXIMA, OracleConfig(seed=42))
+    first, waves = stats.inputs
+    assert first["certified_step"] is None and first["maxima"] >= 2
+    assert _WAVE < waves["starts"] < 64 and waves["starts"] % _WAVE == 0
+    assert pur >= pur8
+
+
+def test_next_wave_stops_at_the_posterior_bound():
+    # one maximum: 7 gain-stopped random starts, the first wave's, suffice;
+    # two maxima need 16, three 29
+    for w, n in ((1, 7), (2, 16), (3, 29)):
+        values = [1.0 + k % w for k in range(n)]
+        assert _distinct_maxima(values) == w
+        assert _next_wave(values[:-1], 32, 64) == _WAVE and _next_wave(values, 32, 64) == 0
+    # values within 1e-7 f of a maximum's belong to it
+    assert _distinct_maxima([1.0, 1.0 - 0.9e-7, 1.0 - 2e-7]) == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 10 ** 6), unique=True, max_size=80),
+       st.lists(st.integers(1, 4), max_size=80), st.integers(1, 100))
+def test_next_wave_properties(distinct, repeated, budget):
+    # values at least 1e-6 f apart are distinct maxima: the rule never stops
+    # on them, only the budget does
+    values = [k * 1e-3 for k in distinct]
+    assert _distinct_maxima(values) == len(values)
+    for launched in range(1, budget + 1):
+        assert _next_wave(values, launched, budget) == min(_WAVE, budget - launched)
+    # an input's waves, each adding its random starts' values, never launch
+    # past the budget
+    launched, votes = min(_WAVE, budget), []
+    while size := _next_wave(votes, launched, budget):
+        assert 0 < size <= _WAVE
+        votes += [float(v) for v in repeated[len(votes):len(votes) + size]]
+        launched += size
+    assert launched <= budget
 
 
 def test_recording_changes_no_result_and_repeats():
-    # two zero patterns, so two groups; the record is kept per call, and a
-    # second recorded run counts the same work
-    ts = [T_EXAMPLE, np.array([[0.51, 0.12, 0.33], [0.27, 0.64, 0.21], [0.22, 0.24, 0.46]])]
+    # three zero patterns, so three groups; the record is kept per call, and a
+    # second recorded run counts the same work. The 4x4 input's second wave
+    # launches the 4 starts left of the budget
+    ts = [T_EXAMPLE, np.array([[0.51, 0.12, 0.33], [0.27, 0.64, 0.21], [0.22, 0.24, 0.46]]),
+          T_TWO_MAXIMA]
     ts[1] /= ts[1].sum(axis=0, keepdims=True)
-    cfg = OracleConfig(seed=3, restarts=4)
+    cfg = OracleConfig(seed=3, restarts=12)
     plain = maximize_purity_many(ts, cfg)
     samples = sample_fixed_action(T_EXAMPLE, 20, cfg)
     records = []
@@ -374,6 +436,8 @@ def test_recording_changes_no_result_and_repeats():
     assert all(s > 0 for s in first.seconds.values())
     assert [i["gap"] for i in first.inputs] == [
         float(mu_upper(t) @ mu_upper(t)) - p for t, (_, p) in zip(ts, plain)]
+    # the second input certifies, which freezes its starts before any stalls
+    assert [(i["starts"], i["maxima"]) for i in first.inputs] == [(8, 1), (8, 0), (12, 2)]
     # a record is this thread's: another thread's calls do not reach it
     import threading
 
@@ -478,6 +542,15 @@ def test_streams_match_a_fresh_philox_per_stream():
                                   ref.uniform(0, 2 * np.pi, (3, 3)))
         assert np.array_equal(_rng(seed, 7).standard_normal(5),
                               np.random.Generator(np.random.Philox(key=seed + 7)).standard_normal(5))
+
+
+def test_streams_wrap_the_largest_seed_without_warning():
+    # seed + stream wraps modulo 2**64, to the key numpy's uint64 sum gives,
+    # but without its overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = _rng(2 ** 64 - 1, 1).standard_normal(5)
+    assert np.array_equal(drawn, np.random.Generator(np.random.Philox(key=0)).standard_normal(5))
 
 
 def test_random_starts_take_a_lazy_iterable():
