@@ -26,7 +26,13 @@ which tree runs first, and times:
   s = 0..19 at d = 6, each input searched once, timed per d.
 
 Each call of the first two kinds runs once untimed first; a call shorter
-than 0.2 s is timed as the mean of enough calls to fill 0.2 s. The report
+than 0.2 s is timed as the mean of enough calls to fill 0.2 s. ``classify``
+remembers fewer verdicts (8) than a round has inputs (37), so each repeated
+round computes every verdict afresh; within one input, ``coherify_auto``
+reuses the verdict of the ``classify`` call just before it.
+
+``--worker . --task round`` alone runs the checked round on this checkout
+and prints its JSON line, whose ``failed`` count CI requires to be 0. The report
 gives, per variant, the median and quartiles over the repeats, each search
 input's found / not-found result, the corpus's found count per d, and the
 machine it ran on.

@@ -27,7 +27,10 @@ def mu_upper(t) -> np.ndarray:
     [0, 1); the i-th summand vector is n_i ones followed by a_i, and the
     bound is the average of these over rows.
     """
-    t = assert_transition_matrix(t)
+    return _mu_upper(assert_transition_matrix(t))
+
+
+def _mu_upper(t: np.ndarray) -> np.ndarray:
     d = t.shape[0]
     out = np.zeros(d * d)
     for i in range(d):
@@ -45,7 +48,10 @@ def mu_upper(t) -> np.ndarray:
 
 def mu_lower(t) -> np.ndarray:
     """Spectrum achieved by the row-sorting construction: average of sorted rows."""
-    t = assert_transition_matrix(t)
+    return _mu_lower(assert_transition_matrix(t))
+
+
+def _mu_lower(t: np.ndarray) -> np.ndarray:
     d = t.shape[0]
     rows = np.sort(t, axis=1)[:, ::-1]
     out = np.zeros(d * d)
@@ -91,6 +97,10 @@ def polygon_report(t) -> PolygonReport:
     t = assert_transition_matrix(t)
     if not is_bistochastic(t):
         raise NotBistochastic("polygon constraints require a bistochastic matrix")
+    return _polygon_report(t)
+
+
+def _polygon_report(t: np.ndarray) -> PolygonReport:
     d = t.shape[0]
     table = _alpha_table(t)
     defined = ~np.isnan(table)
@@ -136,14 +146,15 @@ class BoundReport:
 
 
 def compute_bounds(t) -> BoundReport:
-    """The majorization pair, its coherence brackets and, for bistochastic T, the polygon report."""
+    """The majorization pair, its coherence brackets and, for bistochastic T,
+    the polygon report; T is validated once, here."""
     t = assert_transition_matrix(t)
     d = t.shape[0]
-    up, lo = mu_upper(t), mu_lower(t)
+    up, lo = _mu_upper(t), _mu_lower(t)
     assert majorizes(up, lo)
     s_t = shannon_entropy(t.reshape(-1) / d)
     tt = float((t ** 2).sum()) / d ** 2
     ce = (s_t - shannon_entropy(lo), s_t - shannon_entropy(up))
     c2 = (float(lo @ lo) - tt, float(up @ up) - tt)
-    poly = polygon_report(t) if is_bistochastic(t) else None
+    poly = _polygon_report(t) if is_bistochastic(t) else None
     return BoundReport(mu_upper=up, mu_lower=lo, c_e_range=ce, c_2_range=c2, polygon=poly)

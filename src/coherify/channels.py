@@ -9,6 +9,10 @@ classical transition matrix T on their diagonal, and block (i, j) holds
 
 T is column stochastic (columns sum to one): T_ij = d * <ij|J|ij> is the
 probability of the classical transition j -> i.
+
+A Channel keeps the spectrum lambda(J) that its positivity check computes,
+so its entropy, its path distribution and a construction's achieved
+spectrum read it instead of decomposing J again.
 """
 
 from __future__ import annotations
@@ -18,44 +22,51 @@ import threading
 import numpy as np
 
 from .errors import DimensionMismatch, NotTracePreserving
-from .matcore import _positive_part, as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
-from .states import assert_density_matrix, shannon_entropy, spectrum
+from .matcore import _positive_spectrum, as_complex_matrix, dag, eig_hermitian, hermitize, partial_trace
+from .states import _clamp_round_off, assert_density_matrix, shannon_entropy
 from .stochastic import assert_transition_matrix
 
 KRAUS_RANK_TOL = 1e-10
 
 
-def _checked_jams(jams: np.ndarray, atol: float) -> np.ndarray:
-    """Hermitian parts of a (B, d^2, d^2) stack of Jamiolkowski states.
+def _checked_jams(jams: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian parts of a (B, d^2, d^2) stack of Jamiolkowski states, and
+    their spectra as :func:`states.spectrum` returns them, read-only.
 
     The checks run in :class:`Channel`'s order, each once on the whole
-    stack: shape, matcore's Hermiticity and positivity check, and trace
-    preservation. A stack with one bad member raises what Channel raises on
-    that member alone; the message names the first failing member's value.
+    stack: shape, matcore's Hermiticity and positivity check (one batched
+    eigh, whose eigenvalues become the spectra), and trace preservation. A
+    stack with one bad member raises what Channel raises on that member
+    alone; the message names the first failing member's value.
     """
     n = jams.shape[-1]
     d = int(round(np.sqrt(n)))
     if jams.shape[1] != n or d * d != n or not n:
         raise DimensionMismatch(f"J must be d^2 x d^2, got {jams.shape[1:]}")
-    jams = _positive_part(jams, atol, stack=True, name="J")
+    jams, w = _positive_spectrum(jams, atol, name="J")
     pt_err = np.abs(partial_trace(jams) - np.eye(d) / d).max(axis=(-2, -1), initial=0.0)
     if (pt_err > atol).any():
         raise ValueError(
             f"J violates trace preservation: |Tr_1 J - 1/d| = {pt_err[pt_err > atol][0]:.3e}")
-    return jams
+    spectra = _clamp_round_off(w)
+    spectra.setflags(write=False)
+    return jams, spectra
 
 
 class Channel:
     """Immutable CPTP map, canonically a trace-1 Jamiolkowski state.
 
-    The Kraus list is cached: either the one a channel was built from
-    (:func:`channel_from_kraus`) or extracted lazily from the eigenvectors
-    of J on first use.
+    ``spectrum`` is lambda(J), non-increasing with round-off negatives
+    clamped to 0: the eigenvalues the positivity check computed when the
+    channel was built, bit for bit ``states.spectrum(ch.jam)``, read-only
+    like ``jam``. The Kraus list is cached: either the one a channel was
+    built from (:func:`channel_from_kraus`) or extracted lazily from the
+    eigenvectors of J on first use.
     """
 
     def __init__(self, jam, *, atol: float = 1e-9):
-        jam = _checked_jams(as_complex_matrix(jam, "J")[None], atol)[0]
-        self._set_jam(jam, atol)
+        jams, spectra = _checked_jams(as_complex_matrix(jam, "J")[None], atol)
+        self._set_jam(jams[0], spectra[0], atol)
         self._kraus = None
 
     @classmethod
@@ -70,18 +81,19 @@ class Channel:
             return [cls(jam, atol=atol) for jam in jams]
         if jams.ndim != 3:
             raise DimensionMismatch(f"J must be a stack of d^2 x d^2 matrices, got {jams.shape}")
-        jams = _checked_jams(jams, atol)
+        jams, spectra = _checked_jams(jams, atol)
         channels = []
-        for jam in jams:
+        for jam, lam in zip(jams, spectra):
             ch = cls.__new__(cls)
-            ch._set_jam(jam, atol)
+            ch._set_jam(jam, lam, atol)
             ch._kraus = None
             channels.append(ch)
         return channels
 
-    def _set_jam(self, jam: np.ndarray, atol: float) -> None:
+    def _set_jam(self, jam: np.ndarray, spectrum: np.ndarray, atol: float) -> None:
         self._jam = jam
         self._jam.setflags(write=False)
+        self._spectrum = spectrum
         self.dim = int(round(np.sqrt(jam.shape[0])))
         self.atol = atol
         self._kraus_lock = threading.Lock()
@@ -89,6 +101,10 @@ class Channel:
     @property
     def jam(self) -> np.ndarray:
         return self._jam
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self._spectrum
 
     @property
     def kraus(self) -> list[np.ndarray]:
@@ -215,7 +231,7 @@ def decohere_channel(ch: Channel) -> Channel:
 
 def channel_entropy(ch: Channel) -> float:
     """S(J) in bits, between 0 (unitary) and 2 log2 d (depolarizing)."""
-    return shannon_entropy(spectrum(ch.jam))
+    return shannon_entropy(ch.spectrum)
 
 
 def channel_purity(ch: Channel) -> float:

@@ -16,6 +16,7 @@ failed, 5 not trace preserving, 6 bound violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from . import channels as ch_mod
 from . import constructions as con_mod
 from . import diagnostics as diag_mod
 from . import oracle as oracle_mod
-from . import states as states_mod
 from . import stochastic as st_mod
 from .errors import CoherifyError, DimensionMismatch, NotTracePreserving
 
@@ -331,10 +331,11 @@ def cmd_validate(args) -> int:
     up, lo, poly = rep.mu_upper, rep.mu_lower, rep.polygon
     samples = oracle_mod.sample_fixed_action(t, args.samples, cfg)
     # every sample is checked at once: one stack of Jamiolkowski matrices,
-    # their spectra lambda(J) and one verdict per sample
+    # their spectra lambda(J), kept from the channels' checks, and one
+    # verdict per sample
     n = t.shape[0] ** 2
     jams = np.array([smp.jam for smp in samples]).reshape(len(samples), n, n)
-    lam = states_mod.spectrum(jams)
+    lam = np.array([smp.spectrum for smp in samples])
     slack = 1e-6
 
     def violations_of(bound, tol):
@@ -385,7 +386,9 @@ def _int_in(low: int, high: float = float("inf")):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="coherify",
         description="Coherence of quantum channels: classification, coherification, bounds.",

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import mu_lower, mu_upper
+from .bounds import _mu_lower, _mu_upper, mu_upper
 from .channels import Channel, channel_from_kraus, unitary_channel
 from .errors import DimensionMismatch, FamilyMismatch
-from .states import assert_density_matrix, spectrum
+from .states import assert_density_matrix
 from .stochastic import CLASSIFY_ATOL, assert_transition_matrix, classify, unitary_from_unistochastic
 
 QUTRIT_FAMILIES = ("cyclic", "single_row", "double_row")
@@ -41,7 +41,7 @@ class CoherificationResult:
 def _result(channel: Channel, method: str, optimal: bool) -> CoherificationResult:
     return CoherificationResult(
         channel=channel,
-        achieved_spectrum=spectrum(channel.jam),
+        achieved_spectrum=channel.spectrum,
         method=method,
         optimal=optimal,
     )
@@ -79,7 +79,7 @@ def coherify_c0(t) -> CoherificationResult:
     kraus = np.zeros((d, d, d), dtype=np.complex128)
     kraus[np.arange(d), rows, cols] = np.sqrt(t[rows, cols])
     ch = channel_from_kraus([k for k in kraus if np.any(k != 0)])
-    optimal = bool(np.abs(mu_lower(t) - mu_upper(t)).max() <= 1e-9) or _matches_family(
+    optimal = bool(np.abs(_mu_lower(t) - _mu_upper(t)).max() <= 1e-9) or _matches_family(
         t, "cyclic"
     )
     return _result(ch, "c0", optimal=optimal)
@@ -386,13 +386,16 @@ def coherify_auto(t) -> CoherificationResult:
 
     Order: complete coherification when T is certified unistochastic, then
     the qubit optimum, then a matching qutrit zero-pattern family, then the
-    general rank-reducing construction.
+    general rank-reducing construction. The verdict is :func:`classify`'s,
+    read from its memo of recent verdicts when the caller has just
+    classified the same T, so the witness search runs once; its witness,
+    verified there, becomes the unitary channel without a second check.
     """
     t = assert_transition_matrix(t)
     d = t.shape[0]
     cls = classify(t)
     if cls.unistochastic == "yes":
-        return coherify_unistochastic(t, witness=cls.witness_unitary)
+        return _result(channel_from_kraus([cls.witness_unitary]), "unistochastic", optimal=True)
     if d == 2:
         return coherify_qubit(t)
     if d == 3:

@@ -17,12 +17,12 @@ import numpy as np
 from .channels import Channel, channel_purity, classical_action
 from .errors import DimensionMismatch
 from .matcore import partial_trace
-from .states import spectrum
 
 
 def path_distribution(ch: Channel) -> np.ndarray:
-    """Average probabilities of the canonical Kraus branches: lambda(J)."""
-    return spectrum(ch.jam)
+    """Average probabilities of the canonical Kraus branches: lambda(J),
+    the channel's read-only ``spectrum``."""
+    return ch.spectrum
 
 
 def maxmixed_output_purity(ch: Channel) -> float:
@@ -36,17 +36,28 @@ def _check_unitarity_dim(d: int) -> None:
         raise DimensionMismatch(f"unitarity is defined only for d >= 2, got d = {d}")
 
 
+# the formulas below take gamma(J) as g and gamma(Phi(1/d)) as m, so that
+# diagnostics_report computes each once
+
+
+def _unitarity(d: int, g: float, m: float) -> float:
+    return d / (d ** 2 - 1) * (d * g - m)
+
+
+def _avg_output_purity(d: int, g: float, m: float) -> float:
+    return d / (d + 1) * (g + m)
+
+
 def unitarity(ch: Channel) -> float:
     """Closed-form unitarity d/(d^2-1) [d gamma(Phi) - gamma(Phi(1/d))]."""
     d = ch.dim
     _check_unitarity_dim(d)
-    return d / (d ** 2 - 1) * (d * channel_purity(ch) - maxmixed_output_purity(ch))
+    return _unitarity(d, channel_purity(ch), maxmixed_output_purity(ch))
 
 
 def avg_output_purity(ch: Channel) -> float:
     """Haar-average output purity d/(d+1) [gamma(Phi) + gamma(Phi(1/d))]."""
-    d = ch.dim
-    return d / (d + 1) * (channel_purity(ch) + maxmixed_output_purity(ch))
+    return _avg_output_purity(ch.dim, channel_purity(ch), maxmixed_output_purity(ch))
 
 
 def purity_relations(ch: Channel) -> tuple[float, float, float]:
@@ -57,9 +68,12 @@ def purity_relations(ch: Channel) -> tuple[float, float, float]:
     both equalities for unital channels, plus the decohered lower bound
     gamma(Phi(1/d)) >= sum_i ((1/d) sum_j T_ij)^2.
     """
+    return _purity_relations(ch, channel_purity(ch))
+
+
+def _purity_relations(ch: Channel, g: float) -> tuple[float, float, float]:
     d = ch.dim
     _check_unitarity_dim(d)
-    g = channel_purity(ch)
     u_upper = d ** 2 / (d ** 2 - 1) * (g - 1.0 / d ** 2)
     out_lower = d / (d + 1) * (g + 1.0 / d)
     t = classical_action(ch)
@@ -79,12 +93,15 @@ class DiagnosticsReport:
 
 
 def diagnostics_report(ch: Channel) -> DiagnosticsReport:
-    u_upper, out_lower, maxmixed_lower = purity_relations(ch)
+    """Every diagnostic of ch, computing gamma(J), gamma(Phi(1/d)) and T once each."""
+    d = ch.dim
+    g, m = channel_purity(ch), maxmixed_output_purity(ch)
+    u_upper, out_lower, maxmixed_lower = _purity_relations(ch, g)
     return DiagnosticsReport(
         path_distribution=path_distribution(ch),
-        unitarity=unitarity(ch),
-        avg_output_purity=avg_output_purity(ch),
-        maxmixed_output_purity=maxmixed_output_purity(ch),
+        unitarity=_unitarity(d, g, m),
+        avg_output_purity=_avg_output_purity(d, g, m),
+        maxmixed_output_purity=m,
         unitarity_upper_from_purity=u_upper,
         output_purity_lower_from_purity=out_lower,
         maxmixed_purity_lower=maxmixed_lower,

@@ -66,15 +66,31 @@ def _hermitian_part(h, atol: float, stack: bool, name: str) -> np.ndarray:
     return hermitize(h)
 
 
+def _reject_negative(w: np.ndarray, atol: float, name: str) -> None:
+    """Raise when a matrix's eigenvalues, w's last axis, go below
+    -max(PSD_FLOOR, atol); the message gives the first failing matrix's."""
+    wmin = w.min(axis=-1, initial=np.inf).reshape(-1)
+    bad = wmin < -max(PSD_FLOOR, atol)
+    if bad.any():
+        raise ValueError(f"{name} is not positive semi-definite: min eigenvalue {wmin[bad][0]:.3e}")
+
+
 def _positive_part(h, atol: float, stack: bool, name: str) -> np.ndarray:
     """:func:`_hermitian_part`, also rejected when a matrix has an eigenvalue
     below -max(PSD_FLOOR, atol); one batched eigvalsh checks a whole stack."""
     h = _hermitian_part(h, atol, stack, name)
-    wmin = np.linalg.eigvalsh(h).min(axis=-1, initial=np.inf).reshape(-1)
-    bad = wmin < -max(PSD_FLOOR, atol)
-    if bad.any():
-        raise ValueError(f"{name} is not positive semi-definite: min eigenvalue {wmin[bad][0]:.3e}")
+    _reject_negative(np.linalg.eigvalsh(h), atol, name)
     return h
+
+
+def _positive_spectrum(h, atol: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_positive_part` of a stack (..., n, n), decided by one batched
+    eigh instead of eigvalsh; returns the Hermitian part and its eigenvalues,
+    bit for bit those :func:`eigvals_hermitian` returns for it."""
+    h = _hermitian_part(h, atol, stack=True, name=name)
+    w = _eigh(h)[0][..., ::-1]
+    _reject_negative(w, atol, name)
+    return h, w
 
 
 def _eigh(h: np.ndarray):

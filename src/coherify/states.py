@@ -50,12 +50,15 @@ def shannon_entropy(p) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def _clamp_round_off(w: np.ndarray) -> np.ndarray:
+    """w with its round-off negatives, those above -1e-10, set to 0."""
+    return np.where((w < 0) & (w > -_EIG_CLAMP), 0.0, w)
+
+
 def spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted non-increasingly, round-off negatives clamped to 0;
     for a stack (..., n, n) of matrices, one spectrum per matrix."""
-    w = eigvals_hermitian(rho)
-    w = np.where((w < 0) & (w > -_EIG_CLAMP), 0.0, w)
-    return w
+    return _clamp_round_off(eigvals_hermitian(rho))
 
 
 def decohere_state(rho: np.ndarray) -> np.ndarray:

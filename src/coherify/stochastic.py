@@ -14,7 +14,8 @@ computed in one array pass, _alpha_table, for every reader.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from .states import fourier_matrix
 
 CLASSIFY_ATOL = 1e-9
 WITNESS_ATOL = 1e-8
+# classify remembers this many verdicts, the most recent ones; kept well
+# below the 37 distinct inputs of a classify-construct round, so that a
+# repeated round computes every verdict afresh
+CLASSIFY_MEMO = 8
 
 
 def assert_transition_matrix(t) -> np.ndarray:
@@ -259,8 +264,27 @@ def classify(t, search_cfg=None) -> StochasticClass:
     which every restart stalls away from a witness: with the default
     config the latter was the case for none of 100 Haar |U|^2 inputs at
     d = 4 and 5, and for 1 of 20 at d = 6; fewer restarts miss more.
+
+    The last ``CLASSIFY_MEMO`` (8) verdicts are remembered, keyed by T's
+    float64 entries, its shape and memory order, and search_cfg, so that
+    coherify_auto or unitary_from_unistochastic right after a classify of
+    the same T reuse its verdict instead of searching again. Each call
+    returns its own copy of the witness: mutating it, or T, never changes
+    a later verdict. A call that raises remembers nothing.
     """
     t = np.asarray(t, dtype=np.float64)  # malformed input raises here, not "no"
+    # the checks' sums follow T's memory order, so the memo keeps it
+    order = "F" if t.ndim == 2 and abs(t.strides[0]) < abs(t.strides[1]) else "C"
+    cls = _classify(t.tobytes(order), t.shape, order, search_cfg)
+    if cls.witness_unitary is None:
+        return cls
+    return replace(cls, witness_unitary=cls.witness_unitary.copy())
+
+
+@functools.lru_cache(maxsize=CLASSIFY_MEMO)
+def _classify(data: bytes, shape: tuple, order: str, search_cfg) -> StochasticClass:
+    """classify on the T whose entries, in the given memory order, are data."""
+    t = np.frombuffer(data).reshape(shape, order=order)
     try:
         t = assert_transition_matrix(t)
     except ValueError:

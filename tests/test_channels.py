@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherify.channels import (
     Channel,
@@ -351,3 +353,21 @@ def test_from_stack_raises_what_channel_raises_on_the_bad_member(name, bad):
 def test_from_stack_rejects_a_single_matrix():
     with pytest.raises(DimensionMismatch):
         Channel.from_stack(np.eye(4) / 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.data())
+def test_spectrum_is_the_checks_eigenvalues(d, data):
+    """Every route to a channel keeps lambda(J) bit for bit as
+    states.spectrum(J) computes it, rank-deficient J (clamped round-off
+    negatives) included, and the kept spectrum is read-only."""
+    rank = data.draw(st.integers(1, d * d), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    jams = np.stack([rand_channel(d, rng, rank).jam for _ in range(3)])
+    built = [Channel(jams[0]), channel_from_kraus(rand_channel(d, rng, rank).kraus)]
+    built += Channel.from_stack(jams)
+    for ch in built:
+        assert ch.spectrum.tobytes() == spectrum(ch.jam).tobytes()
+        assert ch.spectrum.shape == (d * d,)
+        with pytest.raises(ValueError, match="read-only"):
+            ch.spectrum[0] = 1.0

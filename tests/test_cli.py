@@ -218,3 +218,13 @@ def test_diagnose_unequal_kraus_sizes_exits_3(tmp_path, capsys):
     k3 = write_json(tmp_path / "k3.json", np.eye(3) / np.sqrt(2), kind="complex")
     assert main(["diagnose", k2, k3]) == 3
     assert "square with equal dims" in capsys.readouterr().err
+
+
+def test_the_cached_parser_repeats_its_errors(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "x.csv", "--samples", "0"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "must be at least 1, got 0" in errors[0]

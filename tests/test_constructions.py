@@ -470,3 +470,35 @@ def test_qutrit_family_properties(case):
     family, t = case
     _check_construction(coherify_qutrit(t, family), t)
     _check_construction(coherify_auto(t), t)
+
+
+# the permuted kron of two 2x2 bistochastic matrices that the d = 4 witness
+# search has to find (kron_d4 of bench/bench_witness.py)
+KRON_D4 = np.array([
+    [0.20032168253710653, 0.2628781365145263, 0.12919370427821605, 0.40760647667015126],
+    [0.2628781365145263, 0.2003216825371065, 0.40760647667015126, 0.12919370427821603],
+    [0.12919370427821605, 0.40760647667015126, 0.20032168253710653, 0.2628781365145263],
+    [0.40760647667015126, 0.12919370427821603, 0.2628781365145263, 0.2003216825371065],
+])
+
+
+def test_coherify_auto_reuses_the_verdict_of_classify(monkeypatch):
+    import coherify.oracle as oracle
+    import coherify.stochastic as stochastic
+
+    search, calls = oracle.search_unistochastic_witness, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    stochastic._classify.cache_clear()
+    monkeypatch.setattr(oracle, "search_unistochastic_witness", counted)
+    cls = classify(KRON_D4)
+    res = coherify_auto(KRON_D4)
+    assert len(calls) == 1
+    assert cls.unistochastic == "yes" and res.method == "unistochastic" and res.optimal
+    assert [k.tobytes() for k in res.channel.kraus] == [cls.witness_unitary.tobytes()]
+    assert np.abs(classical_action(res.channel) - KRON_D4).max() < 1e-9
+    unitary_from_unistochastic(KRON_D4)
+    assert len(calls) == 1

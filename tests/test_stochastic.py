@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherify.errors import NotUnistochastic, UndefinedAlpha
+import coherify.stochastic as stochastic
+from coherify.errors import DimensionMismatch, NotUnistochastic, UndefinedAlpha
+from coherify.oracle import OracleConfig, haar_unitary
 from coherify.states import fourier_matrix
 from coherify.stochastic import (
     alpha,
@@ -169,6 +171,7 @@ def test_witness_polygon_no_runs_no_search(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the witness search ran on a polygon 'no'")
 
+    stochastic._classify.cache_clear()
     monkeypatch.setattr(coherify.oracle, "search_unistochastic_witness", fail)
     with pytest.raises(NotUnistochastic, match=r"classify says 'no' \(polygon triple \(0, 1, 2\)\)"):
         unitary_from_unistochastic(T_FLAT_OFFDIAG)
@@ -264,3 +267,61 @@ def test_majorizes_on_stacks_equals_each_pair():
     q[5, 0] += 1e-3
     with pytest.raises(ValueError):
         majorizes(p, q)
+
+
+def _fields(cls):
+    u = cls.witness_unitary
+    return (cls.is_stochastic, cls.is_bistochastic, cls.unistochastic, cls.witness_triple,
+            None if u is None else (u.dtype, u.shape, u.tobytes()))
+
+
+def test_classify_memo_equals_a_fresh_verdict():
+    haar4 = np.abs(haar_unitary(4, np.random.default_rng(4000))) ** 2
+    inputs = [
+        np.array([[0.3, 0.7], [0.7, 0.3]]),
+        rand_bistochastic(3, np.random.default_rng(1)),
+        T_FLAT_OFFDIAG,
+        np.array([[0.9, 0.9], [0.1, 0.1]]),
+        np.array([[0.5, 0.2], [0.4, 0.8]]),
+        haar4,
+        # fancy indexing makes this copy Fortran-ordered
+        haar4[[1, 3, 0, 2]][:, [2, 0, 3, 1]],
+    ]
+    for t in inputs:
+        first, again = classify(t), classify(t)
+        stochastic._classify.cache_clear()
+        fresh = classify(t)
+        assert _fields(first) == _fields(again) == _fields(fresh)
+        if fresh.witness_unitary is not None:
+            assert again.witness_unitary is not first.witness_unitary
+
+
+def test_classify_memo_is_safe_from_mutation():
+    stochastic._classify.cache_clear()
+    t = rand_bistochastic(3, np.random.default_rng(2))
+    ref = _fields(classify(t))
+    assert ref[2] == "yes"
+    classify(t).witness_unitary[:] = 0.0
+    assert _fields(classify(t)) == ref
+    mutable = t.copy()
+    classify(mutable)
+    mutable[:] = T_FLAT_OFFDIAG
+    assert classify(mutable).unistochastic == "no"
+    assert _fields(classify(t)) == ref
+
+
+def test_classify_memo_keys_and_capacity():
+    stochastic._classify.cache_clear()
+    t = np.abs(haar_unitary(4, np.random.default_rng(4001))) ** 2
+    a = classify(t, search_cfg=OracleConfig(seed=1))
+    b = classify(t, search_cfg=OracleConfig(seed=2))
+    info = stochastic._classify.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert _fields(classify(t, search_cfg=OracleConfig(seed=1))) == _fields(a)
+    assert _fields(classify(t, search_cfg=OracleConfig(seed=2))) == _fields(b)
+    assert stochastic._classify.cache_info().hits == 2
+    # a call that raises remembers nothing
+    with pytest.raises(DimensionMismatch):
+        classify(np.zeros((0, 0)))
+    assert stochastic._classify.cache_info().currsize == 2
+    assert info.maxsize == stochastic.CLASSIFY_MEMO == 8
