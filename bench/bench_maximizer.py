@@ -5,10 +5,11 @@ Run from the root of a source checkout:
     python3 bench/bench_maximizer.py --before <git revision> --repeats 5 \
         --out BENCH_<topic>.json
 
-The base revision's tree is extracted with ``git archive`` into a temporary
-directory; it must have ``coherify.oracle.recording``, from which every
-count below is read. Each repeat starts one fresh interpreter per tree and
-task, alternating which tree runs first, and times:
+The A/B machinery (the base tree's extraction, a fresh interpreter per
+tree and task, the repeats alternating which tree runs first, the machine
+record) is ``bench/harness.py``'s. The base revision must have
+``coherify.oracle.recording``, from which every count below is read. Each
+repeat times:
 
 - one round of the perfbench ``validate-qutrit`` workload (seed 1, round 0:
   12 ``coherify validate`` calls, each report checked for exit code 0 and
@@ -70,21 +71,17 @@ change.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
 COUNTS = ("newton_iterations", "member_steps", "step_halvings")
@@ -98,14 +95,6 @@ DENSE_GATES = {"dense4": (4, range(500, 516), 1), "dense5": (5, range(505, 513),
 SMALL_ENTRY_ACTION = [[0.4043, 0.4914, 0.2938],
                       [0.4544, 0.2575, 0.7058],
                       [0.1413, 0.2511, 0.0004]]
-
-
-def _import_tree(tree: Path):
-    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    import coherify
-
-    if Path(coherify.__file__).resolve().parent != (tree / "src" / "coherify").resolve():
-        raise SystemExit(f"imported coherify from {coherify.__file__}, not from {tree}")
 
 
 def _criterion3_inputs():
@@ -140,8 +129,7 @@ def _validate(wl, item) -> tuple[str, bool]:
     return text, code == 0 and json.loads(text)["ok"] is True
 
 
-def worker(tree: Path, task: str) -> dict:
-    _import_tree(tree)
+def worker(task: str) -> dict:
     import numpy as np
     import coherify.oracle as oracle
     import workloads
@@ -249,24 +237,6 @@ def worker(tree: Path, task: str) -> dict:
             "phases_work": _phase_work(stats)}
 
 
-def _run_worker(tree: Path, task: str) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), "--task", task]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _summary(runs: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-    return {"median_s": med, "q1_s": q1, "q3_s": q3, "runs_s": runs}
-
-
-def _extract(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
-
-
 def _certificates(collected: dict) -> dict:
     """The validate inputs whose ascent reached mu_upper . mu_upper, each
     with the ascent step at which it did and the ascent's length, and the
@@ -288,38 +258,12 @@ def _deltas(before: list[float], after: list[float]) -> dict:
             "sum": sum(diffs), "min": min(diffs), "max": max(diffs)}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--before", help="git revision to compare against")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", help="file to write the report to")
-    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--task", choices=TASKS + ("gates", "reports", "validate8"),
-                   help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.worker is not None:
-        with contextlib.redirect_stdout(sys.stderr):
-            result = worker(args.worker, args.task)
-        print(json.dumps(result))
-        return 0
-    if not args.before or not args.out or args.repeats < 5:
-        p.error("--before and --out are required and --repeats must be at least 5")
-    import numpy as np
-
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        _extract(args.before, base)
-        trees = {"before": base, "after": ROOT}
-        runs = {name: {task: [] for task in TASKS} for name in trees}
-        for rep in range(args.repeats):
-            order = list(trees) if rep % 2 == 0 else list(reversed(trees))
-            for name in order:
-                for task in TASKS:
-                    runs[name][task].append(_run_worker(trees[name], task))
-        collected = {name: _run_worker(tree, "reports") for name, tree in trees.items()}
-        reports = {name: collected[name]["reports"] for name in trees}
-        gates = {name: _run_worker(tree, "gates") for name, tree in trees.items()}
-        validate8 = {name: _run_worker(tree, "validate8") for name, tree in trees.items()}
+def compare(run, trees: dict, repeats: int) -> dict:
+    runs = harness.alternate(run, trees, TASKS, repeats)
+    collected = {name: run(tree, "reports") for name, tree in trees.items()}
+    reports = {name: collected[name]["reports"] for name in trees}
+    gates = {name: run(tree, "gates") for name, tree in trees.items()}
+    validate8 = {name: run(tree, "validate8") for name, tree in trees.items()}
 
     timings = {
         "validate_qutrit_round": {"seed": VALIDATE_SEED, "round": 0},
@@ -328,7 +272,7 @@ def main(argv=None) -> int:
     }
     for name in trees:
         vruns = runs[name]["validate"]
-        entry = _summary([r["seconds"] for r in vruns])
+        entry = harness.summary([r["seconds"] for r in vruns])
         entry["calls"] = sorted({r["calls"] for r in vruns})
         entry["failed"] = sorted({r["failed"] for r in vruns})
         entry["phases_median_s"] = {
@@ -340,13 +284,13 @@ def main(argv=None) -> int:
             r["phases_work"] == vruns[0]["phases_work"] for r in vruns)
         timings["validate_qutrit_round"][name] = entry
         cruns = runs[name]["criterion3"]
-        entry = _summary([r["seconds"] for r in cruns])
+        entry = harness.summary([r["seconds"] for r in cruns])
         entry["purities_repeat_exactly"] = all(r["purities"] == cruns[0]["purities"] for r in cruns)
         entry["newton"] = cruns[0]["newton"]
         entry["newton_repeats_exactly"] = all(r["newton"] == cruns[0]["newton"] for r in cruns)
         timings["criterion3_maximize_purity_many"][name] = entry
         sruns = runs[name]["sampler"]
-        entry = _summary([r["seconds"] for r in sruns])
+        entry = harness.summary([r["seconds"] for r in sruns])
         entry["converged"] = sorted({r["converged"] for r in sruns})
         timings["small_entry_sampler"][name] = entry
     for entry in timings.values():
@@ -360,17 +304,6 @@ def main(argv=None) -> int:
                   for before, opt in zip(best["before"], optima)]
     c3 = {name: runs[name]["criterion3"][0] for name in trees}
     report = {
-        "machine": {
-            "nproc": os.cpu_count(),
-            "cpus_available": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
-        "before_revision": subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", args.before],
-            capture_output=True, text=True, check=True).stdout.strip(),
-        "repeats": args.repeats,
         **timings,
         "validate_dense8": {"samples": VALIDATE8_SAMPLES, "input": "default_rng(408)",
                             **validate8},
@@ -457,17 +390,24 @@ def main(argv=None) -> int:
            for gate in ("dense5", "dense6", "dense8")
            for key in ("newton_iterations", "member_steps")},
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    for title, entry in timings.items():
+    return report
+
+
+def show(report: dict) -> None:
+    for title in ("validate_qutrit_round", "criterion3_maximize_purity_many", "small_entry_sampler"):
+        entry = report[title]
         print(f"{title}: {entry['before']['median_s']:.3f} s -> {entry['after']['median_s']:.3f} s"
               f" ({entry['speedup']:.2f}x)")
+    validate8 = report["validate_dense8"]
     print(f"validate_dense8: {validate8['before']['seconds']:.1f} s -> "
           f"{validate8['after']['seconds']:.1f} s")
+    c3 = report["criterion3_maximize_purity_many"]
     print("criterion3 Newton iterations: ascent {} -> {}, final projection {} -> {}".format(
-        *(c3_newton[name][part] for part in ("ascent", "final") for name in ("before", "after"))))
+        *(c3[name]["newton"][part]["newton_iterations"]
+          for part in ("ascent", "final") for name in ("before", "after"))))
     print(json.dumps(report["purity"], indent=2))
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__file__, __doc__, TASKS + ("gates", "reports", "validate8"),
+                          worker, compare, show))

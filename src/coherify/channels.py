@@ -43,7 +43,7 @@ def _checked_jams(jams: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray
     d = int(round(np.sqrt(n)))
     if jams.shape[1] != n or d * d != n or not n:
         raise DimensionMismatch(f"J must be d^2 x d^2, got {jams.shape[1:]}")
-    jams, w = _positive_spectrum(jams, atol, name="J")
+    jams, w = _positive_spectrum(jams, atol, stack=True, name="J")
     pt_err = np.abs(partial_trace(jams) - np.eye(d) / d).max(axis=(-2, -1), initial=0.0)
     if (pt_err > atol).any():
         raise ValueError(

@@ -19,7 +19,7 @@ from .bounds import _mu_lower, _mu_upper, mu_upper
 from .channels import Channel, channel_from_kraus, unitary_channel
 from .errors import DimensionMismatch, FamilyMismatch
 from .states import assert_density_matrix
-from .stochastic import CLASSIFY_ATOL, assert_transition_matrix, classify, unitary_from_unistochastic
+from .stochastic import CLASSIFY_ATOL, _checked_verdict, assert_transition_matrix, unitary_from_unistochastic
 
 QUTRIT_FAMILIES = ("cyclic", "single_row", "double_row")
 
@@ -393,7 +393,7 @@ def coherify_auto(t) -> CoherificationResult:
     """
     t = assert_transition_matrix(t)
     d = t.shape[0]
-    cls = classify(t)
+    cls = _checked_verdict(t)
     if cls.unistochastic == "yes":
         return _result(channel_from_kraus([cls.witness_unitary]), "unistochastic", optimal=True)
     if d == 2:

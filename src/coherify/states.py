@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import HERMITIAN_ATOL, _positive_part, as_complex_matrix, dag, eigvals_hermitian
+from .matcore import HERMITIAN_ATOL, _positive_spectrum, as_complex_matrix, dag, eigvals_hermitian
 
 _EIG_CLAMP = 1e-10
 
@@ -17,7 +17,7 @@ _EIG_CLAMP = 1e-10
 def assert_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace; return the Hermitian
     part (rho + rho^dag) / 2, rho itself when rho is exactly Hermitian."""
-    rho = _positive_part(rho, HERMITIAN_ATOL, stack=False, name="rho")
+    rho = _positive_spectrum(rho, HERMITIAN_ATOL, stack=False, name="rho")[0]
     tr_err = abs(rho.trace() - 1.0)
     if tr_err > HERMITIAN_ATOL:
         raise ValueError(f"trace differs from 1 by {tr_err:.3e}")
@@ -29,6 +29,8 @@ def assert_prob_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     if not p.size:
         raise DimensionMismatch("probability vector is empty")
+    if not np.isfinite(p).all():
+        raise ValueError("probability vector contains non-finite entries")
     if p.min() < -1e-12:
         raise ValueError(f"negative probability {p.min():.3e}")
     p = np.maximum(p, 0.0)
@@ -44,6 +46,8 @@ def shannon_entropy(p) -> float:
     Round-off negatives down to -1e-10 are treated as exact zeros.
     """
     p = np.asarray(p, dtype=np.float64).reshape(-1)
+    if not np.isfinite(p).all():
+        raise ValueError("entropy input contains non-finite entries")
     if p.min() < -_EIG_CLAMP:
         raise ValueError(f"negative weight {p.min():.3e} in entropy input")
     nz = p[p > 0]

@@ -99,14 +99,15 @@ def majorizes(p, q, slack: float = 1e-10, sum_atol: float = 1e-9):
     states that are only feasible to a larger tolerance). p and q may also be
     stacks (..., n) of vectors, broadcast against each other; the result is
     then an array of one verdict per pair, and a ValueError is raised when
-    any vector fails the sum check.
+    any vector fails the sum check, as a vector with a non-finite entry does.
     """
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     q = np.atleast_1d(np.asarray(q, dtype=np.float64))
     n = max(p.shape[-1], q.shape[-1])
     p, q = _sorted_padded(p, n), _sorted_padded(q, n)
-    if (np.abs(p.sum(axis=-1) - 1.0) > sum_atol).any() or (
-            np.abs(q.sum(axis=-1) - 1.0) > sum_atol).any():
+    # <= rather than >, so that a NaN sum fails
+    if not ((np.abs(p.sum(axis=-1) - 1.0) <= sum_atol).all() and (
+            np.abs(q.sum(axis=-1) - 1.0) <= sum_atol).all()):
         raise ValueError("majorization inputs must be probability vectors")
     verdict = np.all(np.cumsum(p, axis=-1) >= np.cumsum(q, axis=-1) - slack, axis=-1)
     return bool(verdict) if verdict.ndim == 0 else verdict
@@ -265,16 +266,26 @@ def classify(t, search_cfg=None) -> StochasticClass:
     config the latter was the case for none of 100 Haar |U|^2 inputs at
     d = 4 and 5, and for 1 of 20 at d = 6; fewer restarts miss more.
 
-    The last ``CLASSIFY_MEMO`` (8) verdicts are remembered, keyed by T's
-    float64 entries, its shape and memory order, and search_cfg, so that
+    The last ``CLASSIFY_MEMO`` (8) verdicts are remembered, keyed by the
+    float64 entries of the checked T (round-off negatives clamped to 0), its
+    shape and memory order, and search_cfg, so that
     coherify_auto or unitary_from_unistochastic right after a classify of
     the same T reuse its verdict instead of searching again. Each call
     returns its own copy of the witness: mutating it, or T, never changes
     a later verdict. A call that raises remembers nothing.
     """
     t = np.asarray(t, dtype=np.float64)  # malformed input raises here, not "no"
+    try:
+        t = assert_transition_matrix(t)
+    except ValueError:
+        return StochasticClass(False, False, "no")
+    return _checked_verdict(t, search_cfg)
+
+
+def _checked_verdict(t: np.ndarray, search_cfg=None) -> StochasticClass:
+    """classify on a T that assert_transition_matrix returned, read from the memo."""
     # the checks' sums follow T's memory order, so the memo keeps it
-    order = "F" if t.ndim == 2 and abs(t.strides[0]) < abs(t.strides[1]) else "C"
+    order = "F" if abs(t.strides[0]) < abs(t.strides[1]) else "C"
     cls = _classify(t.tobytes(order), t.shape, order, search_cfg)
     if cls.witness_unitary is None:
         return cls
@@ -283,12 +294,8 @@ def classify(t, search_cfg=None) -> StochasticClass:
 
 @functools.lru_cache(maxsize=CLASSIFY_MEMO)
 def _classify(data: bytes, shape: tuple, order: str, search_cfg) -> StochasticClass:
-    """classify on the T whose entries, in the given memory order, are data."""
+    """classify on the checked T whose entries, in the given memory order, are data."""
     t = np.frombuffer(data).reshape(shape, order=order)
-    try:
-        t = assert_transition_matrix(t)
-    except ValueError:
-        return StochasticClass(False, False, "no")
     if not is_bistochastic(t):
         return StochasticClass(True, False, "no")
     if t.shape[0] >= 3:
@@ -316,7 +323,7 @@ def unitary_from_unistochastic(t, witness: np.ndarray | None = None) -> np.ndarr
         if _verify_witness(np.asarray(witness, dtype=np.complex128), t):
             return np.asarray(witness, dtype=np.complex128)
         raise NotUnistochastic("supplied witness does not realize T")
-    cls = classify(t)
+    cls = _checked_verdict(t)
     if cls.unistochastic == "yes":
         return cls.witness_unitary
     why = "not bistochastic" if not cls.is_bistochastic else (

@@ -299,6 +299,11 @@ def test_shared_check_names_the_matrix(build, exc, message):
         assert str(err.value) == message
 
 
+def test_density_matrix_check_rejects_a_stack():
+    with pytest.raises(DimensionMismatch, match=r"rho must be 2-dimensional, got shape \(2, 2, 2\)"):
+        assert_density_matrix(np.stack([np.eye(2) / 2] * 2))
+
+
 def test_from_stack_equals_channel_per_member():
     rng = np.random.default_rng(31)
     for d in (2, 3):

@@ -502,3 +502,24 @@ def test_coherify_auto_reuses_the_verdict_of_classify(monkeypatch):
     assert np.abs(classical_action(res.channel) - KRON_D4).max() < 1e-9
     unitary_from_unistochastic(KRON_D4)
     assert len(calls) == 1
+
+
+def test_coherify_auto_reuses_the_verdict_of_a_clamped_t(monkeypatch):
+    # coherify_auto classifies the checked T, whose round-off negative is 0
+    import coherify.oracle as oracle
+    import coherify.stochastic as stochastic
+
+    t = np.zeros((4, 4))
+    t[1:, 1:] = np.abs(haar_unitary(3, np.random.default_rng(7))) ** 2
+    t[0, 0], t[1, 0] = 1 + 1e-13, -1e-13
+    search, calls = oracle.search_unistochastic_witness, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    stochastic._classify.cache_clear()
+    monkeypatch.setattr(oracle, "search_unistochastic_witness", counted)
+    assert classify(t).unistochastic == "yes"
+    assert coherify_auto(t).method == "unistochastic"
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import pytest
 from coherify.errors import DimensionMismatch
 from coherify.matcore import dag
 from coherify.states import (
+    assert_prob_vector,
     coherence_2norm,
     coherence_entropic,
     coherify_state,
@@ -15,6 +16,7 @@ from coherify.states import (
     shannon_entropy,
     spectrum,
 )
+from coherify.stochastic import majorizes
 
 
 def rand_density(d, rng):
@@ -93,6 +95,16 @@ def test_coherify_state():
     assert np.abs(np.diag(decohere_state(rho)).real - p).max() < 1e-12
     with pytest.raises(DimensionMismatch, match="probability vector is empty"):
         coherify_state([])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 0.0], [1.0, 0.5, -np.inf]])
+@pytest.mark.parametrize("check", [
+    assert_prob_vector, coherify_state, shannon_entropy,
+    lambda p: majorizes(p, [0.5, 0.5]), lambda q: majorizes([1.0], q),
+], ids=["assert_prob_vector", "coherify_state", "shannon_entropy", "majorizes_p", "majorizes_q"])
+def test_non_finite_probability_vectors_raise(check, bad):
+    with pytest.raises(ValueError):
+        check(bad)
 
 
 def test_contradiagonal():
