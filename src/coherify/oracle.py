@@ -41,7 +41,7 @@ it converges quadratically near a regular solution. Its restarts run
 batched in lockstep, and it stops at the first witness that verifies.
 
 Randomness comes from the counter-based Philox generator, keyed by
-``seed + stream index``, modulo 2^64 (one Philox, re-keyed per stream by
+[seed, stream] across its two key words (one Philox, re-keyed per stream by
 :func:`_streams`; see there which streams each search draws), so runs are
 bit-reproducible, and a member's projection does not depend on the batch
 it is projected in.
@@ -94,6 +94,8 @@ _ASCENT_TOL = 1e-9
 # the purity maximizer launches an input's starts in waves of this many
 # (see _next_wave)
 _WAVE = 8
+# the sampler projects its starts in chunks of this many (see sample_fixed_action)
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -164,15 +166,20 @@ def _enter(rec: OracleStats | None, phase: str | None, start: bool = False) -> N
         rec._phase, rec._since = phase, now
 
 
-def _streams(seed: int, streams):
-    """One generator per stream index, each drawing what
-    ``Generator(Philox(key=(seed + stream) % 2**64))`` draws.
+# the first of each purpose's 2^32 streams (see _streams)
+_SAMPLE_STARTS, _COUPLINGS, _ASCENT_STARTS, _PHASES, _HAAR_STATES = (p << 32 for p in range(5))
 
-    Stream i draws sample i's start and 30_000 + i its coupling's Wishart
-    rank and factor and its place u on the coupling's path
-    (:func:`sample_fixed_action`); 10_000 + k * restarts + r the
+
+def _streams(seed: int, streams):
+    """One generator per stream, each drawing what
+    ``Generator(Philox(key=[seed, stream]))`` draws.
+
+    Each purpose draws from its own 2^32 streams: _SAMPLE_STARTS + i
+    sample i's start, _COUPLINGS + i its coupling's rank, factor and place u
+    (:func:`sample_fixed_action`); _ASCENT_STARTS + k * restarts + r the
     random ascent start r >= 1 of input k (:func:`maximize_purity_many`);
-    20_000 + r the random phases of witness-search restart r >= 2.
+    _PHASES + r the random phases of witness-search restart r >= 2;
+    _HAAR_STATES the states of :func:`haar_unitarity_mc`.
 
     All of them are one Philox, re-keyed through its state setter before each
     is yielded, so a generator must be used up before the next is taken; a
@@ -187,13 +194,12 @@ def _streams(seed: int, streams):
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
     for stream in streams:
-        # wrapped in Python ints: numpy's uint64 sum wraps alike, but warns
-        key[0] = (seed + int(stream)) % 2 ** 64
+        key[:] = seed, stream
         bitgen.state = state
         yield rng
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+def _rng(seed: int, stream: int) -> np.random.Generator:
     return next(_streams(seed, [stream]))
 
 
@@ -274,11 +280,6 @@ class _FeasibleSet:
         self.group_start = np.cumsum(sizes) - sizes
         # A A^* is diagonal: the constraint matrices have disjoint supports
         self.gram = np.concatenate([np.ones(self.n), sizes / 2, sizes / 2])
-        # (block, row, col) positions of the support pairs (p, q) in a common
-        # block, and those pairs
-        p, q = np.nonzero(self.blk[:, None] == self.blk[None, :])
-        self._in_blocks = (self.blk[p], self.row[p], self.row[q])
-        self._in_support = (p, q)
 
     @classmethod
     def for_action(cls, t: np.ndarray) -> "_FeasibleSet":
@@ -350,33 +351,27 @@ class _FeasibleSet:
 
         rngs is any iterable of generators, consumed lazily: each generator
         draws the start's scale, then the real and the imaginary part of its
-        noise, before the next is taken (so :func:`_streams` can re-key one
-        Philox between them); the arithmetic then runs once on the stack.
-        target is one diagonal target for every start or one per start.
-        Off-diagonal noise is enveloped by sqrt(t_m t_n), the largest
-        modulus the PSD cone allows at that position, so starts stay well
-        conditioned even when some diagonal targets are tiny. Each generator
-        draws noise on all n x n support pairs; the pairs outside a common
-        block are dropped.
+        noise on the d blocks, before the next is taken (so :func:`_streams`
+        can re-key one Philox between them); the arithmetic then runs once on
+        the stack. target is one diagonal target for every start or one per
+        start. Noise is enveloped by sqrt(t_m) sqrt(t_n), the largest modulus
+        the PSD cone allows at that position, so starts stay well conditioned
+        even when some diagonal targets are tiny; on the padding, where t is
+        0, so is the envelope.
         """
-        n = self.n
-        scale, re, im = [], [], []
+        d = self.d
+        scale, noise = [], []
         for rng in rngs:
             scale.append(rng.uniform(0.1, 0.9))
-            re.append(rng.standard_normal((n, n)))
-            im.append(rng.standard_normal((n, n)))
+            noise.append(rng.standard_normal((2, d, d, d)))
         size = len(scale)
-        scale = np.array(scale)
-        re, im = np.array(re).reshape(size, n, n), np.array(im).reshape(size, n, n)
-        target = np.broadcast_to(target, (size, n))
-        env = np.sqrt(target[:, :, None] * target[:, None, :])
-        g = re + 1j * im
-        x = scale[:, None, None] * (g + np.swapaxes(g.conj(), -1, -2)) / 2 * env
-        idx = np.arange(n)
-        x[:, idx, idx] += target
-        out = self._points((size,))
-        out[(slice(None),) + self._in_blocks] = x[(slice(None),) + self._in_support]
-        return out
+        noise = np.array(noise).reshape(size, 2, d, d, d)
+        g = noise[:, 0] + 1j * noise[:, 1]
+        x = self._points((size,))
+        x[:, self.blk, self.row, self.row] = target
+        root = np.sqrt(x.real.diagonal(axis1=-2, axis2=-1))
+        env = root[..., :, None] * root[..., None, :]
+        return x + np.array(scale)[:, None, None, None] * (g + dag(g)) / 2 * env
 
 
 # Newton on the dual: Armijo's sufficient-decrease fraction, the least ridge
@@ -536,9 +531,10 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     :func:`maximize_purity`). C_W = D^{-1/2} W D^{-1/2}, W = G G^dag complex
     Wishart, G a d^2 x r Gaussian whose rank r, uniform in d..d^2, sets how
     pure C_W is, D = blockdiag(W_ii); D^{-1/2} G is the polar factor of each
-    block row G_i. Sample i draws its start from stream i, and r, G and u
-    from stream 30_000 + i. n = 0 gives no samples; a negative n raises
-    ValueError.
+    block row G_i. Each sample draws its start, r, G and u from its own
+    streams (see :func:`_streams`). The starts are projected in chunks of
+    128: the same bits as one batch, without one Newton system of n * m *
+    d^3 entries. n = 0 gives no samples; a negative n raises ValueError.
     """
     rec = _RECORD.get()
     _enter(rec, "sampler_other", start=True)
@@ -551,9 +547,12 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     d = t.shape[0]
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    starts = feas.random_starts(target, _streams(cfg.seed, range(n)))
+    streams = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
+    starts = feas.random_starts(target, streams)
     _enter(rec, "sampler_projection")
-    blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
+    chunks = [_project(feas, starts[i:i + _CHUNK], target, _SAMPLE_TOL, _MAX_STEPS)[:2]
+              for i in range(0, n, _CHUNK)]
+    blocks, ok = (np.concatenate(part) for part in zip(*chunks))
     _enter(rec, "sampler_other")
     if not ok.all():
         raise ConvergenceFailure(
@@ -562,7 +561,7 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
         )
     g = np.zeros((n, d * d, d * d), dtype=np.complex128)    # zero past rank r
     u = np.empty(n)
-    for i, rng in enumerate(_streams(cfg.seed, range(30_000, 30_000 + n))):
+    for i, rng in enumerate(_streams(cfg.seed, range(_COUPLINGS, _COUPLINGS + n))):
         rank = rng.integers(d, d * d, endpoint=True)
         g[i, :, :rank] = rng.standard_normal((d * d, rank))
         g[i, :, :rank] += 1j * rng.standard_normal((d * d, rank))
@@ -659,7 +658,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
         launched += sizes
         random = wave[wave % per > 0]
         x[random] = feas.random_starts(targets[random], _streams(
-            cfg.seed, (10_000 + global_idx[i // per] * per + i % per for i in random)))
+            cfg.seed, (_ASCENT_STARTS + global_idx[i // per] * per + i % per for i in random)))
         # the ascent (see maximize_purity) needs no step rule. The starts are
         # not projected (nor counted as feasible): each takes its first step
         # from where it is; the projection drops the gradient's padding entries
@@ -749,9 +748,9 @@ def maximize_purity(t, cfg: OracleConfig | None = None) -> tuple[Channel, float]
     certificate or never feasible do not vote. Maxima are told apart by
     value: conjugating every block by one diagonal unitary keeps every
     constraint and f, so a maximum is a continuum of points. cfg.restarts
-    <= 8 runs one wave. Start r of input k draws from stream 10_000 + k *
-    cfg.restarts + r whatever its wave, so a single input's starts are
-    nested across budgets.
+    <= 8 runs one wave. Start r of input k draws from stream _ASCENT_STARTS
+    + k * cfg.restarts + r (see :func:`_streams`) whatever its wave, so a
+    single input's starts are nested across budgets.
 
     The best point of each input then takes one more ascent step, projected
     to the residual 1e-13 (the ascent's to 1e-9), and its blocks are coupled
@@ -777,7 +776,7 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
     _check_unitarity_dim(d)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = _rng(seed)
+    rng = _rng(seed, _HAAR_STATES)
     psi = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     kr = np.stack(ch.kraus)                      # (r, d, d)
@@ -792,14 +791,14 @@ def haar_unitarity_mc(ch: Channel, samples: int, seed: int = 42) -> tuple[float,
 
 def _phase_waves(d: int, cfg: OracleConfig):
     """Initial phases of restarts 1..restarts-1: Fourier alone, then the
-    random ones (Philox streams 20_000 + r). _phase_lm dephases them."""
+    random ones (Philox streams _PHASES + r). _phase_lm dephases them."""
     j = np.arange(d)
     if cfg.restarts > 1:
         yield (2 * np.pi * np.outer(j, j) / d)[None]
     if cfg.restarts > 2:
         yield np.stack([
             rng.uniform(0, 2 * np.pi, size=(d, d))
-            for rng in _streams(cfg.seed, range(20_002, 20_000 + cfg.restarts))
+            for rng in _streams(cfg.seed, range(_PHASES + 2, _PHASES + cfg.restarts))
         ])
 
 

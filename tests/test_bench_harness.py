@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,17 @@ def test_summary_uses_inclusive_quartiles():
         "median_s": 3.0, "q1_s": 2.0, "q3_s": 4.0, "runs_s": [5.0, 1.0, 4.0, 2.0, 3.0]}
 
 
-def test_extract_writes_the_revision_tree(tmp_path):
-    harness.extract("HEAD", tmp_path)
-    assert (tmp_path / "src" / "coherify" / "__init__.py").is_file()
+def test_extract_writes_the_revision_tree(tmp_path, monkeypatch):
+    # a repository of its own, so that the test also runs in an exported tree
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    init = repo / "src" / "coherify" / "__init__.py"
+    init.parent.mkdir(parents=True)
+    init.write_text("committed\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one commit"], check=True)
+    init.write_text("edited after the commit\n")
+    monkeypatch.setattr(harness, "ROOT", repo)
+    harness.extract("HEAD", dest)
+    assert (dest / "src" / "coherify" / "__init__.py").read_text() == "committed\n"

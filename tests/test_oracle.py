@@ -1,4 +1,5 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from coherify.channels import channel_purity, classical_action
 from coherify.diagnostics import path_distribution
 from coherify.matcore import eig_hermitian
 from coherify.oracle import (
+    _ASCENT_STARTS,
+    _COUPLINGS,
+    _HAAR_STATES,
+    _PHASES,
+    _SAMPLE_STARTS,
     _WAVE,
     OracleConfig,
     _FeasibleSet,
@@ -37,6 +43,7 @@ T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 # a dense 4x4 action whose first wave of 8 starts ends at two maxima
 _M4 = np.random.default_rng(1).uniform(0.02, 1.0, (4, 4)) ** 2
 T_TWO_MAXIMA = _M4 / _M4.sum(axis=0, keepdims=True)
+_PURPOSES = (_SAMPLE_STARTS, _COUPLINGS, _ASCENT_STARTS, _PHASES, _HAAR_STATES)
 
 
 def test_config_validation():
@@ -155,7 +162,7 @@ def _sequential_search(t, cfg):
     """Reference: Levenberg-Marquardt one restart at a time, each to its exit,
     with the Jacobian built entry by entry; a restart is polished only if it
     exits with |R|^2 below 1e-10 (restart 0, the zero phases, always)."""
-    from coherify.oracle import _MAX_STEPS, _rng
+    from coherify.oracle import _MAX_STEPS, _PHASES, _rng
     from coherify.stochastic import _moduli_polish, _verify_witness
 
     d = t.shape[0]
@@ -180,7 +187,7 @@ def _sequential_search(t, cfg):
         elif r == 1:
             phi = 2 * np.pi * np.outer(j, j) / d
         else:
-            phi = _rng(cfg.seed, 20_000 + r).uniform(0, 2 * np.pi, size=(d, d))
+            phi = _rng(cfg.seed, _PHASES + r).uniform(0, 2 * np.pi, size=(d, d))
         if r > 0:
             phi = phi - phi[:, :1] - phi[:1, :] + phi[0, 0]
             res, jac, f = residual(phi)
@@ -530,27 +537,70 @@ def test_project_batch_equals_members_alone():
                     assert np.array_equal(dual[i], dual1[0])
 
 
+def _philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+
+
 def test_streams_match_a_fresh_philox_per_stream():
-    # the streams of the sampler, the ascent's random starts and the phase waves
-    streams = [*range(100), *range(10_000, 10_064), *range(20_002, 20_064)]
-    for seed in (0, 42, 2**32 - 1):
+    # the first and the last streams of each purpose
+    streams = [base + i for base in _PURPOSES for i in (*range(20), 2**32 - 1)]
+    for seed in (0, 42, 2**64 - 1):
         for stream, rng in zip(streams, _streams(seed, streams), strict=True):
-            ref = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(stream)))
+            ref = _philox(seed, stream)
             assert rng.uniform(0.1, 0.9) == ref.uniform(0.1, 0.9)
             assert np.array_equal(rng.standard_normal((3, 3)), ref.standard_normal((3, 3)))
             assert np.array_equal(rng.uniform(0, 2 * np.pi, (3, 3)),
                                   ref.uniform(0, 2 * np.pi, (3, 3)))
-        assert np.array_equal(_rng(seed, 7).standard_normal(5),
-                              np.random.Generator(np.random.Philox(key=seed + 7)).standard_normal(5))
+        assert np.array_equal(_rng(seed, 7).standard_normal(5), _philox(seed, 7).standard_normal(5))
 
 
-def test_streams_wrap_the_largest_seed_without_warning():
-    # seed + stream wraps modulo 2**64, to the key numpy's uint64 sum gives,
-    # but without its overflow warning
+def test_streams_take_the_largest_seed_and_stream_without_warning():
+    largest = 2 ** 64 - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        drawn = _rng(2 ** 64 - 1, 1).standard_normal(5)
-    assert np.array_equal(drawn, np.random.Generator(np.random.Philox(key=0)).standard_normal(5))
+        drawn = _rng(largest, largest).standard_normal(5)
+    assert np.array_equal(drawn, _philox(largest, largest).standard_normal(5))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 2), st.integers(0, 2**64 - 2))
+def test_streams_of_adjacent_seeds_differ(seed, stream):
+    # seed and stream sit in different key words, so no shift of one is a
+    # shift of the other
+    assert not np.array_equal(_rng(seed, stream + 1).standard_normal(4),
+                              _rng(seed + 1, stream).standard_normal(4))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 4), st.integers(1, 12), st.integers(1, 3))
+def test_each_purpose_draws_only_its_own_streams(seed, n, restarts, inputs):
+    drawn = []
+
+    def record(seed, streams):
+        streams = list(streams)
+        if streams:
+            drawn.append(streams)
+        yield from real(seed, streams)
+
+    real = coherify.oracle._streams
+    cfg = OracleConfig(seed=seed, restarts=restarts)
+    t = T_EXAMPLE[:2, :2] / T_EXAMPLE[:2, :2].sum(axis=0)
+    calls = (lambda: sample_fixed_action(t, n, cfg),
+             lambda: maximize_purity_many([t] * inputs, cfg),
+             lambda: search_unistochastic_witness(T_FLAT_OFFDIAG, cfg),
+             lambda: haar_unitarity_mc(rand_channel(2, np.random.default_rng(0)), 3, seed))
+    expected = ({_SAMPLE_STARTS, _COUPLINGS}, {_ASCENT_STARTS} if restarts > 1 else set(),
+                {_PHASES} if restarts > 2 else set(), {_HAAR_STATES})
+    with patch.object(coherify.oracle, "_streams", record):
+        for call, bases in zip(calls, expected):
+            drawn.clear()
+            call()
+            # each draw takes its streams from one purpose's range, and no
+            # stream twice in one call
+            assert {streams[0] >> 32 << 32 for streams in drawn} == bases
+            assert all(s >> 32 == streams[0] >> 32 for streams in drawn for s in streams)
+            ids = [s for streams in drawn for s in streams]
+            assert len(set(ids)) == len(ids)
 
 
 def test_random_starts_take_a_lazy_iterable():
@@ -563,13 +613,17 @@ def test_random_starts_take_a_lazy_iterable():
 
 
 def _random_start_reference(feas, target, rng):
-    """One start at a time, as a (d, d, d) block point."""
-    env = np.sqrt(np.outer(target, target))
+    """One start at a time, block by block, as a (d, d, d) block point."""
+    d = feas.d
+    t = np.zeros((d, d))
+    t[feas.blk, feas.row] = target
     scale = rng.uniform(0.1, 0.9)
-    g = rng.standard_normal((feas.n, feas.n)) + 1j * rng.standard_normal((feas.n, feas.n))
-    x = np.diag(target) + scale * (g + g.conj().T) / 2 * env
-    out = np.zeros((feas.d, feas.d, feas.d), dtype=np.complex128)
-    out[feas._in_blocks] = x[feas._in_support]
+    re, im = rng.standard_normal((2, d, d, d))
+    out = np.zeros((d, d, d), dtype=np.complex128)
+    for i in range(d):
+        root = np.sqrt(t[i])
+        g = re[i] + 1j * im[i]
+        out[i] = np.diag(t[i]) + scale * (g + g.conj().T) / 2 * np.outer(root, root)
     return out
 
 
@@ -614,10 +668,18 @@ def _affine_reference(feas, x, target):
     return x
 
 
+def _in_blocks(feas):
+    """The (block, row, col) positions of the support pairs (p, q) in a
+    common block, and those pairs."""
+    p, q = np.nonzero(feas.blk[:, None] == feas.blk[None, :])
+    return (feas.blk[p], feas.row[p], feas.row[q]), (p, q)
+
+
 def _dykstra_reference(feas, x0, target, tol):
     """Dykstra's alternating projections (PSD cone with its correction term,
     then the affine set) of a matrix over the support, to tol in both the
     residual and the step."""
+    in_blocks, in_support = _in_blocks(feas)
     x = _affine_reference(feas, x0, target)
     p = np.zeros_like(x)
     for _ in range(500_000):
@@ -629,7 +691,7 @@ def _dykstra_reference(feas, x0, target, tol):
         x = _affine_reference(feas, y, target)
         # the residual of y's blocks (its affine constraints lie in them)
         blocks = feas._points(())
-        blocks[feas._in_blocks] = y[feas._in_support]
+        blocks[in_blocks] = y[in_support]
         if feas.residual(blocks, target) <= tol and np.abs(x - y).max() <= tol:
             return y
     pytest.fail("reference Dykstra did not converge")
@@ -646,8 +708,8 @@ def test_project_matches_dykstra_reference():
         t = t / t.sum(axis=0, keepdims=True)
         feas = _FeasibleSet.for_action(t)
         target = feas.target(t)
-        blk = feas.support // feas.d
-        cross = blk[:, None] != blk[None, :]
+        in_blocks, in_support = _in_blocks(feas)
+        cross = feas.blk[:, None] != feas.blk[None, :]
         # scaled away from the set, so that the cone clips eigenvalues
         x0 = feas.random_starts(target, [_rng(8, i) for i in range(3)])
         x0 *= (1.5 + np.arange(3))[:, None, None, None]
@@ -658,10 +720,10 @@ def test_project_matches_dykstra_reference():
         assert np.abs(y * (1.0 - feas.mask)).max() <= 1e-12
         for i in range(len(x0)):
             start = np.zeros((feas.n, feas.n), dtype=np.complex128)
-            start[feas._in_support] = x0[i][feas._in_blocks]
+            start[in_support] = x0[i][in_blocks]
             ref = _dykstra_reference(feas, start, target, 1e-11)
             assert np.abs(ref[cross]).max(initial=0.0) <= 1e-12
-            assert np.abs(y[i][feas._in_blocks] - ref[feas._in_support]).max() <= 1e-9
+            assert np.abs(y[i][in_blocks] - ref[in_support]).max() <= 1e-9
 
 
 @st.composite
@@ -710,6 +772,20 @@ def test_c0_blocks_are_the_diagonal_start(case, sparse_case):
         blocks = np.einsum("iaib->iab", jam)
         expected = np.stack([np.diag(row) for row in t]) / d
         assert np.abs(blocks - expected).max() <= 1e-15
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions(zeros=True), st.floats(1e-3, 1e3))
+def test_random_starts_are_hermitian_blocks_that_scale_with_the_target(case, c):
+    t, seed = case
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    x = feas.random_starts(target, _streams(seed, range(4)))
+    assert np.array_equal(x, np.swapaxes(x, -1, -2).conj())
+    assert not (x * (1.0 - feas.mask)).any()
+    # the noise's envelope sqrt(t_m) sqrt(t_n) scales with the target
+    scaled = feas.random_starts(c * target, _streams(seed, range(4)))
+    assert np.abs(scaled - c * x).max() <= 1e-14 * c * np.abs(x).max()
 
 
 def test_project_from_its_own_multipliers_takes_no_step():
@@ -767,6 +843,14 @@ def test_sampler_small_entries_of_t():
     for smp in samples:
         assert np.abs(classical_action(smp) - t).max() < 1e-6
         assert np.linalg.eigvalsh(smp.jam).min() > -1e-8
+
+
+def test_sampler_chunks_give_the_bits_of_one_batch():
+    # 130 samples project as chunks of 128 and 2
+    chunked = sample_fixed_action(T_EXAMPLE, 130)
+    for a, b in zip(chunked[:128], sample_fixed_action(T_EXAMPLE, 128), strict=True):
+        assert np.array_equal(a.jam, b.jam)
+        assert np.array_equal(a.spectrum, b.spectrum)
 
 
 def test_sampler_with_no_samples():
