@@ -38,8 +38,9 @@ Once per tree, outside the timed runs, one interpreter each:
   4x4 and 5x5 call is timed once; the 6x6 and 8x8 are warmed up, then
   timed as the median of 3 calls. Each call records its Newton work, gap
   and starts launched;
-- runs ``coherify validate`` on the 8x8 action with the CLI's default
-  ``OracleConfig`` and 100 samples, timed once;
+- runs ``coherify validate`` on the 8x8 action with the CLI's defaults
+  (1000 samples, ``OracleConfig()``), timed once, and records the peak RSS
+  of its interpreter;
 - collects the 48 reports of round 0 of validate-qutrit seeds 1-4, each
   input's proven optimum (the purity of ``coherify_auto``'s channel where it
   is flagged optimal, none elsewhere), each maximized input's ascent steps,
@@ -75,6 +76,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -86,8 +88,6 @@ VALIDATE_SEED = 1
 IDENTITY_SEEDS = (1, 2, 3, 4)
 COUNTS = ("newton_iterations", "member_steps", "step_halvings")
 TASKS = ("validate", "criterion3", "sampler")
-# the d = 8 validate run: the CLI's default OracleConfig, 100 samples
-VALIDATE8_SAMPLES = 100
 # dense actions of the gates: (d, seeds of default_rng, timed calls per
 # input); an input timed more than once is warmed up first
 DENSE_GATES = {"dense4": (4, range(500, 516), 1), "dense5": (5, range(505, 513), 1),
@@ -166,11 +166,13 @@ def worker(task: str) -> dict:
             buf = io.StringIO()
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(buf):
-                code = cli.main(["validate", path, "--samples", str(VALIDATE8_SAMPLES)])
+                code = cli.main(["validate", path])
             seconds = time.perf_counter() - t0
         report = json.loads(buf.getvalue())
         return {"seconds": seconds, "ok": code == 0 and report["ok"] is True,
-                "violations": report["violations"], "best_purity": report["best_purity"]}
+                "samples": report["samples"], "violations": report["violations"],
+                "best_purity": report["best_purity"],
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     if task == "gates":
         cfg = oracle.OracleConfig(seed=42, restarts=4)
         oracle.maximize_purity(workloads.T_EXAMPLE, cfg)
@@ -305,8 +307,7 @@ def compare(run, trees: dict, repeats: int) -> dict:
     c3 = {name: runs[name]["criterion3"][0] for name in trees}
     report = {
         **timings,
-        "validate_dense8": {"samples": VALIDATE8_SAMPLES, "input": "default_rng(408)",
-                            **validate8},
+        "validate_dense8": {"input": "default_rng(408)", **validate8},
         "purity": {
             "validate_reports": {
                 "seeds": list(IDENTITY_SEEDS), "round": 0,
@@ -400,7 +401,8 @@ def show(report: dict) -> None:
               f" ({entry['speedup']:.2f}x)")
     validate8 = report["validate_dense8"]
     print(f"validate_dense8: {validate8['before']['seconds']:.1f} s -> "
-          f"{validate8['after']['seconds']:.1f} s")
+          f"{validate8['after']['seconds']:.1f} s, peak RSS {validate8['before']['peak_rss_mb']:.0f} "
+          f"-> {validate8['after']['peak_rss_mb']:.0f} MB")
     c3 = report["criterion3_maximize_purity_many"]
     print("criterion3 Newton iterations: ascent {} -> {}, final projection {} -> {}".format(
         *(c3[name]["newton"][part]["newton_iterations"]

@@ -59,10 +59,11 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .bounds import mu_upper
+from .bounds import _mu_upper
 from .channels import Channel, channel_purity
 from .diagnostics import _check_unitarity_dim, maxmixed_output_purity
 from .errors import ConvergenceFailure
@@ -94,7 +95,7 @@ _ASCENT_TOL = 1e-9
 # the purity maximizer launches an input's starts in waves of this many
 # (see _next_wave)
 _WAVE = 8
-# the sampler projects its starts in chunks of this many (see sample_fixed_action)
+# the sampler runs its samples in chunks of this many (see sample_fixed_action)
 _CHUNK = 128
 
 
@@ -292,17 +293,14 @@ class _FeasibleSet:
     def _points(self, batch: tuple) -> np.ndarray:
         return np.zeros(batch + (self.d, self.d, self.d), dtype=np.complex128)
 
-    def group_sums(self, x: np.ndarray) -> np.ndarray:
-        # reduceat adds each row in order, so a member's sums do not depend on
-        # how many rows the batch has (a matrix product's kernel might)
-        members = x[..., self.pos_b, self.pos_r, self.pos_c]
-        return np.add.reduceat(members, self.group_start, axis=-1)
-
     def constraints(self, x: np.ndarray) -> np.ndarray:
         """A(x), shape (..., m)."""
         parts = [x[..., self.blk, self.row, self.row].real]
         if self.n_groups:
-            sums = self.group_sums(x)
+            # reduceat adds each row in order, so a member's sums do not depend
+            # on how many rows the batch has (a matrix product's kernel might)
+            members = x[..., self.pos_b, self.pos_r, self.pos_c]
+            sums = np.add.reduceat(members, self.group_start, axis=-1)
             parts += [sums.real, sums.imag]
         return np.concatenate(parts, axis=-1)
 
@@ -338,12 +336,6 @@ class _FeasibleSet:
             out[:, n + self.group_id, self.pos_b] = (p + ph) * 0.5
             out[:, n + groups + self.group_id, self.pos_b] = (p - ph) * 0.5j
         return out.reshape(len(v), self.m, -1)
-
-    def residual(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        err = np.abs(x[..., self.blk, self.row, self.row].real - target).max(axis=-1)
-        if self.n_groups:
-            err = np.maximum(err, np.abs(self.group_sums(x)).max(axis=-1))
-        return err
 
     def random_starts(self, target: np.ndarray, rngs) -> np.ndarray:
         """Random Hermitian starts near the feasible set, one block point per
@@ -437,11 +429,12 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     with the lower theta, the affine one on a tie. Returns (Y, converged,
     y): Y is exactly PSD and C-ordered, y holds each member's final
     multipliers, so that Y = Pi_+(S + A^* y); a member is converged, and
-    leaves the batch, once feas.residual(Y) <= tol, and max_iter caps its
-    Newton steps (a member that starts converged takes none). target is one
-    diagonal target for every member or one per member. Each member's
-    arithmetic does not depend on the rest of the batch, so projecting a
-    batch equals projecting its members one by one.
+    leaves the batch, once its residual, the largest |A(Y) - b| of a
+    diagonal entry or a group's complex sum, is at most tol; max_iter caps
+    its Newton steps (a member that starts converged takes none). target
+    is one diagonal target for every member or one per member. Each
+    member's arithmetic does not depend on the rest of the batch, so
+    projecting a batch equals projecting its members one by one.
     """
     rec = _RECORD.get()
     # C order whatever x0's memory layout: callers reduce over Y's last axes,
@@ -463,26 +456,28 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
         pick = np.arange(size) + size * (both[2][size:] < both[2][:size])
         y = y[pick]
         w, v, theta, slack = (part[pick] for part in both)
-    out = np.empty_like(s)
-    y_out = np.empty_like(y)
+    n, g = feas.n, feas.n_groups
+    out, y_out = np.empty_like(s), np.empty_like(y)
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)
     member_steps = halvings = 0
     for step in range(max_iter + 1):
         point = _psd_part(w, v)
-        done = feas.residual(point, target) <= tol
+        grad = feas.constraints(point) - b
+        # the residual: a group sum is its two rows as one complex number
+        # (whose modulus numpy does not round as np.hypot does)
+        err = np.maximum(np.abs(grad[:, :n]).max(axis=-1),
+                         np.abs(grad[:, n:n + g] + 1j * grad[:, n + g:]).max(axis=-1, initial=0.0))
+        converged[live] = err <= tol
+        done = converged[live] | (step == max_iter)
         out[live[done]] = point[done]
         y_out[live[done]] = y[done]
-        converged[live[done]] = True
-        if step == max_iter or done.all():
-            out[live[~done]] = point[~done]
-            y_out[live[~done]] = y[~done]
+        if done.all():
             break
         if done.any():
             keep = ~done
-            live, s, b, target, y = live[keep], s[keep], b[keep], target[keep], y[keep]
-            w, v, theta, slack, point = w[keep], v[keep], theta[keep], slack[keep], point[keep]
-        grad = feas.constraints(point) - b
+            live, s, b, y, grad = live[keep], s[keep], b[keep], y[keep], grad[keep]
+            w, v, theta, slack = w[keep], v[keep], theta[keep], slack[keep]
         dy = _newton_step(feas, w, v, grad)
         member_steps += len(live)
         slope = _ARMIJO * (grad * dy).sum(axis=-1)
@@ -532,9 +527,11 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     Wishart, G a d^2 x r Gaussian whose rank r, uniform in d..d^2, sets how
     pure C_W is, D = blockdiag(W_ii); D^{-1/2} G is the polar factor of each
     block row G_i. Each sample draws its start, r, G and u from its own
-    streams (see :func:`_streams`). The starts are projected in chunks of
-    128: the same bits as one batch, without one Newton system of n * m *
-    d^3 entries. n = 0 gives no samples; a negative n raises ValueError.
+    streams (see :func:`_streams`). The samples run in chunks of 128, each
+    in one pass from its starts to its checked channels, so no array spans
+    all n samples (a chunk's largest is its Newton system, 128 * m * d^3
+    entries); a member's bits do not depend on its chunk, and a chunk that
+    does not converge raises at once. A negative n raises ValueError.
     """
     rec = _RECORD.get()
     _enter(rec, "sampler_other", start=True)
@@ -542,40 +539,42 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     t = assert_transition_matrix(t)
     if n < 0:
         raise ValueError(f"the number of samples must be non-negative, got {n}")
-    if n == 0:
-        return []
     d = t.shape[0]
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    streams = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
-    starts = feas.random_starts(target, streams)
-    _enter(rec, "sampler_projection")
-    chunks = [_project(feas, starts[i:i + _CHUNK], target, _SAMPLE_TOL, _MAX_STEPS)[:2]
-              for i in range(0, n, _CHUNK)]
-    blocks, ok = (np.concatenate(part) for part in zip(*chunks))
-    _enter(rec, "sampler_other")
-    if not ok.all():
-        raise ConvergenceFailure(
-            f"{int((~ok).sum())} of {n} samples did not reach tolerance "
-            f"{_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
-        )
-    g = np.zeros((n, d * d, d * d), dtype=np.complex128)    # zero past rank r
-    u = np.empty(n)
-    for i, rng in enumerate(_streams(cfg.seed, range(_COUPLINGS, _COUPLINGS + n))):
-        rank = rng.integers(d, d * d, endpoint=True)
-        g[i, :, :rank] = rng.standard_normal((d * d, rank))
-        g[i, :, :rank] += 1j * rng.standard_normal((d * d, rank))
-        u[i] = rng.uniform()
-    left, _, right = np.linalg.svd(g.reshape(n, d, d, d * d), full_matrices=False)
-    # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
-    # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
-    a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
-    w, v = np.linalg.eigh(blocks)
-    q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
-                        np.sqrt(1 - a * a - c * c) * (left @ right), c * v], axis=-1)
-    jams = _couple(feas, w, v, q)
-    _enter(rec, "sampler_checks")
-    samples = Channel.from_stack(jams, atol=1e-6)
+    start_rngs = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
+    coupling_rngs = _streams(cfg.seed, range(_COUPLINGS, _COUPLINGS + n))
+    samples = []
+    for first in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - first)
+        starts = feas.random_starts(target, islice(start_rngs, size))
+        _enter(rec, "sampler_projection")
+        blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
+        _enter(rec, "sampler_other")
+        if not ok.all():
+            raise ConvergenceFailure(
+                f"{int((~ok).sum())} of {size} samples ({first}..{first + size - 1}) did not "
+                f"reach tolerance {_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
+            )
+        g = np.zeros((size, d * d, d * d), dtype=np.complex128)    # zero past rank r
+        u = np.empty(size)
+        for i, rng in enumerate(islice(coupling_rngs, size)):
+            rank = rng.integers(d, d * d, endpoint=True)
+            g[i, :, :rank] = rng.standard_normal((d * d, rank))
+            g[i, :, :rank] += 1j * rng.standard_normal((d * d, rank))
+            u[i] = rng.uniform()
+        left, _, right = np.linalg.svd(g.reshape(size, d, d, d * d), full_matrices=False)
+        # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
+        # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
+        a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
+        w, v = np.linalg.eigh(blocks)
+        q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
+                            np.sqrt(1 - a * a - c * c) * (left @ right), c * v], axis=-1)
+        jams = _couple(feas, w, v, q)
+        _enter(rec, "sampler_checks")
+        samples += Channel.from_stack(jams, atol=1e-6)
+        del g, left, right, q, jams    # freed before the next chunk's Newton system
+        _enter(rec, "sampler_other")
     _enter(rec, None)
     return samples
 
@@ -632,7 +631,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     per = cfg.restarts
     targets = np.repeat([feas.target(t) for t in group], per, axis=0)
     # the ceiling |mu_upper|^2: no feasible block point has a larger f
-    ceilings = np.array([float(up @ up) for up in map(mu_upper, group)])
+    ceilings = np.array([float(up @ up) for up in map(_mu_upper, group)])
     x = feas._points((len(group) * per,))
     # start 0: the blocks diag(T_i.)/d, those of the row-grouping
     # coherification C0 (whose coherence lies off J's diagonal blocks)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -675,6 +676,23 @@ def _in_blocks(feas):
     return (feas.blk[p], feas.row[p], feas.row[q]), (p, q)
 
 
+def _residual(feas, y, target):
+    """The feasibility residual of block points y (..., d, d, d), from y and
+    the support alone: the largest of |Y_rr - target_r| over the support's
+    diagonal entries and of |sum of a group's members| over the pairs k < l,
+    whose members are the entries (i, k, l) of the blocks i whose rows k and
+    l both lie in the support."""
+    d = feas.d
+    live = np.zeros((d, d), dtype=bool)
+    live[feas.blk, feas.row] = True
+    err = np.abs(y[..., feas.blk, feas.row, feas.row].real - target).max(axis=-1)
+    for k in range(d):
+        for l in range(k + 1, d):
+            members = y[..., np.flatnonzero(live[:, k] & live[:, l]), k, l]
+            err = np.maximum(err, np.abs(members.sum(axis=-1)))
+    return err
+
+
 def _dykstra_reference(feas, x0, target, tol):
     """Dykstra's alternating projections (PSD cone with its correction term,
     then the affine set) of a matrix over the support, to tol in both the
@@ -692,7 +710,7 @@ def _dykstra_reference(feas, x0, target, tol):
         # the residual of y's blocks (its affine constraints lie in them)
         blocks = feas._points(())
         blocks[in_blocks] = y[in_support]
-        if feas.residual(blocks, target) <= tol and np.abs(x - y).max() <= tol:
+        if _residual(feas, blocks, target) <= tol and np.abs(x - y).max() <= tol:
             return y
     pytest.fail("reference Dykstra did not converge")
 
@@ -751,7 +769,7 @@ def test_project_properties(case):
     y, ok, _ = _project(feas, x0, target, tol, 100)
     assert ok.all()
     assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
-    assert (feas.residual(y, target) <= tol).all()
+    assert (_residual(feas, y, target) <= tol).all()
     # variational inequality of the projection against the feasible
     # diagonal point, the blocks diag(T_i.)/d
     z = feas._points(())
@@ -788,6 +806,29 @@ def test_random_starts_are_hermitian_blocks_that_scale_with_the_target(case, c):
     assert np.abs(scaled - c * x).max() <= 1e-14 * c * np.abs(x).max()
 
 
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_actions(zeros=True), st.integers(0, 3))
+def test_project_converges_where_the_residual_of_y_is_within_tol(case, cap):
+    # the projection reads each member's residual off its Newton gradient;
+    # its flags must be those of the residual of the Y it returns, also for
+    # members that the cap stops short of tol
+    t, seed = case
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    x0 = feas.random_starts(target, [_rng(seed, i) for i in range(16)])
+    x0 *= np.linspace(-8.0, 8.0, 16)[:, None, None, None]
+    for tol in (1e-3, 1e-9):
+        y, ok, _ = _project(feas, x0, target, tol, cap)
+        assert np.array_equal(ok, _residual(feas, y, target) <= tol)
+    # with no step allowed, Y does not depend on tol, and each member's flag
+    # turns at its residual (to the rounding of its sums, which may add the
+    # members in another order)
+    err = _residual(feas, _project(feas, x0, target, 0.0, 0)[0], target)
+    for i in np.flatnonzero(err > 1e-11):
+        assert not _project(feas, x0, target, err[i] - 1e-12, 0)[1][i]
+        assert _project(feas, x0, target, err[i] + 1e-12, 0)[1][i]
+
+
 def test_project_from_its_own_multipliers_takes_no_step():
     feas = _FeasibleSet.for_action(T_EXAMPLE)
     target = feas.target(T_EXAMPLE)
@@ -812,7 +853,7 @@ def test_project_warm_start_reaches_the_same_point(case, scale):
     cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
     warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
     assert ok_cold.all() and ok_warm.all()
-    assert (feas.residual(warm, target) <= tol).all()
+    assert (_residual(feas, warm, target) <= tol).all()
     # the projection is unique, so the start only changes the path to it
     assert np.abs(warm - cold).max() <= 1e-9
 
@@ -851,6 +892,22 @@ def test_sampler_chunks_give_the_bits_of_one_batch():
     for a, b in zip(chunked[:128], sample_fixed_action(T_EXAMPLE, 128), strict=True):
         assert np.array_equal(a.jam, b.jam)
         assert np.array_equal(a.spectrum, b.spectrum)
+
+
+def test_sampler_memory_is_that_of_one_chunk():
+    # each chunk of 128 runs from its starts to its checked channels, so 512
+    # samples hold little more than 128 besides the channels they return
+    m = np.random.default_rng(404).uniform(0.02, 1.0, (4, 4))
+    t = m / m.sum(axis=0, keepdims=True)
+    peaks = {}
+    for n in (128, 512):
+        tracemalloc.start()
+        try:
+            sample_fixed_action(t, n, OracleConfig(seed=1))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[512] < 2 * peaks[128]
 
 
 def test_sampler_with_no_samples():
