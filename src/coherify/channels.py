@@ -35,7 +35,7 @@ def _checked_jams(jams: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray
 
     The checks run in :class:`Channel`'s order, each once on the whole
     stack: shape, matcore's Hermiticity and positivity check (one batched
-    eigh, whose eigenvalues become the spectra), and trace preservation. A
+    eigvalsh, whose eigenvalues become the spectra), and trace preservation. A
     stack with one bad member raises what Channel raises on that member
     alone; the message names the first failing member's value.
     """
@@ -81,7 +81,12 @@ class Channel:
             return [cls(jam, atol=atol) for jam in jams]
         if jams.ndim != 3:
             raise DimensionMismatch(f"J must be a stack of d^2 x d^2 matrices, got {jams.shape}")
-        jams, spectra = _checked_jams(jams, atol)
+        return cls._from_checked(*_checked_jams(jams, atol), atol=atol)
+
+    @classmethod
+    def _from_checked(cls, jams: np.ndarray, spectra: np.ndarray, *, atol: float) -> list["Channel"]:
+        """One channel per matrix of a stack that :func:`_checked_jams` has
+        checked, with the spectra it returned."""
         channels = []
         for jam, lam in zip(jams, spectra):
             ch = cls.__new__(cls)

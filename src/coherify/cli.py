@@ -324,39 +324,37 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _sample_violations(t: np.ndarray, n: int, cfg, rep) -> dict:
+    """The violations of each bound among n samples with classical action t,
+    counted chunk by chunk as the sampler yields each chunk's stack of
+    Jamiolkowski states J and their spectra lambda(J); no chunk is kept."""
+    up, poly = rep.mu_upper, rep.polygon
+    slack = 1e-6
+    counts = dict.fromkeys(("mu_upper_majorization", "theorem1_majorization",
+                            "polygon_purity", "polygon_majorization"), 0)
+
+    def violations_of(bound, lam, tol):
+        return int((~st_mod.majorizes(bound, lam, slack=tol, sum_atol=1e-5)).sum())
+
+    for jams, lam in oracle_mod._sample_stacks(t, n, cfg):
+        counts["mu_upper_majorization"] += violations_of(up, lam, slack)
+        counts["theorem1_majorization"] += violations_of(bounds_mod.theorem1_bound(jams), lam, 1e-9)
+        if poly is not None:
+            purities = (np.abs(jams) ** 2).sum(axis=(-2, -1))
+            counts["polygon_purity"] += int((purities > poly.purity_upper + slack).sum())
+            counts["polygon_majorization"] += violations_of(poly.majorization_upper, lam, slack)
+    return counts
+
+
 def cmd_validate(args) -> int:
     t = _load_transition(args.input, args.format, args.row_stochastic)
     cfg = oracle_mod.OracleConfig(seed=args.seed)
     rep = bounds_mod.compute_bounds(t)
-    up, lo, poly = rep.mu_upper, rep.mu_lower, rep.polygon
-    samples = oracle_mod.sample_fixed_action(t, args.samples, cfg)
-    # every sample is checked at once: one stack of Jamiolkowski matrices,
-    # their spectra lambda(J), kept from the channels' checks, and one
-    # verdict per sample
-    n = t.shape[0] ** 2
-    jams = np.array([smp.jam for smp in samples]).reshape(len(samples), n, n)
-    lam = np.array([smp.spectrum for smp in samples])
-    slack = 1e-6
-
-    def violations_of(bound, tol):
-        return int((~st_mod.majorizes(bound, lam, slack=tol, sum_atol=1e-5)).sum())
-
-    viol_mu = violations_of(up, slack)
-    viol_t1 = violations_of(bounds_mod.theorem1_bound(jams), 1e-9)
-    viol_pp = viol_pm = 0
-    if poly is not None:
-        purities = (np.abs(jams) ** 2).sum(axis=(-2, -1))
-        viol_pp = int((purities > poly.purity_upper + slack).sum())
-        viol_pm = violations_of(poly.majorization_upper, slack)
+    violations = _sample_violations(t, args.samples, cfg, rep)
     best_ch, best_purity = oracle_mod.maximize_purity(t, cfg)
+    lo, up = rep.mu_lower, rep.mu_upper
     bracket = (float(lo @ lo), float(up @ up))
     purity_ok = bracket[0] - 1e-6 <= best_purity <= bracket[1] + 1e-6
-    violations = {
-        "mu_upper_majorization": viol_mu,
-        "theorem1_majorization": viol_t1,
-        "polygon_purity": viol_pp,
-        "polygon_majorization": viol_pm,
-    }
     ok = purity_ok and all(v == 0 for v in violations.values())
     report = {
         "dim": int(t.shape[0]),

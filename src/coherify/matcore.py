@@ -77,18 +77,19 @@ def _reject_negative(w: np.ndarray, atol: float, name: str) -> None:
 
 def _positive_spectrum(h, atol: float, stack: bool, name: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_hermitian_part`, also rejected when a matrix has an eigenvalue
-    below -max(PSD_FLOOR, atol); one batched eigh checks a whole stack.
+    below -max(PSD_FLOOR, atol); one batched eigvalsh checks a whole stack.
     Returns the Hermitian part and its eigenvalues, bit for bit those
     :func:`eigvals_hermitian` returns for it."""
     h = _hermitian_part(h, atol, stack, name)
-    w = _eigh(h)[0][..., ::-1]
+    w = _lapack(np.linalg.eigvalsh, h)[..., ::-1]
     _reject_negative(w, atol, name)
     return h, w
 
 
-def _eigh(h: np.ndarray):
+def _lapack(solver, h: np.ndarray):
+    """solver(h), a LAPACK failure raised as ConvergenceFailure."""
     try:
-        return np.linalg.eigh(h)
+        return solver(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -101,16 +102,18 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The input is symmetrized when its anti-Hermitian part is below
     ``HERMITIAN_ATOL`` (absorbing round-off) and rejected otherwise.
     """
-    w, v = _eigh(_hermitian_part(h, HERMITIAN_ATOL, stack=False, name="H"))
+    w, v = _lapack(np.linalg.eigh, _hermitian_part(h, HERMITIAN_ATOL, stack=False, name="H"))
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
 
 def eigvals_hermitian(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """The eigenvalues of :func:`eig_hermitian`, sorted descending, of a
-    Hermitian matrix or of each matrix in a stack (..., n, n); a stack is
-    rejected when any of its matrices is not Hermitian."""
-    return _eigh(_hermitian_part(h, atol, stack=True, name="H"))[0][..., ::-1]
+    """The eigenvalues, sorted descending, of a Hermitian matrix or of each
+    matrix in a stack (..., n, n), by np.linalg.eigvalsh, which skips the
+    eigenvectors; they may differ from :func:`eig_hermitian`'s eigenvalues
+    in the last digits. A stack is rejected when any of its matrices is not
+    Hermitian."""
+    return _lapack(np.linalg.eigvalsh, _hermitian_part(h, atol, stack=True, name="H"))[..., ::-1]
 
 
 def partial_trace(x: np.ndarray, subsystem: str = "first") -> np.ndarray:

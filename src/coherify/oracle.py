@@ -19,8 +19,10 @@ one evaluates the dual at both those and the given ones, and each member
 takes the lower.
 
 The sampler couples random projected blocks through a random coupling,
-from the least pure one (J block diagonal) through a random Wishart one to
-the purest. The purity maximizer ascends a convex function f of the blocks'
+from the least pure one (J block diagonal) through a random Wishart one,
+whitened block row by block row by a QR factorization, to the purest. It
+runs its samples in chunks, each drawn, projected, coupled and checked as
+one stack of Jamiolkowski states. The purity maximizer ascends a convex function f of the blocks'
 spectra, the largest purity of a state with those blocks (the
 block-majorization theorem of :mod:`coherify.bounds`), from random starts
 and from the diagonal point diag(T_i.)/d, the blocks of the row-grouping
@@ -64,7 +66,7 @@ from itertools import islice
 import numpy as np
 
 from .bounds import _mu_upper
-from .channels import Channel, channel_purity
+from .channels import Channel, _checked_jams, channel_purity
 from .diagnostics import _check_unitarity_dim, maxmixed_output_purity
 from .errors import ConvergenceFailure
 from .matcore import dag, partial_trace
@@ -167,8 +169,9 @@ def _enter(rec: OracleStats | None, phase: str | None, start: bool = False) -> N
         rec._phase, rec._since = phase, now
 
 
-# the first of each purpose's 2^32 streams (see _streams)
-_SAMPLE_STARTS, _COUPLINGS, _ASCENT_STARTS, _PHASES, _HAAR_STATES = (p << 32 for p in range(5))
+# the first of each purpose's 2^32 streams (see _streams); purpose 1 is
+# unused, since renumbering the others would move every draw they key
+_SAMPLE_STARTS, _ASCENT_STARTS, _PHASES, _HAAR_STATES = (p << 32 for p in (0, 2, 3, 4))
 
 
 def _streams(seed: int, streams):
@@ -176,7 +179,7 @@ def _streams(seed: int, streams):
     ``Generator(Philox(key=[seed, stream]))`` draws.
 
     Each purpose draws from its own 2^32 streams: _SAMPLE_STARTS + i
-    sample i's start, _COUPLINGS + i its coupling's rank, factor and place u
+    sample i's start, then its coupling's factor, rank and place u
     (:func:`sample_fixed_action`); _ASCENT_STARTS + k * restarts + r the
     random ascent start r >= 1 of input k (:func:`maximize_purity_many`);
     _PHASES + r the random phases of witness-search restart r >= 2;
@@ -351,12 +354,13 @@ class _FeasibleSet:
         even when some diagonal targets are tiny; on the padding, where t is
         0, so is the envelope.
         """
-        d = self.d
-        scale, noise = [], []
-        for rng in rngs:
-            scale.append(rng.uniform(0.1, 0.9))
-            noise.append(rng.standard_normal((2, d, d, d)))
-        size = len(scale)
+        draws = [_draw_start(rng, self.d) for rng in rngs]
+        return self._starts(target, [s for s, _ in draws], [z for _, z in draws])
+
+    def _starts(self, target: np.ndarray, scale: list, noise: list) -> np.ndarray:
+        """The starts of :meth:`random_starts` from their draws, one scale and
+        one noise array per start."""
+        d, size = self.d, len(scale)
         noise = np.array(noise).reshape(size, 2, d, d, d)
         g = noise[:, 0] + 1j * noise[:, 1]
         x = self._points((size,))
@@ -364,6 +368,13 @@ class _FeasibleSet:
         root = np.sqrt(x.real.diagonal(axis1=-2, axis2=-1))
         env = root[..., :, None] * root[..., None, :]
         return x + np.array(scale)[:, None, None, None] * (g + dag(g)) / 2 * env
+
+
+def _draw_start(rng: np.random.Generator, d: int) -> tuple[float, np.ndarray]:
+    """One random start's draws from rng: its scale, then the real and the
+    imaginary part of its noise on the d blocks (see
+    :meth:`_FeasibleSet.random_starts`)."""
+    return rng.uniform(0.1, 0.9), rng.standard_normal((2, d, d, d))
 
 
 # Newton on the dual: Armijo's sufficient-decrease fraction, the least ridge
@@ -512,6 +523,76 @@ def _couple(feas: _FeasibleSet, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> 
     return k @ dag(k)
 
 
+def _whiten(g: np.ndarray) -> np.ndarray:
+    """L_i^{-1} G_i for each block row G_i (d x r) of a stack (..., d, d, r),
+    L_i the Cholesky factor of W_ii = G_i G_i^dag: Q^dag for the QR
+    factorization G_i^dag = Q R whose R has a positive diagonal (R = L_i^dag).
+    Each whitened row is a co-isometry, zero in the columns where G_i is.
+    It is U_i P_i, P_i = W_ii^{-1/2} G_i the polar factor of G_i and U_i =
+    L_i^{-1} W_ii^{1/2} a unitary that depends on W_ii alone."""
+    q, r = np.linalg.qr(dag(g))
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return dag(q * (diag / np.abs(diag))[..., None, :])
+
+
+def _sample_stacks(t, n: int, cfg: OracleConfig):
+    """The samples of :func:`sample_fixed_action`, chunk by chunk: yields each
+    chunk's checked (B, d^2, d^2) stack of Jamiolkowski states and their
+    spectra, as :func:`channels._checked_jams` returns them. Time spent
+    between yields is charged to no phase of the record."""
+    rec = _RECORD.get()
+    _enter(rec, "sampler_other", start=True)
+    t = assert_transition_matrix(t)
+    if n < 0:
+        raise ValueError(f"the number of samples must be non-negative, got {n}")
+    d = t.shape[0]
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    rngs = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
+    for first in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - first)
+        scale, noise, factor, uniform = [], [], [], []
+        for rng in islice(rngs, size):
+            scale_i, noise_i = _draw_start(rng, d)
+            scale.append(scale_i)
+            noise.append(noise_i)
+            # the coupling: G's real and imaginary parts, d^2 x d^2 whatever
+            # its rank, then one uniform for the rank and one for u
+            factor.append(rng.standard_normal((2, d * d, d * d)))
+            uniform.append(rng.uniform(size=2))
+        starts = feas._starts(target, scale, noise)
+        _enter(rec, "sampler_projection")
+        blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
+        _enter(rec, "sampler_other")
+        if not ok.all():
+            raise ConvergenceFailure(
+                f"{int((~ok).sum())} of {size} samples ({first}..{first + size - 1}) did not "
+                f"reach tolerance {_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
+            )
+        factor = np.array(factor)
+        uniform = np.array(uniform)
+        rank = d + np.floor(uniform[:, 0] * (d * d - d + 1))
+        g = factor[:, 0] + 1j * factor[:, 1]
+        g *= np.arange(d * d) < rank[:, None, None]    # zero past rank r
+        u = uniform[:, 1]
+        # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
+        # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
+        a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
+        w, v = np.linalg.eigh(blocks)
+        q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
+                            np.sqrt(1 - a * a - c * c) * _whiten(g.reshape(size, d, d, d * d)),
+                            c * v], axis=-1)
+        jams = _couple(feas, w, v, q)
+        del factor, g, q    # freed before the next chunk's Newton system
+        _enter(rec, "sampler_checks")
+        checked = _checked_jams(jams, 1e-6)
+        del jams
+        _enter(rec, None)
+        yield checked
+        _enter(rec, "sampler_other", start=True)
+    _enter(rec, None)
+
+
 def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Channel]:
     """n random channels whose classical action is T.
 
@@ -523,59 +604,24 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     (1 - 2u) I + 2u C_W below u = 1/2 and (2 - 2u) C_W + (2u - 1) C_A above:
     from J block diagonal, the least pure coupling of the blocks, to C_A =
     V_i V_j^dag, their ordered eigenvectors, the purest (purity f(B), see
-    :func:`maximize_purity`). C_W = D^{-1/2} W D^{-1/2}, W = G G^dag complex
+    :func:`maximize_purity`). C_W = L^{-1} W L^{-dag}, W = G G^dag complex
     Wishart, G a d^2 x r Gaussian whose rank r, uniform in d..d^2, sets how
-    pure C_W is, D = blockdiag(W_ii); D^{-1/2} G is the polar factor of each
-    block row G_i. Each sample draws its start, r, G and u from its own
-    streams (see :func:`_streams`). The samples run in chunks of 128, each
-    in one pass from its starts to its checked channels, so no array spans
-    all n samples (a chunk's largest is its Newton system, 128 * m * d^3
-    entries); a member's bits do not depend on its chunk, and a chunk that
-    does not converge raises at once. A negative n raises ValueError.
+    pure C_W is, and L = blockdiag(L_i), L_i the Cholesky factor of W_ii;
+    L_i^{-1} G_i is the Q^dag of a QR factorization of each block row G_i
+    (:func:`_whiten`). L_i^{-1} G_i = U_i P_i, P_i the polar factor of G_i,
+    Haar distributed and independent of W_ii, and U_i a unitary fixed by
+    W_ii, so C_W has the law of D^{-1/2} W D^{-1/2}, D = blockdiag(W_ii).
+    Sample i draws from its own stream _SAMPLE_STARTS + i (see
+    :func:`_streams`): its start, then G (a d^2 x d^2 draw, zero past r), r
+    and u. The samples run in chunks of 128, each in one pass from its
+    starts to its checked channels, so no array spans all n samples (a
+    chunk's largest is its Newton system, 128 * m * d^3 entries); a
+    member's bits do not depend on its chunk, and a chunk that does not
+    converge raises at once. A negative n raises ValueError.
     """
-    rec = _RECORD.get()
-    _enter(rec, "sampler_other", start=True)
-    cfg = cfg or OracleConfig()
-    t = assert_transition_matrix(t)
-    if n < 0:
-        raise ValueError(f"the number of samples must be non-negative, got {n}")
-    d = t.shape[0]
-    feas = _FeasibleSet.for_action(t)
-    target = feas.target(t)
-    start_rngs = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
-    coupling_rngs = _streams(cfg.seed, range(_COUPLINGS, _COUPLINGS + n))
     samples = []
-    for first in range(0, n, _CHUNK):
-        size = min(_CHUNK, n - first)
-        starts = feas.random_starts(target, islice(start_rngs, size))
-        _enter(rec, "sampler_projection")
-        blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
-        _enter(rec, "sampler_other")
-        if not ok.all():
-            raise ConvergenceFailure(
-                f"{int((~ok).sum())} of {size} samples ({first}..{first + size - 1}) did not "
-                f"reach tolerance {_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
-            )
-        g = np.zeros((size, d * d, d * d), dtype=np.complex128)    # zero past rank r
-        u = np.empty(size)
-        for i, rng in enumerate(islice(coupling_rngs, size)):
-            rank = rng.integers(d, d * d, endpoint=True)
-            g[i, :, :rank] = rng.standard_normal((d * d, rank))
-            g[i, :, :rank] += 1j * rng.standard_normal((d * d, rank))
-            u[i] = rng.uniform()
-        left, _, right = np.linalg.svd(g.reshape(size, d, d, d * d), full_matrices=False)
-        # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
-        # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
-        a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
-        w, v = np.linalg.eigh(blocks)
-        q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
-                            np.sqrt(1 - a * a - c * c) * (left @ right), c * v], axis=-1)
-        jams = _couple(feas, w, v, q)
-        _enter(rec, "sampler_checks")
-        samples += Channel.from_stack(jams, atol=1e-6)
-        del g, left, right, q, jams    # freed before the next chunk's Newton system
-        _enter(rec, "sampler_other")
-    _enter(rec, None)
+    for jams, spectra in _sample_stacks(t, n, cfg or OracleConfig()):
+        samples += Channel._from_checked(jams, spectra, atol=1e-6)
     return samples
 
 

@@ -6,6 +6,7 @@ import pytest
 from coherify.cli import main
 
 T_EXAMPLE = [[0.7, 0.2, 0.6], [0.1, 0.6, 0.4], [0.2, 0.2, 0.0]]
+T_FLAT_OFFDIAG = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
 
 
 def write_json(path, matrix, kind="real"):
@@ -228,3 +229,63 @@ def test_the_cached_parser_repeats_its_errors(capsys):
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] and "must be at least 1, got 0" in errors[0]
+
+
+def _counts_from_channels(samples, rep):
+    """validate's four violation counts, computed from the sampled channels."""
+    from coherify.bounds import theorem1_bound
+    from coherify.channels import channel_purity
+    from coherify.stochastic import majorizes
+
+    lam = np.array([ch.spectrum for ch in samples])
+
+    def violations_of(bound, tol):
+        return int((~majorizes(bound, lam, slack=tol, sum_atol=1e-5)).sum())
+
+    counts = {"mu_upper_majorization": violations_of(rep.mu_upper, 1e-6),
+              "theorem1_majorization": violations_of(
+                  theorem1_bound(np.array([ch.jam for ch in samples])), 1e-9),
+              "polygon_purity": 0, "polygon_majorization": 0}
+    if rep.polygon is not None:
+        purities = np.array([channel_purity(ch) for ch in samples])
+        counts["polygon_purity"] = int((purities > rep.polygon.purity_upper + 1e-6).sum())
+        counts["polygon_majorization"] = violations_of(rep.polygon.majorization_upper, 1e-6)
+    return counts
+
+
+@pytest.mark.parametrize("t", [T_EXAMPLE, T_FLAT_OFFDIAG], ids=["example", "flat_offdiag"])
+@pytest.mark.parametrize("tight", [False, True], ids=["bounds", "tightened"])
+def test_validate_counts_each_chunk_as_the_channels_do(tmp_path, capsys, monkeypatch, t, tight):
+    # 130 samples run as chunks of 128 and 2; validate counts each chunk's
+    # stack as it comes, and its totals are those of sample_fixed_action's
+    # channels. Tightened bounds, the samples' mean spectrum and median
+    # purity, make the counts nonzero on both sides of the split
+    import dataclasses
+
+    import coherify.cli
+    from coherify.bounds import compute_bounds
+    from coherify.channels import channel_purity
+    from coherify.oracle import OracleConfig, sample_fixed_action
+
+    t = np.asarray(t)
+    samples = sample_fixed_action(t, 130, OracleConfig(seed=42))
+    rep = compute_bounds(t)
+    if tight:
+        mean = np.mean([ch.spectrum for ch in samples], axis=0)
+        poly = rep.polygon and dataclasses.replace(
+            rep.polygon, purity_upper=float(np.median([channel_purity(ch) for ch in samples])),
+            majorization_upper=mean)
+        rep = dataclasses.replace(rep, mu_upper=mean, polygon=poly)
+        monkeypatch.setattr(coherify.cli.bounds_mod, "compute_bounds", lambda _: rep)
+    code, report = run(capsys, "validate", write_json(tmp_path / "t.json", t),
+                       "--samples", "130", "--seed", "42")
+    expected = _counts_from_channels(samples, rep)
+    assert report["violations"] == expected
+    if tight:
+        assert code == 6
+        assert min(expected["mu_upper_majorization"],
+                   _counts_from_channels(samples[128:], rep)["mu_upper_majorization"]) > 0
+        if rep.polygon is not None:
+            assert min(expected["polygon_purity"], expected["polygon_majorization"]) > 0
+    else:
+        assert code == 0 and not any(expected.values())

@@ -14,7 +14,6 @@ from coherify.diagnostics import path_distribution
 from coherify.matcore import eig_hermitian
 from coherify.oracle import (
     _ASCENT_STARTS,
-    _COUPLINGS,
     _HAAR_STATES,
     _PHASES,
     _SAMPLE_STARTS,
@@ -26,6 +25,7 @@ from coherify.oracle import (
     _project,
     _rng,
     _streams,
+    _whiten,
     haar_unitarity_mc,
     haar_unitary,
     maximize_purity,
@@ -44,7 +44,7 @@ T_FLAT_OFFDIAG = 0.5 * np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
 # a dense 4x4 action whose first wave of 8 starts ends at two maxima
 _M4 = np.random.default_rng(1).uniform(0.02, 1.0, (4, 4)) ** 2
 T_TWO_MAXIMA = _M4 / _M4.sum(axis=0, keepdims=True)
-_PURPOSES = (_SAMPLE_STARTS, _COUPLINGS, _ASCENT_STARTS, _PHASES, _HAAR_STATES)
+_PURPOSES = (_SAMPLE_STARTS, _ASCENT_STARTS, _PHASES, _HAAR_STATES)
 
 
 def test_config_validation():
@@ -590,7 +590,7 @@ def test_each_purpose_draws_only_its_own_streams(seed, n, restarts, inputs):
              lambda: maximize_purity_many([t] * inputs, cfg),
              lambda: search_unistochastic_witness(T_FLAT_OFFDIAG, cfg),
              lambda: haar_unitarity_mc(rand_channel(2, np.random.default_rng(0)), 3, seed))
-    expected = ({_SAMPLE_STARTS, _COUPLINGS}, {_ASCENT_STARTS} if restarts > 1 else set(),
+    expected = ({_SAMPLE_STARTS}, {_ASCENT_STARTS} if restarts > 1 else set(),
                 {_PHASES} if restarts > 2 else set(), {_HAAR_STATES})
     with patch.object(coherify.oracle, "_streams", record):
         for call, bases in zip(calls, expected):
@@ -908,6 +908,85 @@ def test_sampler_memory_is_that_of_one_chunk():
         finally:
             tracemalloc.stop()
     assert peaks[512] < 2 * peaks[128]
+
+
+def _gaussian_rows(d, rank, rng):
+    """d block rows, each d x d^2 complex Gaussian and zero past rank."""
+    g = rng.standard_normal((d, d, d * d)) + 1j * rng.standard_normal((d, d, d * d))
+    g[..., rank:] = 0
+    return g
+
+
+def _check_whitening(g, rng):
+    """The whitened rows Q_i^dag of block rows G_i are co-isometries, zero
+    where G_i's columns are, equal to U_i P_i for P_i the polar factor of
+    G_i and U_i unitary, and U_i is the same for G_i V, V Haar: it depends
+    on W_ii = G_i G_i^dag alone."""
+    d = g.shape[-2]
+    eye = np.eye(d)
+
+    def unitaries(g):
+        q = _whiten(g)
+        left, _, right = np.linalg.svd(g, full_matrices=False)
+        polar = left @ right
+        u = q @ polar.conj().swapaxes(-1, -2)
+        assert np.abs(u @ u.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
+        assert np.abs(u @ polar - q).max() <= 1e-13
+        return q, u
+
+    q, u = unitaries(g)
+    assert np.abs(q @ q.conj().swapaxes(-1, -2) - eye).max() <= 1e-13
+    zero = (g == 0).all(axis=-2, keepdims=True)
+    assert (q[np.broadcast_to(zero, q.shape)] == 0).all()
+    v = haar_unitary(g.shape[-1], rng)
+    assert np.abs(unitaries(g @ v)[1] - u).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_whitened_couplings_are_co_isometries_with_the_polar_factors_law(d):
+    rng = np.random.default_rng(d)
+    for rank in (d, d * d):
+        for _ in range(5):
+            _check_whitening(_gaussian_rows(d, rank, rng), rng)
+
+
+def test_whitening_of_the_small_entry_sampler():
+    # the couplings that sampling the bench's action with a 4e-4 entry whitens
+    small = np.array([[0.4043, 0.4914, 0.2938],
+                      [0.4544, 0.2575, 0.7058],
+                      [0.1413, 0.2511, 0.0004]])
+    seen = []
+
+    def spy(g):
+        seen.append(g.copy())
+        return _whiten(g)
+
+    with patch.object(coherify.oracle, "_whiten", spy):
+        samples = sample_fixed_action(small, 100, OracleConfig(seed=0))
+    assert len(samples) == 100 and len(seen) == 1 and seen[0].shape == (100, 3, 3, 9)
+    _check_whitening(seen[0], np.random.default_rng(0))
+    # every rank d..d^2 occurs, and each row is zero past its rank
+    ranks = (seen[0] != 0).any(axis=(1, 2)).sum(axis=-1)
+    assert set(ranks.tolist()) == set(range(3, 10))
+
+
+def test_sampler_starts_are_random_starts_of_their_streams():
+    # sample i projects the start random_starts draws from stream
+    # _SAMPLE_STARTS + i, bit for bit, whichever chunk it runs in
+    starts = []
+    real = coherify.oracle._project
+
+    def spy(feas, x0, *args, **kwargs):
+        starts.append(x0)
+        return real(feas, x0, *args, **kwargs)
+
+    with patch.object(coherify.oracle, "_project", spy):
+        sample_fixed_action(T_EXAMPLE, 130, OracleConfig(seed=11))
+    feas = _FeasibleSet.for_action(T_EXAMPLE)
+    expected = feas.random_starts(feas.target(T_EXAMPLE),
+                                  _streams(11, range(_SAMPLE_STARTS, _SAMPLE_STARTS + 130)))
+    assert [len(x) for x in starts] == [128, 2]
+    assert np.array_equal(np.concatenate(starts), expected)
 
 
 def test_sampler_with_no_samples():
