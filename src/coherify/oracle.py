@@ -46,7 +46,9 @@ Randomness comes from the counter-based Philox generator, keyed by
 [seed, stream] across its two key words (one Philox, re-keyed per stream by
 :func:`_streams`; see there which streams each search draws), so runs are
 bit-reproducible, and a member's projection does not depend on the batch
-it is projected in.
+it is projected in. The sampler keys one stream per chunk of 128 samples
+and draws each quantity of the whole chunk in one call, so its samples too
+depend only on the seed and their index.
 
 Inside ``with recording() as stats:`` the sampler and the maximizer count
 their work (:class:`OracleStats`): time per phase, the Newton work of each
@@ -61,7 +63,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -178,9 +179,9 @@ def _streams(seed: int, streams):
     """One generator per stream, each drawing what
     ``Generator(Philox(key=[seed, stream]))`` draws.
 
-    Each purpose draws from its own 2^32 streams: _SAMPLE_STARTS + i
-    sample i's start, then its coupling's factor, rank and place u
-    (:func:`sample_fixed_action`); _ASCENT_STARTS + k * restarts + r the
+    Each purpose draws from its own 2^32 streams: _SAMPLE_STARTS + c the
+    starts and couplings of the sampler's chunk c, samples 128c .. 128c +
+    127 (:func:`sample_fixed_action`); _ASCENT_STARTS + k * restarts + r the
     random ascent start r >= 1 of input k (:func:`maximize_purity_many`);
     _PHASES + r the random phases of witness-search restart r >= 2;
     _HAAR_STATES the states of :func:`haar_unitarity_mc`.
@@ -354,20 +355,21 @@ class _FeasibleSet:
         even when some diagonal targets are tiny; on the padding, where t is
         0, so is the envelope.
         """
-        draws = [_draw_start(rng, self.d) for rng in rngs]
-        return self._starts(target, [s for s, _ in draws], [z for _, z in draws])
+        d = self.d
+        draws = [_draw_start(rng, d) for rng in rngs]
+        scale = np.array([s for s, _ in draws])
+        noise = np.array([z for _, z in draws]).reshape(len(draws), 2, d, d, d)
+        return self._starts(target, scale, noise)
 
-    def _starts(self, target: np.ndarray, scale: list, noise: list) -> np.ndarray:
-        """The starts of :meth:`random_starts` from their draws, one scale and
-        one noise array per start."""
-        d, size = self.d, len(scale)
-        noise = np.array(noise).reshape(size, 2, d, d, d)
+    def _starts(self, target: np.ndarray, scale: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The starts of :meth:`random_starts` from their draws: scale (B,)
+        and noise (B, 2, d, d, d), its real and imaginary parts."""
         g = noise[:, 0] + 1j * noise[:, 1]
-        x = self._points((size,))
+        x = self._points((len(scale),))
         x[:, self.blk, self.row, self.row] = target
         root = np.sqrt(x.real.diagonal(axis1=-2, axis2=-1))
         env = root[..., :, None] * root[..., None, :]
-        return x + np.array(scale)[:, None, None, None] * (g + dag(g)) / 2 * env
+        return x + scale[:, None, None, None] * (g + dag(g)) / 2 * env
 
 
 def _draw_start(rng: np.random.Generator, d: int) -> tuple[float, np.ndarray]:
@@ -438,14 +440,16 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
     A(S)) / gram; given y0, one row per member, it evaluates theta at both
     in one batched eigendecomposition, and each member starts from the one
     with the lower theta, the affine one on a tie. Returns (Y, converged,
-    y): Y is exactly PSD and C-ordered, y holds each member's final
-    multipliers, so that Y = Pi_+(S + A^* y); a member is converged, and
-    leaves the batch, once its residual, the largest |A(Y) - b| of a
-    diagonal entry or a group's complex sum, is at most tol; max_iter caps
-    its Newton steps (a member that starts converged takes none). target
-    is one diagonal target for every member or one per member. Each
-    member's arithmetic does not depend on the rest of the batch, so
-    projecting a batch equals projecting its members one by one.
+    y, w, v): Y is exactly PSD and C-ordered, y holds each member's final
+    multipliers, so that Y = Pi_+(S + A^* y), and (w, v) the eigenpairs of
+    each member's final S + A^* y, eigenvalues ascending and clipped at 0,
+    from which Y was built (Y = V diag(w) V^dag, made Hermitian); a member
+    is converged, and leaves the batch, once its residual, the largest
+    |A(Y) - b| of a diagonal entry or a group's complex sum, is at most
+    tol; max_iter caps its Newton steps (a member that starts converged
+    takes none). target is one diagonal target for every member or one per
+    member. Each member's arithmetic does not depend on the rest of the
+    batch, so projecting a batch equals projecting its members one by one.
     """
     rec = _RECORD.get()
     # C order whatever x0's memory layout: callers reduce over Y's last axes,
@@ -469,6 +473,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
         w, v, theta, slack = (part[pick] for part in both)
     n, g = feas.n, feas.n_groups
     out, y_out = np.empty_like(s), np.empty_like(y)
+    w_out, v_out = np.empty(s.shape[:-1]), np.empty_like(s)
     converged = np.zeros(size, dtype=bool)
     live = np.arange(size)
     member_steps = halvings = 0
@@ -483,6 +488,8 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
         done = converged[live] | (step == max_iter)
         out[live[done]] = point[done]
         y_out[live[done]] = y[done]
+        w_out[live[done]] = np.maximum(w[done], 0.0)
+        v_out[live[done]] = v[done]
         if done.all():
             break
         if done.any():
@@ -510,7 +517,7 @@ def _project(feas: _FeasibleSet, x0: np.ndarray, target: np.ndarray, tol: float,
         rec.projections.append({"phase": rec._phase, "members": size, "newton_iterations": step,
                                 "member_steps": member_steps, "step_halvings": halvings,
                                 "capped": int(size - converged.sum())})
-    return out, converged, y_out
+    return out, converged, y_out, w_out, v_out
 
 
 def _couple(feas: _FeasibleSet, w: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -548,29 +555,27 @@ def _sample_stacks(t, n: int, cfg: OracleConfig):
     d = t.shape[0]
     feas = _FeasibleSet.for_action(t)
     target = feas.target(t)
-    rngs = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + n))
-    for first in range(0, n, _CHUNK):
+    chunks = range(0, n, _CHUNK)
+    rngs = _streams(cfg.seed, range(_SAMPLE_STARTS, _SAMPLE_STARTS + len(chunks)))
+    for first, rng in zip(chunks, rngs):
         size = min(_CHUNK, n - first)
-        scale, noise, factor, uniform = [], [], [], []
-        for rng in islice(rngs, size):
-            scale_i, noise_i = _draw_start(rng, d)
-            scale.append(scale_i)
-            noise.append(noise_i)
-            # the coupling: G's real and imaginary parts, d^2 x d^2 whatever
-            # its rank, then one uniform for the rank and one for u
-            factor.append(rng.standard_normal((2, d * d, d * d)))
-            uniform.append(rng.uniform(size=2))
+        # a full chunk's rows whatever its size, so that sample i's draws are
+        # row i mod _CHUNK of its chunk's: the start's scale and noise, the
+        # coupling's factor G (real and imaginary parts, d^2 x d^2 whatever
+        # its rank), then one uniform for the rank and one for u
+        scale = rng.uniform(0.1, 0.9, _CHUNK)[:size]
+        noise = rng.standard_normal((_CHUNK, 2, d, d, d))[:size]
+        factor = rng.standard_normal((_CHUNK, 2, d * d, d * d))[:size]
+        uniform = rng.uniform(size=(_CHUNK, 2))[:size]
         starts = feas._starts(target, scale, noise)
         _enter(rec, "sampler_projection")
-        blocks, ok, _ = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
+        _, ok, _, w, v = _project(feas, starts, target, _SAMPLE_TOL, _MAX_STEPS)
         _enter(rec, "sampler_other")
         if not ok.all():
             raise ConvergenceFailure(
                 f"{int((~ok).sum())} of {size} samples ({first}..{first + size - 1}) did not "
                 f"reach tolerance {_SAMPLE_TOL} within {_MAX_STEPS} Newton steps"
             )
-        factor = np.array(factor)
-        uniform = np.array(uniform)
         rank = d + np.floor(uniform[:, 0] * (d * d - d + 1))
         g = factor[:, 0] + 1j * factor[:, 1]
         g *= np.arange(d * d) < rank[:, None, None]    # zero past rank r
@@ -578,7 +583,6 @@ def _sample_stacks(t, n: int, cfg: OracleConfig):
         # Q_i = [a E_i, b Q^W_i, c V_i], E_i the rows (i, .) of the identity and
         # a^2 + b^2 + c^2 = 1, gives Q_i Q_j^dag = a^2 I_ij + b^2 C_W,ij + c^2 C_A,ij
         a, c = (np.sqrt(np.maximum(x, 0.0))[:, None, None, None] for x in (1 - 2 * u, 2 * u - 1))
-        w, v = np.linalg.eigh(blocks)
         q = np.concatenate([a * np.eye(d * d).reshape(d, d, d * d),
                             np.sqrt(1 - a * a - c * c) * _whiten(g.reshape(size, d, d, d * d)),
                             c * v], axis=-1)
@@ -611,13 +615,18 @@ def sample_fixed_action(t, n: int, cfg: OracleConfig | None = None) -> list[Chan
     (:func:`_whiten`). L_i^{-1} G_i = U_i P_i, P_i the polar factor of G_i,
     Haar distributed and independent of W_ii, and U_i a unitary fixed by
     W_ii, so C_W has the law of D^{-1/2} W D^{-1/2}, D = blockdiag(W_ii).
-    Sample i draws from its own stream _SAMPLE_STARTS + i (see
-    :func:`_streams`): its start, then G (a d^2 x d^2 draw, zero past r), r
-    and u. The samples run in chunks of 128, each in one pass from its
-    starts to its checked channels, so no array spans all n samples (a
-    chunk's largest is its Newton system, 128 * m * d^3 entries); a
-    member's bits do not depend on its chunk, and a chunk that does not
-    converge raises at once. A negative n raises ValueError.
+    The samples run in chunks of 128, each in one pass from its starts to
+    its checked channels, so no array spans all n samples (a chunk's
+    largest is its Newton system, 128 * m * d^3 entries), and a chunk that
+    does not converge raises at once. Chunk c draws from one stream,
+    _SAMPLE_STARTS + c (see :func:`_streams`), in four calls of 128 rows
+    each, whatever the chunk's size: the starts' scales, their noise, the
+    G's (d^2 x d^2 draws, zero past r), and the pairs that set r and u.
+    Sample i takes row i mod 128 of its chunk's draws, and its projection
+    does not depend on the rest of its chunk, so sample i depends only on
+    the seed and i: the samples of n are the first n of any larger call's.
+    The coupling reads each block's eigenpairs off the projection (see
+    :func:`_project`). A negative n raises ValueError.
     """
     samples = []
     for jams, spectra in _sample_stacks(t, n, cfg or OracleConfig()):
@@ -714,8 +723,8 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
             if not live.size:
                 break
             last[live // per] = step + 1
-            z, ok, y = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL, _MAX_STEPS,
-                                duals[live] if step else None)
+            z, ok, y, *_ = _project(feas, x[live] + g[live], targets[live], _ASCENT_TOL,
+                                    _MAX_STEPS, duals[live] if step else None)
             fz, gz = f_and_grad(z[ok])
             moved = live[ok]
             gain = fz - f[moved]
@@ -739,7 +748,7 @@ def _maximize_group(group, global_idx, cfg: OracleConfig):
     # one more ascent step from each input's best start, projected to 1e-13,
     # so that the blocks coupled below are feasible to that residual
     best = np.arange(len(group)) * per + f.argmax(axis=1)
-    z, ok, _ = _project(feas, x[best] + g[best], targets[best], 1e-13, _MAX_STEPS, duals[best])
+    z, ok, *_ = _project(feas, x[best] + g[best], targets[best], 1e-13, _MAX_STEPS, duals[best])
     if not ok.all():
         raise ConvergenceFailure(f"{int((~ok).sum())} of {len(group)} final projections did "
                                  f"not reach 1e-13 within {_MAX_STEPS} Newton steps")

@@ -11,7 +11,7 @@ import coherify
 from coherify.bounds import mu_lower, mu_upper, polygon_report
 from coherify.channels import channel_purity, classical_action
 from coherify.diagnostics import path_distribution
-from coherify.matcore import eig_hermitian
+from coherify.matcore import dag, eig_hermitian
 from coherify.oracle import (
     _ASCENT_STARTS,
     _HAAR_STATES,
@@ -357,9 +357,9 @@ def test_maximize_purity_raises_when_the_final_projection_fails(monkeypatch):
     project, calls = oracle._project, []
 
     def failing_final(*args, **kwargs):
-        y, ok, dual = project(*args, **kwargs)
+        y, ok, *rest = project(*args, **kwargs)
         calls.append(len(ok))
-        return y, ok & (len(calls) == 1), dual
+        return y, ok & (len(calls) == 1), *rest
 
     monkeypatch.setattr(oracle, "_project", failing_final)
     with pytest.raises(coherify.ConvergenceFailure):
@@ -527,15 +527,15 @@ def test_project_batch_equals_members_alone():
     for y0 in (None, warm, mixed):
         for target in (per_member, shared):
             for cap in (4, 6):
-                y, ok, dual = _project(feas, x0, target, 1e-9, cap, y0)
-                assert y.flags.c_contiguous
+                batch = _project(feas, x0, target, 1e-9, cap, y0)
+                assert batch[0].flags.c_contiguous
                 for i in range(len(x0)):
                     tg = target[i:i + 1] if target.ndim == 2 else target
                     y0_i = None if y0 is None else y0[i:i + 1]
-                    y1, ok1, dual1 = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
-                    assert np.array_equal(y[i], y1[0])
-                    assert ok[i] == ok1[0]
-                    assert np.array_equal(dual[i], dual1[0])
+                    alone = _project(feas, x0[i:i + 1], tg, 1e-9, cap, y0_i)
+                    # Y, the flag, the multipliers and the eigenpairs
+                    for a, b in zip(batch, alone, strict=True):
+                        assert np.array_equal(a[i], b[0])
 
 
 def _philox(seed, stream):
@@ -646,8 +646,8 @@ def test_project_ignores_input_layout():
     x = feas.random_starts(target, [_rng(6, i) for i in range(5)])
     f_ordered = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)   # equal values
     assert np.array_equal(f_ordered, x) and not f_ordered.flags.c_contiguous
-    y, ok, _ = _project(feas, x, target, 1e-9, 50)
-    y_f, ok_f, _ = _project(feas, f_ordered, target, 1e-9, 50)
+    y, ok, *_ = _project(feas, x, target, 1e-9, 50)
+    y_f, ok_f, *_ = _project(feas, f_ordered, target, 1e-9, 50)
     assert ok.all() and np.array_equal(ok, ok_f)
     assert np.array_equal(y, y_f) and y_f.flags.c_contiguous
 
@@ -733,7 +733,7 @@ def test_project_matches_dykstra_reference():
         x0 *= (1.5 + np.arange(3))[:, None, None, None]
         # entries in the padding, as the ascent's gradient has them, are dropped
         padded = x0 + (1.0 - feas.mask) * _rng(8, 98).standard_normal(x0.shape)
-        y, ok, _ = _project(feas, padded, target, 1e-11, 100)
+        y, ok, *_ = _project(feas, padded, target, 1e-11, 100)
         assert ok.all()
         assert np.abs(y * (1.0 - feas.mask)).max() <= 1e-12
         for i in range(len(x0)):
@@ -766,7 +766,7 @@ def test_project_properties(case):
     target = feas.target(t)
     x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(4)])
     tol = 1e-9
-    y, ok, _ = _project(feas, x0, target, tol, 100)
+    y, ok, *_ = _project(feas, x0, target, tol, 100)
     assert ok.all()
     assert (np.linalg.eigvalsh(y).min(axis=(-2, -1)) >= -1e-12).all()
     assert (_residual(feas, y, target) <= tol).all()
@@ -818,7 +818,7 @@ def test_project_converges_where_the_residual_of_y_is_within_tol(case, cap):
     x0 = feas.random_starts(target, [_rng(seed, i) for i in range(16)])
     x0 *= np.linspace(-8.0, 8.0, 16)[:, None, None, None]
     for tol in (1e-3, 1e-9):
-        y, ok, _ = _project(feas, x0, target, tol, cap)
+        y, ok, *_ = _project(feas, x0, target, tol, cap)
         assert np.array_equal(ok, _residual(feas, y, target) <= tol)
     # with no step allowed, Y does not depend on tol, and each member's flag
     # turns at its residual (to the rounding of its sums, which may add the
@@ -833,10 +833,10 @@ def test_project_from_its_own_multipliers_takes_no_step():
     feas = _FeasibleSet.for_action(T_EXAMPLE)
     target = feas.target(T_EXAMPLE)
     x0 = 3.0 * feas.random_starts(target, [_rng(9, i) for i in range(5)])
-    y, ok, dual = _project(feas, x0, target, 1e-9, 50)
+    y, ok, dual, *_ = _project(feas, x0, target, 1e-9, 50)
     assert ok.all()
     # a cap of 0 allows no Newton step, so every member converges at its start
-    y2, ok2, dual2 = _project(feas, x0, target, 1e-9, 0, dual)
+    y2, ok2, dual2, *_ = _project(feas, x0, target, 1e-9, 0, dual)
     assert np.array_equal(y2, y) and np.array_equal(ok2, ok)
     assert np.array_equal(dual2, dual)
 
@@ -850,8 +850,8 @@ def test_project_warm_start_reaches_the_same_point(case, scale):
     x0 = 2.0 * feas.random_starts(target, [_rng(seed, i) for i in range(3)])
     y0 = scale * _rng(seed, 99).standard_normal((len(x0), feas.m))
     tol = 1e-11
-    cold, ok_cold, _ = _project(feas, x0, target, tol, 100)
-    warm, ok_warm, _ = _project(feas, x0, target, tol, 100, y0)
+    cold, ok_cold, *_ = _project(feas, x0, target, tol, 100)
+    warm, ok_warm, *_ = _project(feas, x0, target, tol, 100, y0)
     assert ok_cold.all() and ok_warm.all()
     assert (_residual(feas, warm, target) <= tol).all()
     # the projection is unique, so the start only changes the path to it
@@ -970,23 +970,78 @@ def test_whitening_of_the_small_entry_sampler():
     assert set(ranks.tolist()) == set(range(3, 10))
 
 
-def test_sampler_starts_are_random_starts_of_their_streams():
-    # sample i projects the start random_starts draws from stream
-    # _SAMPLE_STARTS + i, bit for bit, whichever chunk it runs in
-    starts = []
+def _projected(call):
+    """Run call() with _project spied on; the (x0, result) of each call."""
+    seen = []
     real = coherify.oracle._project
 
     def spy(feas, x0, *args, **kwargs):
-        starts.append(x0)
-        return real(feas, x0, *args, **kwargs)
+        seen.append((x0, real(feas, x0, *args, **kwargs)))
+        return seen[-1][1]
 
     with patch.object(coherify.oracle, "_project", spy):
-        sample_fixed_action(T_EXAMPLE, 130, OracleConfig(seed=11))
+        result = call()
+    return result, seen
+
+
+def test_sampler_starts_are_random_starts_of_their_streams():
+    # sample i projects the start built from row i mod 128 of the scales and
+    # the noise that chunk stream _SAMPLE_STARTS + i // 128 draws first, bit
+    # for bit
+    _, seen = _projected(lambda: sample_fixed_action(T_EXAMPLE, 130, OracleConfig(seed=11)))
     feas = _FeasibleSet.for_action(T_EXAMPLE)
-    expected = feas.random_starts(feas.target(T_EXAMPLE),
-                                  _streams(11, range(_SAMPLE_STARTS, _SAMPLE_STARTS + 130)))
-    assert [len(x) for x in starts] == [128, 2]
-    assert np.array_equal(np.concatenate(starts), expected)
+    target = feas.target(T_EXAMPLE)
+    assert [len(x0) for x0, _ in seen] == [128, 2]
+    starts = np.concatenate([x0 for x0, _ in seen])
+    for c in (0, 1):
+        rng = _rng(11, _SAMPLE_STARTS + c)
+        scale = rng.uniform(0.1, 0.9, 128)
+        noise = rng.standard_normal((128, 2, 3, 3, 3))
+        for i in range(128 * c, min(128 * (c + 1), 130)):
+            row = slice(i % 128, i % 128 + 1)
+            assert np.array_equal(starts[i], feas._starts(target, scale[row], noise[row])[0])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([T_EXAMPLE, T_FLAT_OFFDIAG, T_EXAMPLE[:2, :2] / T_EXAMPLE[:2, :2].sum(axis=0)]),
+       st.integers(1, 299).flatmap(lambda n1: st.tuples(st.just(n1), st.integers(n1 + 1, 300))),
+       st.integers(0, 2**64 - 1))
+def test_sampler_samples_are_prefixes_of_larger_calls(t, sizes, seed):
+    # sample i depends on the seed and i alone, whichever chunks the call has
+    n1, n2 = sizes
+    cfg = OracleConfig(seed=seed)
+    for a, b in zip(sample_fixed_action(t, n1, cfg), sample_fixed_action(t, n2, cfg)[:n1],
+                    strict=True):
+        assert np.array_equal(a.jam, b.jam)
+        assert np.array_equal(a.spectrum, b.spectrum)
+
+
+_M3 = np.random.default_rng(303).uniform(0.02, 1.0, (3, 3))
+T_DENSE3 = _M3 / _M3.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("t", [T_DENSE3, T_EXAMPLE, T_FLAT_OFFDIAG])
+def test_project_hands_on_the_eigenpairs_of_its_point(t):
+    feas = _FeasibleSet.for_action(t)
+    target = feas.target(t)
+    # scaled away from the set, so that the cone clips eigenvalues
+    x0 = 3.0 * feas.random_starts(target, [_rng(12, i) for i in range(6)])
+    eye = np.eye(t.shape[0])
+    for tol in (1e-7, 1e-13):
+        y, ok, _, w, v = _project(feas, x0, target, tol, 100)
+        assert ok.all()
+        assert (w >= 0).all() and (w == 0).any()
+        assert np.abs(dag(v) @ v - eye).max() <= 1e-13
+        assert np.abs((v * w[..., None, :]) @ dag(v) - y).max() <= 1e-13
+    # the sampler couples blocks from these eigenpairs: J_ii = B_i whatever
+    # the coupling (u falls on both sides of 1/2 over 130 samples)
+    samples, seen = _projected(lambda: sample_fixed_action(t, 130, OracleConfig(seed=13)))
+    blocks = np.concatenate([result[0] for _, result in seen])
+    d = t.shape[0]
+    for smp, b in zip(samples, blocks, strict=True):
+        jam = smp.jam.reshape(d, d, d, d)
+        for i in range(d):
+            assert np.abs(jam[i, :, i, :] - b[i]).max() <= 1e-12
 
 
 def test_sampler_with_no_samples():
